@@ -68,6 +68,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import os
 import time
 from collections import Counter, OrderedDict
@@ -893,9 +894,11 @@ class Engine:
                 {"ids": [int(i) for i in ids_arr]},
                 generation=self._generation + 1,
             )
-        keep = np.setdiff1d(np.arange(n, dtype=np.intp), ids_arr)
+        kept = np.ones(n, dtype=bool)
+        kept[ids_arr] = False
+        keep = np.flatnonzero(kept)
         cols = self._registry.peek(("columns",), self._generation)
-        self._points = [self._points[i] for i in keep]
+        self._points = list(itertools.compress(self._points, kept.tolist()))
         self._generation += 1
         if cols is not None:
             if keep.size:
@@ -1052,31 +1055,34 @@ class Engine:
 
     def _replay_wal(self, records, wal_path: str) -> None:
         """Apply the log's surviving records on top of the loaded
-        snapshot.
+        snapshot, as one net effect.
 
         Records whose generation the snapshot already covers are
         skipped (that is what makes a crash between snapshot publish
-        and log rotation harmless).  Runs of consecutive ``insert``
-        records are applied as one batched insert — per-point column
-        summaries are independent, so the result is bit-identical to
-        one-at-a-time application — and the generation counter is then
-        pinned to the last record's stamp.
+        and log rotation harmless).  The rest are folded in log order
+        over an index array of the engine's rows as positions in
+        ``base + logged``: ``base`` is the snapshot relation (or the
+        last ``replace``'s points) and ``logged`` the points inserted
+        since.  The fold then applies as one ``remove`` of the dropped
+        base rows and one ``insert`` of the surviving logged points,
+        and the generation counter is pinned to the last record's
+        stamp.  Per-row column summaries are independent, so the
+        result is bit-identical to applying the records one by one; a
+        point inserted and removed inside the log is decoded but never
+        summarised.
         """
         gen = self._generation
-        pending: List = []
-
-        def flush(target_gen: int) -> None:
-            nonlocal pending
-            if not pending:
-                return
-            self.insert(pending)  # _wal is still None: no re-append
-            pending = []
-            self._pin_generation(target_gen)
-
+        replaced: Optional[List] = None
+        n_base = len(self._points)
+        logged: List = []
+        # The row index array, kept as chunks that are concatenated only
+        # when a remove needs it, so an insert record costs O(1).
+        chunks = [np.arange(n_base, dtype=np.intp)]
+        replayed = 0
         for rec in records:
             if rec.op == "snapshot-marker":
                 continue  # base validated by the caller
-            if rec.gen <= gen and not pending:
+            if rec.gen <= gen and not replayed:
                 continue  # already folded into the snapshot
             if rec.gen != gen + 1:
                 raise WalCorruptionError(
@@ -1086,19 +1092,46 @@ class Engine:
                     path=wal_path, reason="generation", offset=rec.offset,
                 )
             gen = rec.gen
-            self._wal_replayed += 1
+            replayed += 1
             if rec.op == "insert":
-                pending.extend(_io.points_from_wire(rec.payload["points"]))
-                continue
-            flush(gen - 1)
-            if rec.op == "remove":
-                self.remove([int(i) for i in rec.payload["ids"]])
-            else:  # replace
-                self.replace_points(
-                    _io.points_from_wire(rec.payload["points"])
+                new = _io.points_from_wire(rec.payload["points"])
+                start = n_base + len(logged)
+                chunks.append(
+                    np.arange(start, start + len(new), dtype=np.intp)
                 )
-            self._pin_generation(gen)
-        flush(gen)
+                logged.extend(new)
+            elif rec.op == "remove":
+                rows = np.concatenate(chunks)
+                ids = np.asarray(rec.payload["ids"], dtype=np.intp)
+                if ids.size and (ids.min() < 0 or ids.max() >= rows.size):
+                    raise WalCorruptionError(
+                        f"WAL remove record at offset {rec.offset} names "
+                        f"rows outside [0, {rows.size})",
+                        path=wal_path, reason="decode", offset=rec.offset,
+                    )
+                kept = np.ones(rows.size, dtype=bool)
+                kept[ids] = False
+                chunks = [rows[kept]]
+            else:  # replace: a new base, nothing logged on top of it yet
+                replaced = _io.points_from_wire(rec.payload["points"])
+                n_base = len(replaced)
+                logged = []
+                chunks = [np.arange(n_base, dtype=np.intp)]
+        if not replayed:
+            return
+        rows = np.concatenate(chunks)
+        self._wal_replayed += replayed
+        # _wal is still None, so none of these re-append to the log.
+        if replaced is not None:
+            self.replace_points(replaced)
+        dropped = np.ones(n_base, dtype=bool)
+        dropped[rows[rows < n_base]] = False
+        if dropped.any():
+            self.remove(dropped)
+        survivors = rows[rows >= n_base] - n_base
+        if survivors.size:
+            self.insert([logged[i] for i in survivors])
+        self._pin_generation(gen)
 
     def _pin_generation(self, generation: int) -> None:
         """Move the generation counter to ``generation``, carrying the

@@ -24,6 +24,11 @@ class Point:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Point is immutable")
 
+    def __reduce__(self):
+        # Pickle through the constructor: the default slot-state path
+        # would restore ``x``/``y`` with the __setattr__ guard above.
+        return (type(self), (self.x, self.y))
+
     # -- value semantics ---------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, Point):

@@ -24,8 +24,9 @@ Endpoints
 Failure modes map to HTTP statuses: malformed input 400 (``QueryError``
 / ``DistributionError``), unknown dataset 404, name collision 409,
 oversized bodies 413 (rejected from ``Content-Length`` alone, before
-buffering), queue admission 429, draining / resource limits 503,
-expired deadlines 504.  Error bodies are ``{"error": <type>,
+buffering), a body stalled past ``READ_TIMEOUT_S`` 408 (the
+connection then closes), queue admission 429, draining / resource
+limits 503, expired deadlines 504.  Error bodies are ``{"error": <type>,
 "message": ...}``; 429/503 responses carry a ``Retry-After`` header and
 the live ``queue_depth`` so clients can pace their retries.
 
@@ -70,6 +71,12 @@ __all__ = ["ServiceServer", "status_of"]
 #: Coalesced-batch-size buckets: powers of two up to the request cap.
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+#: Seconds a connection may sit in one socket read (a request line, a
+#: header, a body chunk, or the idle gap between keep-alive requests)
+#: before the server closes it, so a stalled client cannot pin a
+#: handler thread forever.
+READ_TIMEOUT_S = 60.0
+
 
 def status_of(exc: BaseException) -> int:
     """The HTTP status for one library error (the documented mapping)."""
@@ -85,6 +92,8 @@ def status_of(exc: BaseException) -> int:
         return 503
     if isinstance(exc, QueryTimeoutError):
         return 504
+    if isinstance(exc, TimeoutError):
+        return 408  # the client stalled past READ_TIMEOUT_S
     if isinstance(exc, (QueryError, DistributionError, SnapshotError)):
         return 400
     if isinstance(exc, ServiceError):
@@ -429,6 +438,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     service: ServiceServer  # bound per server instance
     protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{__version__}"
+    timeout = READ_TIMEOUT_S
 
     # -- plumbing -------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -446,7 +456,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 length=length,
                 limit=limit,
             )
-        return self.rfile.read(length) if length > 0 else b""
+        try:
+            return self.rfile.read(length) if length > 0 else b""
+        except TimeoutError:
+            # Stalled mid-body: the rest of the stream cannot be framed.
+            self.close_connection = True
+            raise
 
     def _send(
         self,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,9 +22,12 @@ from .base import UncertainPoint
 class DiscreteUncertainPoint(UncertainPoint):
     """Uncertain point with locations ``p_1..p_k`` and weights ``w_1..w_k``.
 
-    Weights must be positive and sum to one (up to rounding).  The hull
-    and smallest enclosing circle of the support are precomputed; they
-    drive ``dmax`` and the discrete two-stage index bounds.
+    Weights must be positive and sum to one (up to rounding).  The
+    constructor only validates and stores; the hull, the smallest
+    enclosing circle and the alias table are built on first use and
+    cached on the instance.  The hull drives ``dmax`` and the circle the
+    column summary, so a point restored together with its summary (a
+    snapshot) builds neither until a caller needs them.
     """
 
     def __init__(self, locations: Sequence, weights: Sequence[float], name=None):
@@ -41,14 +45,25 @@ class DiscreteUncertainPoint(UncertainPoint):
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"weights sum to {total}, expected 1")
         self.name = name
-        self._sampler = AliasSampler(self.weights)
-        self.hull = convex_hull(self.locations)
-        self.enclosing = smallest_enclosing_circle(self.locations)
         self._loc_arr = np.asarray(self.locations, dtype=np.float64)
         self._w_arr = np.asarray(self.weights, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"DiscreteUncertainPoint(k={len(self.locations)})"
+
+    @cached_property
+    def hull(self) -> List:
+        """Convex hull of the support, counter-clockwise."""
+        return convex_hull(self.locations)
+
+    @cached_property
+    def enclosing(self):
+        """Smallest enclosing circle of the support."""
+        return smallest_enclosing_circle(self.locations)
+
+    @cached_property
+    def _sampler(self) -> AliasSampler:
+        return AliasSampler(self.weights)
 
     @property
     def k(self) -> int:

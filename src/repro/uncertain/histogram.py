@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -63,10 +64,14 @@ class HistogramPoint(UncertainPoint):
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"histogram mass {total}, expected 1")
         self.name = name
-        self._sampler = AliasSampler(self.masses)
         self._area = self.cell * self.cell
         self._rect_arr = np.asarray(self.rects, dtype=np.float64)
         self._mass_arr = np.asarray(self.masses, dtype=np.float64)
+
+    @cached_property
+    def _sampler(self) -> AliasSampler:
+        """Alias table over the cells, built on first sample."""
+        return AliasSampler(self.masses)
 
     def __repr__(self) -> str:
         return f"HistogramPoint(cells={len(self.masses)}, cell={self.cell:.6g})"

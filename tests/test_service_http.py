@@ -12,10 +12,15 @@ subprocess test lives in ``test_service_daemon.py``).  Pins:
   deterministic 504 via an already-expired deadline;
 * ``/healthz``, ``/stats`` (JSON-clean), and ``/metrics`` exposition
   (queue depth, request counters, coalesced-batch and latency
-  histograms all present).
+  histograms all present);
+* the connection edge: a client that stalls mid-request is
+  disconnected after the read timeout while others keep being served.
 """
 
+import http.client
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -25,6 +30,7 @@ import pytest
 from repro import Engine, QuerySpec, io as repro_io
 from repro.constructions import random_discrete_points, random_queries
 from repro.service import DatasetRegistry, ServiceServer, wire
+from repro.service import server as server_mod
 
 BBOX = (0, 0, 100, 100)
 
@@ -340,3 +346,52 @@ def test_context_manager_drains(points):
         assert code == 200
     with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
         urllib.request.urlopen(srv.url + "/healthz", timeout=5)
+
+
+# -- connection edge ----------------------------------------------------------
+
+
+def _keepalive_query(conn, row):
+    body = json.dumps({"query": [row]})
+    conn.request(
+        "POST", "/v1/datasets/demo/query", body=body,
+        headers={"Content-Type": "application/json"},
+    )
+    resp = conn.getresponse()
+    payload = json.loads(resp.read())
+    assert resp.status == 200 and payload["m"] == 1
+    return payload
+
+
+def test_stalled_client_is_disconnected_while_others_are_served(
+    server, monkeypatch
+):
+    assert server_mod._ServiceHandler.timeout == server_mod.READ_TIMEOUT_S
+    monkeypatch.setattr(server_mod._ServiceHandler, "timeout", 0.5)
+    stalled = socket.create_connection((server.host, server.port), timeout=10)
+    mid_body = socket.create_connection((server.host, server.port), timeout=10)
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        stalled.sendall(b"POST /v1/datasets/demo/qu")  # half a request line
+        mid_body.sendall(
+            b"POST /v1/datasets/demo/query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 100\r\n\r\n{\"query\": [[1.0,"
+        )
+        rows = random_queries(6, seed=23, bbox=BBOX)
+        t0 = time.monotonic()
+        for row in rows[:3]:
+            _keepalive_query(conn, row)
+        # The stalled handlers give up after their read timeout and close
+        # the socket: a half request line gets EOF, a half body a 408.
+        assert stalled.recv(1024) == b""
+        reply = b""
+        while chunk := mid_body.recv(4096):
+            reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert time.monotonic() - t0 < 5.0
+        for row in rows[3:]:
+            _keepalive_query(conn, row)
+    finally:
+        stalled.close()
+        mid_body.close()
+        conn.close()

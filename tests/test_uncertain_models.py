@@ -6,11 +6,19 @@ sampling, and dmin/dmax correct extremal distances.
 """
 
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
+from repro import Engine
+from repro.config import default_rng
+from repro.constructions import random_discrete_points
 from repro.errors import DistributionError
+from repro.geometry.convex_hull import convex_hull, farthest_point_from
+from repro.geometry.sec import smallest_enclosing_circle
+from repro.index.sampler import AliasSampler
 from repro.uncertain import (
     DiscreteUncertainPoint,
     HistogramPoint,
@@ -200,3 +208,95 @@ class TestPolygonUniform:
         assert p.dmin((1, 1)) == 0.0
         assert math.isclose(p.dmax((0, 0)), math.hypot(2, 2))
         assert math.isclose(p.dmin((4, 1)), 2.0)
+
+
+#: Per-point structures built on first use, not by the constructor.
+LAZY = ("hull", "enclosing", "_sampler")
+
+
+def _built(p):
+    return [name for name in LAZY if name in p.__dict__]
+
+
+class TestLazyGeometry:
+    """Discrete points build their hull, enclosing circle and alias
+    table on first use; restoring an engine builds none of them."""
+
+    QS = [(0.0, 0.0), (50.0, 50.0), (120.0, -7.5)]
+
+    @staticmethod
+    def _points():
+        # k=1 exercises the single-location dmax path.
+        return random_discrete_points(12, 4, seed=31) + random_discrete_points(
+            3, 1, seed=32
+        )
+
+    def test_constructor_builds_nothing(self):
+        assert all(_built(p) == [] for p in self._points())
+        h = HistogramPoint((0, 0), 1.0, [[0.25, 0.25], [0.25, 0.25]])
+        assert "_sampler" not in h.__dict__
+
+    def test_restored_points_build_nothing(self, tmp_path):
+        engine = Engine(self._points())
+        engine.save(str(tmp_path / "snap.npz"))
+        loaded = Engine.load(str(tmp_path / "snap.npz"))
+        assert all(_built(p) == [] for p in loaded.points)
+
+        # A durable tenant whose log inserts points and removes them
+        # again (plus two snapshot rows): recovery decodes the logged
+        # points but never summarises them.
+        ddir = str(tmp_path / "dur")
+        durable = Engine.open_durable(ddir, self._points())
+        durable.insert(random_discrete_points(3, 4, seed=33))
+        durable.remove([0, 5, 15, 16, 17])
+        durable.close()
+        recovered = Engine.open_durable(ddir)
+        try:
+            assert len(recovered) == 13
+            assert recovered.stats()["wal"]["replayed"] == 2
+            assert all(_built(p) == [] for p in recovered.points)
+        finally:
+            recovered.close()
+
+    def test_first_use_matches_eager_construction(self, tmp_path):
+        engine = Engine(self._points())
+        engine.save(str(tmp_path / "snap.npz"))
+        for p in Engine.load(str(tmp_path / "snap.npz")).points:
+            hull = convex_hull(p.locations)
+            for q in self.QS:
+                px, py = p.locations[0]
+                want = (
+                    farthest_point_from(hull, q)[1]
+                    if len(hull) >= 2
+                    else math.hypot(px - q[0], py - q[1])
+                )
+                assert p.dmax(q) == want
+            assert p.enclosing == smallest_enclosing_circle(p.locations)
+
+            sampler = AliasSampler(p.weights)
+            rng, ref = random.Random(5), random.Random(5)
+            got = [p.sample(rng) for _ in range(40)]
+            assert got == [p.locations[sampler.sample(ref)] for _ in range(40)]
+            want = p._loc_arr[sampler.sample_many(default_rng(9), 64)]
+            assert np.array_equal(p.sample_many(9, 64), want)
+            assert _built(p) == list(LAZY)
+
+    def test_pickles_before_and_after_first_use(self):
+        for p in self._points()[:3] + [
+            HistogramPoint((0, 0), 1.0, [[0.1, 0.2], [0.3, 0.4]])
+        ]:
+            fresh = pickle.loads(pickle.dumps(p))
+            assert _built(fresh) == []
+            rng = random.Random(3)
+            stream = [p.sample(rng) for _ in range(5)]
+            if isinstance(p, DiscreteUncertainPoint):
+                p.dmax((1.0, 2.0))  # builds the hull
+                p.enclosing
+            used = pickle.loads(pickle.dumps(p))
+            assert _built(used) == _built(p) and _built(p)
+            for twin in (fresh, used):
+                rng = random.Random(3)
+                assert [twin.sample(rng) for _ in range(5)] == stream
+                if isinstance(p, DiscreteUncertainPoint):
+                    assert twin.hull == p.hull
+                    assert twin.enclosing == p.enclosing
