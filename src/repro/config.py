@@ -101,7 +101,9 @@ class Execution:
         peak memory is O(tile), never O(m * n).  The default (16 MiB)
         bounds the working set to an L3-cache-sized slice while keeping
         tiles wide enough to amortize per-object dispatch; shrink it to
-        cap memory harder on huge batches.
+        cap memory harder on huge batches.  The dual pruned tier is not
+        row-tiled: it sizes its refinement chunks and its evaluator pair
+        batches from the same budget.
     parallel_backend:
         ``"serial"`` (default), ``"thread"``, or ``"process"`` — how
         query tiles are fanned out by :func:`repro.core.parallel.map_tiles`.

@@ -74,43 +74,35 @@ class _PackedTree:
     Levels are stored **root-first**: ``bboxes[0]`` is the root group,
     ``bboxes[depth - 1]`` the leaves.  ``child_ptr[l]`` / ``child_idx[l]``
     are the CSR child lists of level ``l`` into level ``l + 1``;
-    ``leaf_items[j]`` holds the (sorted) base-item indices of leaf ``j``
-    and ``sizes[l]`` the base-item count under every node.
+    ``leaf_flat[leaf_ptr[j]:leaf_ptr[j + 1]]`` holds the (sorted)
+    base-item indices of leaf ``j`` and ``sizes[l]`` the base-item count
+    under every node.  Built from :func:`~repro.index.bulk.str_hierarchy`
+    levels with array operations only.
     """
 
-    def __init__(self, levels: List[Tuple[List[np.ndarray], np.ndarray]]):
+    def __init__(self, levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]):
         if not levels:
             raise QueryError("cannot pack a tree over zero items")
         depth = len(levels)
         self.depth = depth
         self.bboxes: List[np.ndarray] = [
-            levels[depth - 1 - l][1] for l in range(depth)
+            levels[depth - 1 - l][2] for l in range(depth)
         ]
         self.child_ptr: List[np.ndarray] = []
         self.child_idx: List[np.ndarray] = []
         for l in range(depth - 1):
-            groups = levels[depth - 1 - l][0]
-            lens = np.asarray([g.size for g in groups], dtype=np.intp)
-            ptr = np.zeros(lens.size + 1, dtype=np.intp)
-            np.cumsum(lens, out=ptr[1:])
-            self.child_ptr.append(ptr)
-            self.child_idx.append(
-                np.concatenate(groups).astype(np.intp, copy=False)
-            )
-        self.leaf_items: List[np.ndarray] = [
-            np.sort(g.astype(np.intp, copy=False)) for g in levels[0][0]
-        ]
+            perm, starts, _ = levels[depth - 1 - l]
+            self.child_ptr.append(np.append(starts, perm.shape[0]))
+            self.child_idx.append(perm)
+        perm, starts, _ = levels[0]
         # Flat CSR view of the leaf partition, shared by every
-        # refinement chunk / thread task instead of re-concatenating.
-        self.leaf_flat: np.ndarray = np.concatenate(self.leaf_items)
-        self.leaf_ptr: np.ndarray = np.zeros(
-            len(self.leaf_items) + 1, dtype=np.intp
-        )
-        np.cumsum([g.shape[0] for g in self.leaf_items], out=self.leaf_ptr[1:])
+        # refinement chunk / thread task; items ascend within each leaf.
+        self.leaf_ptr: np.ndarray = np.append(starts, perm.shape[0])
+        lens = np.diff(self.leaf_ptr)
+        leaf_of = np.repeat(np.arange(lens.shape[0], dtype=np.intp), lens)
+        self.leaf_flat: np.ndarray = perm[np.lexsort((perm, leaf_of))]
         sizes: List[Optional[np.ndarray]] = [None] * depth
-        sizes[depth - 1] = np.asarray(
-            [g.size for g in self.leaf_items], dtype=np.intp
-        )
+        sizes[depth - 1] = lens
         for l in range(depth - 2, -1, -1):
             gathered = sizes[l + 1][self.child_idx[l]]
             sizes[l] = np.add.reduceat(gathered, self.child_ptr[l][:-1])
@@ -128,7 +120,6 @@ class _PackedTree:
         total = 0
         for arrs in (self.bboxes, self.child_ptr, self.child_idx, self.sizes):
             total += sum(a.nbytes for a in arrs)
-        total += sum(a.nbytes for a in self.leaf_items)
         total += self.leaf_flat.nbytes + self.leaf_ptr.nbytes
         return int(total)
 
@@ -236,7 +227,7 @@ class EnvelopeObjectTree(_PackedTree):
             "n": self.n,
             "depth": self.depth,
             "nodes": self.node_count,
-            "leaves": len(self.leaf_items),
+            "leaves": self.n_nodes(self.depth - 1),
             "leaf_size": self.leaf_size,
             "fanout": self.fanout,
         }
@@ -289,13 +280,10 @@ class DualTreeCandidates:
             for r in range(self.m)
         ]
 
-    def mask(self, n: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """Densify rows ``lo:hi`` to a boolean ``(hi - lo, n)`` mask."""
-        hi = self.m if hi is None else hi
-        out = np.zeros((hi - lo, n), dtype=bool)
-        ptr = self.indptr[lo : hi + 1]
-        rows = np.repeat(np.arange(hi - lo, dtype=np.intp), np.diff(ptr))
-        out[rows, self.indices[ptr[0] : ptr[-1]]] = True
+    def mask(self, n: int) -> np.ndarray:
+        """Densify to a boolean ``(m, n)`` mask."""
+        out = np.zeros((self.m, n), dtype=bool)
+        out[kernels.csr_rows(self.indptr), self.indices] = True
         return out
 
 
@@ -590,6 +578,12 @@ def dual_tree_candidates(
     object_tree:
         Optional prebuilt :class:`EnvelopeObjectTree` over ``columns``
         (built here when omitted; sessions cache one per generation).
+    leaf_size / fanout:
+        Packing of the query-block tree, and of the object tree when it
+        is built here.  The survivors do not depend on them.  The
+        planner packs 4 query rows per leaf against 16-object leaves:
+        small query blocks keep each block's running best bound tight,
+        so fewer (query row, object leaf) pairs reach the refinement.
     k / criterion:
         The prune test — survivors of query ``q`` are exactly the flat
         tier's ``lb_i(q) <= k``-th smallest ``ub_j(q)`` set, with
@@ -641,9 +635,12 @@ def dual_tree_candidates(
     base_stats["query_tree_depth"] = float(qtree.depth)
     if tile_bytes is None:
         tile_bytes = EXECUTION.tile_bytes
-    # ~128 simultaneous bytes per (query, member) refinement pair across
-    # the bound kernels' float temporaries and the CSR index arrays.
-    pair_budget = max(4096, int(tile_bytes) // 128)
+    # ~256 simultaneous bytes per (query, member) refinement pair across
+    # the bound kernels' float temporaries and the CSR index arrays
+    # (tracemalloc reads 180-240 bytes per refined pair for either
+    # criterion).  Small query leaves make the chunk estimate tight, so
+    # a chunk really holds about that many pairs.
+    pair_budget = max(1024, int(tile_bytes) // 256)
     n_workers = _parallel.resolve_workers(workers)
     if backend == "thread" and qtree.depth > 1 and n_workers > 1:
         # Parallelize over query subtrees: each level-1 node descends

@@ -13,8 +13,9 @@ output-sensitive too:
   whole pair group (chunked only by the ``config.EXECUTION.tile_bytes``
   working-set budget), reading every model parameter from the
   registry-owned :class:`EvalCache` instead of Python objects;
-* results scatter back into per-query reductions (min / k-th / set
-  tests) in the planner.
+* results come back in CSR pair order, which the segmented reducers
+  of :mod:`repro.core.reducers` turn into per-query answers (min /
+  top-k / Lemma 2.1 set tests).
 
 Bit-identity contract
 ---------------------
@@ -75,8 +76,6 @@ __all__ = [
     "EvalCache",
     "expected_distance_pairs",
     "support_bounds_pairs",
-    "min_reduce_csr",
-    "max_reduce_csr",
     "gather_sweep_entries",
 ]
 
@@ -794,51 +793,6 @@ def support_bounds_pairs(
                 dmin[idx[pos]] = cache.points[i].dmin_many(Q[sel])
                 dmax[idx[pos]] = cache.points[i].dmax_many(Q[sel])
     return dmin, dmax
-
-
-# -- CSR reductions ----------------------------------------------------------
-
-def min_reduce_csr(
-    indptr: np.ndarray, cols: np.ndarray, values: np.ndarray, m: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(winner, min value)`` over CSR-ordered pair values.
-
-    Reproduces the per-object fold's tie-breaking exactly: within each
-    row the columns ascend, and the fold's strict ``<`` keeps the first
-    column attaining the row minimum — here the ``min`` segment
-    reduction followed by the first position where the value equals it.
-    Empty rows keep ``(0, +inf)``, as the fold's initial state does.
-    """
-    best = np.full(m, np.inf)
-    winners = np.zeros(m, dtype=np.intp)
-    counts = np.diff(indptr)
-    ne = counts > 0
-    if not np.any(ne):
-        return winners, best
-    starts = indptr[:-1][ne]
-    best[ne] = np.minimum.reduceat(values, starts)
-    rows = kernels.csr_rows(indptr)
-    nnz = values.shape[0]
-    pos = np.where(
-        values == best[rows], np.arange(nnz, dtype=np.intp), nnz
-    )
-    winners[ne] = cols[np.minimum.reduceat(pos, starts)]
-    return winners, best
-
-
-def max_reduce_csr(
-    indptr: np.ndarray, values: np.ndarray, m: int
-) -> np.ndarray:
-    """Per-row max over CSR-ordered pair values (0 on empty rows) — the
-    row aggregation of the float32 per-pair certificates: a row's value
-    error is bounded by its worst pair bound (min is 1-Lipschitz in the
-    sup norm)."""
-    out = np.zeros(m, dtype=np.float64)
-    counts = np.diff(indptr)
-    ne = counts > 0
-    if np.any(ne):
-        out[ne] = np.maximum.reduceat(values, indptr[:-1][ne])
-    return out
 
 
 # -- threshold sweep entries -------------------------------------------------

@@ -29,6 +29,7 @@ from ..config import SeedLike, default_rng
 from ..errors import QueryError
 from ..geometry import kernels
 from .nonzero import UncertainSet
+from .reducers import topk_dense
 
 
 def knn_probabilities(points: Sequence, q, k: int) -> List[float]:
@@ -184,12 +185,13 @@ def expected_knn_many(points: Sequence, qs, k: int, planner=None) -> np.ndarray:
     """Batched :func:`expected_knn`: an ``(m, k)`` index matrix.
 
     One ``expected_distance_many`` call per point fills the full
-    ``(m, n)`` expectation matrix, then a stable vectorized argsort
-    reproduces the scalar tie-breaking (ascending index on equal
-    expectations).  With a :class:`repro.QueryPlanner` over the same
-    points, expectations are evaluated only on each query's survivors of
-    the ``k``-th-envelope prune (identical ranking: pruned objects are
-    strictly beyond the ``k``-th smallest expectation).
+    ``(m, n)`` expectation matrix, then the stable top-k reducer
+    (:func:`repro.core.reducers.topk_dense`) reproduces the scalar
+    tie-breaking (ascending index on equal expectations).  With a
+    :class:`repro.QueryPlanner` over the same points, expectations are
+    evaluated only on each query's survivors of the ``k``-th-envelope
+    prune (identical ranking: pruned objects are strictly beyond the
+    ``k``-th smallest expectation).
     """
     if planner is not None:
         return planner.expected_knn_many(qs, k)  # validates k itself
@@ -198,4 +200,4 @@ def expected_knn_many(points: Sequence, qs, k: int, planner=None) -> np.ndarray:
         raise QueryError(f"k must lie in [1, {len(points)}]")
     Q = kernels.as_query_array(qs)
     E = np.column_stack([p.expected_distance_many(Q) for p in uset])
-    return np.argsort(E, axis=1, kind="stable")[:, :k]
+    return topk_dense(E, k)[0]

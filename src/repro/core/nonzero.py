@@ -20,6 +20,7 @@ from ..config import SeedLike, default_rng
 from ..errors import QueryError
 from ..geometry import kernels
 from ..uncertain.base import UncertainPoint
+from .reducers import full_csr, nonzero_csr, support_report_csr
 
 
 class UncertainSet:
@@ -173,31 +174,17 @@ class UncertainSet:
 def nonzero_from_matrices(
     dmins: np.ndarray, dmaxs: np.ndarray
 ) -> List[FrozenSet[int]]:
-    """Lemma 2.1 from precomputed ``(m, n)`` extremal-distance matrices.
-
-    Shared by the brute-force batch oracle and the pruned planner path
-    (which fills non-candidate entries with ``+inf``; by the pruning
-    invariant the minimum and second minimum of each ``dmax`` row are
-    always attained at candidates, so the thresholds are unchanged).
-    """
-    m = dmins.shape[0]
-    order = np.argsort(dmaxs, axis=1, kind="stable")
-    best = dmaxs[np.arange(m), order[:, 0]]
-    if dmaxs.shape[1] > 1:
-        second = dmaxs[np.arange(m), order[:, 1]]
-    else:
-        second = np.full(m, np.inf)
-    threshold = np.where(
-        np.arange(dmaxs.shape[1])[None, :] == order[:, 0][:, None],
-        second[:, None],
-        best[:, None],
-    )
-    mask = dmins < threshold
-    return [frozenset(np.nonzero(row)[0].tolist()) for row in mask]
+    """Lemma 2.1 from precomputed ``(m, n)`` extremal-distance matrices:
+    the CSR reducer :func:`repro.core.reducers.nonzero_csr` fed the full
+    layout (every column of every row)."""
+    indptr, cols = full_csr(*dmaxs.shape)
+    return nonzero_csr(indptr, cols, dmins.ravel(), dmaxs.ravel())
 
 
 def support_report(dmins: np.ndarray, dmaxs: np.ndarray) -> dict:
-    """The shard-mergeable form of :func:`nonzero_from_matrices`.
+    """The shard-mergeable form of :func:`nonzero_from_matrices`
+    (:func:`repro.core.reducers.support_report_csr` over the full
+    layout).
 
     Returns per-row ``best`` / ``best_idx`` / ``second`` (the two
     smallest ``dmax`` entries, stable tie-break) plus the local
@@ -216,31 +203,8 @@ def support_report(dmins: np.ndarray, dmaxs: np.ndarray) -> dict:
       filtering members by their ``dmin`` against the merged global
       threshold drops exactly the extras.
     """
-    m, n = dmaxs.shape
-    order = np.argsort(dmaxs, axis=1, kind="stable")
-    best_idx = order[:, 0] if n else np.zeros(m, dtype=np.intp)
-    best = dmaxs[np.arange(m), best_idx]
-    if n > 1:
-        second = dmaxs[np.arange(m), order[:, 1]]
-    else:
-        second = np.full(m, np.inf)
-    threshold = np.where(
-        np.arange(n)[None, :] == best_idx[:, None],
-        second[:, None],
-        best[:, None],
-    )
-    mask = dmins < threshold
-    indptr = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(mask.sum(axis=1), out=indptr[1:])
-    rows, cols = np.nonzero(mask)
-    return {
-        "best": best,
-        "best_idx": best_idx.astype(np.intp),
-        "second": second,
-        "indptr": indptr,
-        "members": cols.astype(np.intp),
-        "member_dmins": dmins[rows, cols],
-    }
+    indptr, cols = full_csr(*dmaxs.shape)
+    return support_report_csr(indptr, cols, dmins.ravel(), dmaxs.ravel())
 
 
 def brute_force_nonzero(points: Sequence[UncertainPoint], q) -> FrozenSet[int]:

@@ -34,23 +34,27 @@ The answer-producing methods take ``tier=``:
 
 Tiled execution
 ---------------
-The exact and pruned tiers never materialize ``(m, n)`` floating-point
-matrices.  Queries are processed in row tiles sized from
-``config.EXECUTION.tile_bytes`` (so the bound pass's simultaneous
-``(rows, n)`` float64 temporaries fit the configured budget — the
-default keeps a tile inside a cache slice), and the tiles can be fanned
-out across cores by :func:`repro.core.parallel.map_tiles`
+No tier materializes ``(m, n)`` floating-point matrices for a whole
+batch.  The pruned tier is output-sensitive end to end: one dual-tree
+prune pass emits the batch's survivors in CSR form, one evaluator call
+fills their values in the same order, and one segmented reducer of
+:mod:`repro.core.reducers` turns them into answers — nothing of size
+``(rows, n)`` is allocated and nothing is row-tiled.  Under
+``parallel_backend="thread"`` the dual traversal fans out over query
+subtrees (:mod:`repro.core.dual_tree`, whose query tree packs
+``_QUERY_LEAF_SIZE`` rows per leaf).  The exact tier, and the bound pass
+of the flat / kdtree / rtree generators, run in row tiles sized from
+``config.EXECUTION.tile_bytes`` (so a tile's simultaneous ``(rows, n)``
+float64 temporaries fit the configured budget), and those tiles can be
+fanned out across cores by :func:`repro.core.parallel.map_tiles`
 (``parallel_backend="thread"``; results are assembled in tile order, so
 parallel answers are bit-identical to serial — the ``"process"``
 backend serves picklable workloads through ``map_tiles`` directly, and
-the planner rejects it since its tile closures hold model objects).  A
-single
-scalar-style query is exactly one tile and allocates only ``(1, n)``
-rows — no full-matrix staging, no copies.
+the planner rejects it since its tile closures hold model objects).
 
 Candidate generation
 --------------------
-Since PR 5 the pruned tier's default candidate generator is the
+The pruned tier's default candidate generator is the
 **dual-tree traversal** of :mod:`repro.core.dual_tree`
 (``method="dual"``): a query-block STR tree is walked against a cached
 object-envelope STR tree level by level, node pairs are pruned against
@@ -60,8 +64,9 @@ sets equal the flat pass's survivors bit for bit, but the bound work is
 proportional to the surviving frontier instead of ``m * n``.  The flat
 ``(rows, n)`` pass (``method="flat"`` / ``prune="flat"``) and the bulk
 leaf groupings (``"kdtree"`` / ``"rtree"`` from :mod:`repro.index.bulk`)
-remain as escape hatches; whatever the generator, evaluation runs over
-the same tiled blocks, so answers are identical across methods.
+remain as escape hatches; whatever the generator, its survivors reach
+the same evaluators and reducers as one CSR, so answers are identical
+across methods.
 """
 
 from __future__ import annotations
@@ -82,6 +87,14 @@ from . import parallel as _parallel
 from .dual_tree import DualTreeCandidates, EnvelopeObjectTree, dual_tree_candidates
 from .nonzero import nonzero_from_matrices, support_report
 from .quantification import quantification_probabilities, sweep_quantification
+from .reducers import (
+    max_reduce_csr,
+    min_reduce_csr,
+    nonzero_csr,
+    support_report_csr,
+    topk_csr,
+    topk_dense,
+)
 
 __all__ = ["QueryPlanner"]
 
@@ -89,22 +102,28 @@ __all__ = ["QueryPlanner"]
 #: few ulps above its true value can never discard a genuine candidate.
 _CUTOFF_SLACK = 1.0 + 1e-12
 
-#: Query-block / object-envelope tree parameters of the dual-tree
-#: candidate generator (``method="dual"``).
+#: Object-envelope tree parameters of the dual-tree candidate generator
+#: (``method="dual"``); the query-block tree shares the fanout.
 _DUAL_LEAF_SIZE = 16
 _DUAL_FANOUT = 8
+
+#: Rows per query-block leaf.  Survivors do not depend on it (the dual
+#: pass emits exactly the flat tier's survivors); small blocks keep each
+#: block's bounds tight, so fewer (query row, object leaf) pairs reach
+#: the leaf refinement.
+_QUERY_LEAF_SIZE = 4
 
 #: Peak float64 working-set bytes per (query, object) pair in a tile's
 #: bound-plus-evaluate pass (lb/ub/center-distance temporaries in the
 #: kernels, plus the evaluator's value matrix): 8 simultaneous arrays.
 _BYTES_PER_PAIR = 64
 
-#: Per-pair bytes when the dual generator feeds the tiles: the bound
-#: temporaries never materialize per tile (the traversal is
-#: output-sensitive and budgets its own chunks), so a tile only holds
-#: the evaluator's value matrix, the densified candidate mask, and the
-#: evaluators' row-sized scratch — larger tiles, same memory budget,
-#: less per-tile dispatch overhead.
+#: Per-pair bytes of the dual pruned tier: no bound temporaries
+#: materialize per row (the traversal, whose query leaves hold
+#: ``_QUERY_LEAF_SIZE`` rows, budgets its own refinement chunks), so a
+#: surviving pair costs its CSR column, its row id and its evaluated
+#: value.  Sizes the admission gate's single-row worst case and the
+#: engine's deadline chunks.
 _BYTES_PER_PAIR_DUAL = 24
 
 _TIERS = ("exact", "pruned", "approx")
@@ -379,6 +398,14 @@ class QueryPlanner:
             )
         return dtype == "float32"
 
+    def _begin_answer(self) -> None:
+        """Clear the last-call telemetry at the start of an answer call,
+        so a call that evaluates nothing (an approx query without
+        fallback rows, the exact tier) never reports an earlier call's
+        ``last_eval_stats``."""
+        self.last_eval_stats = None
+        self._last_prune_seconds = 0.0
+
     def _note_eval(self, pairs: int, seconds: float) -> None:
         self.eval_totals["grouped_calls"] += 1.0
         self.eval_totals["pairs"] += float(pairs)
@@ -415,7 +442,7 @@ class QueryPlanner:
             object_tree=self.object_tree(),
             k=k,
             criterion=criterion,
-            leaf_size=_DUAL_LEAF_SIZE,
+            leaf_size=_QUERY_LEAF_SIZE,
             fanout=_DUAL_FANOUT,
             slack=_CUTOFF_SLACK,
             backend=backend,
@@ -505,9 +532,10 @@ class QueryPlanner:
         columns in ascending order.
 
         Native output of the dual generator (no ``(m, n)`` boolean is
-        ever materialized); derived from the tiled mask for the other
-        methods.  The Monte-Carlo candidate rounds consume this layout
-        directly.
+        ever materialized); gathered from each row tile's mask for the
+        other methods, so only the tile's mask is ever dense.  The
+        pruned answer paths and the Monte-Carlo candidate rounds consume
+        this layout directly.
         """
         Q = kernels.as_query_array(qs)
         n = len(self.points)
@@ -517,10 +545,16 @@ class QueryPlanner:
         if self.method == "dual":
             res = self._dual_csr(Q, k, criterion)
             return res.indptr, res.indices
-        mask = self.candidate_mask(Q, k=k, criterion=criterion)
-        rows, cols = np.nonzero(mask)
-        indptr = np.searchsorted(rows, np.arange(Q.shape[0] + 1)).astype(np.intp)
-        return indptr, cols.astype(np.intp, copy=False)
+
+        def tile(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+            mask = self._mask_block(Q[lo:hi], k, criterion)
+            return mask.sum(axis=1), np.nonzero(mask)[1]
+
+        blocks = self._run_tiles(Q.shape[0], tile)
+        indptr = np.zeros(Q.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.concatenate([b[0] for b in blocks]), out=indptr[1:])
+        cols = np.concatenate([b[1] for b in blocks]).astype(np.intp, copy=False)
+        return indptr, cols
 
     #: Shared with the dual-tree leaf refinement so both generators
     #: select the identical cutoff float (bit-parity of survivor sets).
@@ -574,90 +608,70 @@ class QueryPlanner:
             for r in range(indptr.shape[0] - 1)
         ]
 
-    # -- tiled evaluation blocks ---------------------------------------------
-    def _pruned_masks(self, Q: np.ndarray, k: int, criterion: str, tier: str):
-        """For the dual generator, run the (output-sensitive) prune pass
-        once for the whole batch and hand the evaluation tiles densified
-        row slices of its CSR; ``None`` lets tiles compute their own
-        bound-pass masks (the flat / grouped generators)."""
-        if tier != "pruned" or self.method != "dual":
-            return None
-        n = len(self.points)
-        res = self._dual_csr(Q, min(max(int(k), 1), n), criterion)
-        return lambda lo, hi: res.mask(n, lo, hi)
-
-    def _expected_block(
-        self,
-        Q: np.ndarray,
-        tier: str,
-        k: int = 1,
-        mask: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """The tile's ``(rows, n)`` expectation matrix: survivors only
-        for the pruned tier (``+inf`` elsewhere), everyone for exact."""
-        n = len(self.points)
-        mt = Q.shape[0]
-        E = np.full((mt, n), np.inf)
-        if tier == "exact":
-            for i, p in enumerate(self.points):
-                E[:, i] = p.expected_distance_many(Q)
-            return E
-        if mask is None:
-            mask = self._mask_block(Q, k, "expected")
-        if self._use_grouped():
-            # np.nonzero walks row-major: rows ascend, columns ascend
-            # within each row — exactly the CSR pair order the grouped
-            # kernels scatter back from.
-            rows, cols = np.nonzero(mask)
-            t0 = time.perf_counter()
-            vals, _ = _evaluators.expected_distance_pairs(
-                self.eval_cache(), Q, rows, cols
-            )
-            E[rows, cols] = vals
-            self._note_eval(cols.shape[0], time.perf_counter() - t0)
-            return E
-        for i in np.flatnonzero(mask.any(axis=0)):
-            rows = np.flatnonzero(mask[:, i])
-            E[rows, i] = self.points[i].expected_distance_many(Q[rows])
+    # -- survivor evaluation -------------------------------------------------
+    def _expected_block(self, Q: np.ndarray) -> np.ndarray:
+        """The exact tier's ``(rows, n)`` expectation matrix of one tile:
+        one batched call per object."""
+        E = np.empty((Q.shape[0], len(self.points)))
+        for i, p in enumerate(self.points):
+            E[:, i] = p.expected_distance_many(Q)
         return E
 
-    def _support_matrices(
-        self, Q: np.ndarray, tier: str, mask: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The tile's ``(rows, n)`` dmin/dmax matrices: survivors only
-        for the pruned tier (``+inf`` elsewhere), everyone for exact."""
+    def _support_matrices(self, Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The exact tier's ``(rows, n)`` dmin/dmax matrices of one tile."""
         n = len(self.points)
-        mt = Q.shape[0]
-        dmins = np.full((mt, n), np.inf)
-        dmaxs = np.full((mt, n), np.inf)
-        if tier == "exact":
-            for i, p in enumerate(self.points):
-                dmins[:, i] = p.dmin_many(Q)
-                dmaxs[:, i] = p.dmax_many(Q)
-        else:
-            if mask is None:
-                mask = self._mask_block(Q, 1, "support")
-            if self._use_grouped():
-                rows, cols = np.nonzero(mask)
-                t0 = time.perf_counter()
-                dmin, dmax = _evaluators.support_bounds_pairs(
-                    self.eval_cache(), Q, rows, cols
-                )
-                dmins[rows, cols] = dmin
-                dmaxs[rows, cols] = dmax
-                self._note_eval(cols.shape[0], time.perf_counter() - t0)
-            else:
-                for i in np.flatnonzero(mask.any(axis=0)):
-                    rows = np.flatnonzero(mask[:, i])
-                    dmins[rows, i] = self.points[i].dmin_many(Q[rows])
-                    dmaxs[rows, i] = self.points[i].dmax_many(Q[rows])
+        dmins = np.empty((Q.shape[0], n))
+        dmaxs = np.empty((Q.shape[0], n))
+        for i, p in enumerate(self.points):
+            dmins[:, i] = p.dmin_many(Q)
+            dmaxs[:, i] = p.dmax_many(Q)
         return dmins, dmaxs
 
-    def _nonzero_block(
-        self, Q: np.ndarray, tier: str, mask: Optional[np.ndarray] = None
-    ) -> List[FrozenSet[int]]:
-        dmins, dmaxs = self._support_matrices(Q, tier, mask)
-        return nonzero_from_matrices(dmins, dmaxs)
+    def _per_object(
+        self, Q: np.ndarray, rows: np.ndarray, cols: np.ndarray, *methods: str
+    ) -> List[np.ndarray]:
+        """``evaluator="object"``: one batched call per surviving object
+        and model method, scattered back into CSR pair order — the
+        bit-identity reference of the grouped kernels."""
+        outs = [np.empty(cols.shape[0]) for _ in methods]
+        order = np.argsort(cols, kind="stable")
+        uniq, starts = np.unique(cols[order], return_index=True)
+        bounds = np.append(starts, cols.shape[0])
+        for g, i in enumerate(uniq.tolist()):
+            pos = order[bounds[g] : bounds[g + 1]]
+            Qi = Q[rows[pos]]
+            for out, name in zip(outs, methods):
+                out[pos] = getattr(self.points[i], name)(Qi)
+        return outs
+
+    def _expected_values(
+        self, Q: np.ndarray, indptr: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Expected distances of the CSR survivor pairs, in CSR order."""
+        rows = kernels.csr_rows(indptr)
+        if not self._use_grouped():
+            return self._per_object(Q, rows, cols, "expected_distance_many")[0]
+        t0 = time.perf_counter()
+        values, _ = _evaluators.expected_distance_pairs(
+            self.eval_cache(), Q, rows, cols
+        )
+        self._note_eval(cols.shape[0], time.perf_counter() - t0)
+        return values
+
+    def _support_values(
+        self, Q: np.ndarray, indptr: np.ndarray, cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dmin, dmax)`` of the CSR survivor pairs, in CSR order."""
+        rows = kernels.csr_rows(indptr)
+        if not self._use_grouped():
+            dmin, dmax = self._per_object(Q, rows, cols, "dmin_many", "dmax_many")
+            return dmin, dmax
+        t0 = time.perf_counter()
+        dmin, dmax = _evaluators.support_bounds_pairs(
+            self.eval_cache(), Q, rows, cols
+        )
+        self._note_eval(cols.shape[0], time.perf_counter() - t0)
+        return dmin, dmax
 
     # -- dispatch ------------------------------------------------------------
     @staticmethod
@@ -688,6 +702,7 @@ class QueryPlanner:
         """
         self._check_tier(tier, eps)
         self._check_fallback_flag(return_fallback, tier)
+        self._begin_answer()
         Q = kernels.as_query_array(qs)
         if tier == "approx":
             ans = self.approx_index(eps, rel, "support").nonzero_nn_many(Q)
@@ -700,12 +715,12 @@ class QueryPlanner:
             if return_fallback:
                 return out, ans.fallback
             return out
-        masks = self._pruned_masks(Q, 1, "support", tier)
+        if tier == "pruned":
+            indptr, cols = self.candidate_csr(Q)
+            return nonzero_csr(indptr, cols, *self._support_values(Q, indptr, cols))
         blocks = self._run_tiles(
             Q.shape[0],
-            lambda lo, hi: self._nonzero_block(
-                Q[lo:hi], tier, None if masks is None else masks(lo, hi)
-            ),
+            lambda lo, hi: nonzero_from_matrices(*self._support_matrices(Q[lo:hi])),
             tier=tier,
         )
         return [s for block in blocks for s in block]
@@ -716,7 +731,7 @@ class QueryPlanner:
         ``dmax`` values (with the argmin's local index) plus the local
         membership CSR with each member's ``dmin``.
 
-        Runs the same tiled support-matrix pass as
+        Runs the same prune, evaluation and reduction as
         :meth:`nonzero_nn_many`, so the floats in the report are the
         exact values the local sets were decided by — the cluster
         supervisor merges reports from contiguous shards into the
@@ -726,16 +741,18 @@ class QueryPlanner:
             raise QueryError(
                 f"nonzero_report_many supports exact/pruned, got {tier!r}")
         self._check_tier(tier, None)
+        self._begin_answer()
         Q = kernels.as_query_array(qs)
-        masks = self._pruned_masks(Q, 1, "support", tier)
-
-        def run(lo: int, hi: int) -> dict:
-            dmins, dmaxs = self._support_matrices(
-                Q[lo:hi], tier, None if masks is None else masks(lo, hi)
+        if tier == "pruned":
+            indptr, cols = self.candidate_csr(Q)
+            return support_report_csr(
+                indptr, cols, *self._support_values(Q, indptr, cols)
             )
-            return support_report(dmins, dmaxs)
-
-        blocks = self._run_tiles(Q.shape[0], run, tier=tier)
+        blocks = self._run_tiles(
+            Q.shape[0],
+            lambda lo, hi: support_report(*self._support_matrices(Q[lo:hi])),
+            tier=tier,
+        )
         if len(blocks) == 1:
             return blocks[0]
         indptr = blocks[0]["indptr"]
@@ -773,6 +790,7 @@ class QueryPlanner:
         """
         self._check_tier(tier, eps)
         self._check_fallback_flag(return_fallback, tier)
+        self._begin_answer()
         Q = kernels.as_query_array(qs)
         if tier == "approx":
             self.last_fallback_bounds = None
@@ -800,14 +818,16 @@ class QueryPlanner:
                 return winners, values, ans.fallback
             return winners, values
 
-        if tier == "pruned" and self.method == "dual":
-            return self._expected_nn_streaming(Q)
-        masks = self._pruned_masks(Q, 1, "expected", tier)
+        if tier == "pruned":
+            # The CSR min reduction keeps the lowest column on ties,
+            # exactly as the exact tier's dense argmin does.
+            indptr, cols = self.candidate_csr(Q, criterion="expected")
+            return min_reduce_csr(
+                indptr, cols, self._expected_values(Q, indptr, cols)
+            )
 
         def run(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            E = self._expected_block(
-                Q[lo:hi], tier, mask=None if masks is None else masks(lo, hi)
-            )
+            E = self._expected_block(Q[lo:hi])
             arg = E.argmin(axis=1) if E.shape[0] else np.zeros(0, dtype=np.intp)
             return arg, E[np.arange(E.shape[0]), arg]
 
@@ -819,89 +839,12 @@ class QueryPlanner:
             np.concatenate([b[1] for b in blocks]),
         )
 
-    def _expected_nn_streaming(
-        self, Q: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Winner evaluation over the dual CSR survivors: one
-        ``expected_distance_many`` call per surviving object (its rows
-        gathered from the CSR), folded into per-row running minima —
-        no ``(m, n)`` expectation matrix, no per-tile re-dispatch.
-        Ascending column order with a strict ``<`` update reproduces the
-        dense argmin's lowest-index tie-breaking, so winners and values
-        are bit-identical to the tiled path.  Under the thread backend
-        the fold fans out over ascending *object* chunks (each with its
-        own running minima) and merges them in chunk order with the same
-        strict ``<`` — identical winners, parallel evaluator work.
-        """
-        m = Q.shape[0]
-        res = self._dual_csr(Q, 1, "expected")
-        if self._use_grouped():
-            # Tag-grouped pair evaluation: flatten the survivor CSR into
-            # (row, object) pair arrays, one vectorized kernel call per
-            # model family present, then a per-row CSR min reduction
-            # whose tie-breaking equals the strict-< fold below.
-            rows = kernels.csr_rows(res.indptr)
-            t0 = time.perf_counter()
-            values, _ = _evaluators.expected_distance_pairs(
-                self.eval_cache(), Q, rows, res.indices
-            )
-            winners, best = _evaluators.min_reduce_csr(
-                res.indptr, res.indices, values, m
-            )
-            self._note_eval(res.indices.shape[0], time.perf_counter() - t0)
-            return winners, best
-        rows = kernels.csr_rows(res.indptr)
-        order = np.argsort(res.indices, kind="stable")
-        cols_sorted = res.indices[order]
-        rows_sorted = rows[order]
-        uniq, starts = np.unique(cols_sorted, return_index=True)
-        ends = np.append(starts[1:], cols_sorted.shape[0])
-
-        def fold(group_range: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-            best = np.full(m, np.inf)
-            arg = np.zeros(m, dtype=np.intp)
-            for g in range(group_range[0], group_range[1]):
-                i = uniq[g]
-                r = rows_sorted[starts[g] : ends[g]]
-                v = self.points[i].expected_distance_many(Q[r])
-                upd = v < best[r]
-                if np.any(upd):
-                    rr = r[upd]
-                    best[rr] = v[upd]
-                    arg[rr] = i
-            return best, arg
-
-        backend = (
-            self.parallel_backend
-            if self.parallel_backend is not None
-            else EXECUTION.parallel_backend
-        )
-        workers = _parallel.resolve_workers(self.parallel_workers)
-        if backend == "thread" and workers > 1 and uniq.shape[0] > 1:
-            chunks = _parallel.tile_ranges(
-                uniq.shape[0],
-                -(-uniq.shape[0] // min(workers, uniq.shape[0])),
-            )
-            parts = _parallel.map_ordered(
-                fold, chunks, backend=backend, workers=workers
-            )
-            best, arg = parts[0]
-            for best_c, arg_c in parts[1:]:
-                # Ascending chunk order + strict < keeps the lowest
-                # winning column on exact ties.
-                upd = best_c < best
-                best[upd] = best_c[upd]
-                arg[upd] = arg_c[upd]
-            return arg, best
-        best, arg = fold((0, uniq.shape[0]))
-        return arg, best
-
     def _expected_nn_pairs_f32(
         self, Q: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grouped expected-NN resolution in certified float32.
 
-        Same prune pass and CSR reduction as the float64 streaming path,
+        Same prune pass and CSR reduction as the float64 pruned path,
         but the pair kernels run in single precision and return per-pair
         error bounds; a row's certificate is its worst surviving pair
         bound (the min reduction is 1-Lipschitz in the sup norm, so a
@@ -915,11 +858,9 @@ class QueryPlanner:
         values, pair_bounds = _evaluators.expected_distance_pairs(
             self.eval_cache(), Q, rows, cols, use_float32=True
         )
-        winners, best = _evaluators.min_reduce_csr(
-            indptr, cols, values, Q.shape[0]
-        )
+        winners, best = min_reduce_csr(indptr, cols, values)
         self._note_eval(cols.shape[0], time.perf_counter() - t0)
-        bounds = _evaluators.max_reduce_csr(indptr, pair_bounds, Q.shape[0])
+        bounds = max_reduce_csr(indptr, pair_bounds)
         return winners, best, bounds
 
     def expected_distance_matrix(
@@ -927,26 +868,28 @@ class QueryPlanner:
     ) -> np.ndarray:
         """``E[d(q, P_i)]`` on survivors, ``+inf`` on pruned pairs.
 
-        The ``(m, n)`` output is the requested product here; it is still
-        filled tile by tile so no *additional* full-size temporaries are
-        staged.
+        The ``(m, n)`` output is the requested product here; no
+        *additional* full-size temporaries are staged (the pruned tier
+        scatters its survivor values, the exact tier fills it tile by
+        tile).
         """
         if tier == "approx":
             raise QueryError("expected_distance_matrix has no approx tier")
         self._check_tier(tier, None)
+        self._begin_answer()
         Q = kernels.as_query_array(qs)
         _resilience.require_bytes(
             Q.shape[0] * len(self.points) * 8,
             f"expected_distance_matrix output "
             f"(m={Q.shape[0]}, n={len(self.points)})",
         )
-        masks = self._pruned_masks(Q, k, "expected", tier)
+        if tier == "pruned":
+            indptr, cols = self.candidate_csr(Q, k=k, criterion="expected")
+            E = np.full((Q.shape[0], len(self.points)), np.inf)
+            E[kernels.csr_rows(indptr), cols] = self._expected_values(Q, indptr, cols)
+            return E
         blocks = self._run_tiles(
-            Q.shape[0],
-            lambda lo, hi: self._expected_block(
-                Q[lo:hi], tier, k, None if masks is None else masks(lo, hi)
-            ),
-            tier=tier,
+            Q.shape[0], lambda lo, hi: self._expected_block(Q[lo:hi]), tier=tier
         )
         return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
@@ -960,18 +903,7 @@ class QueryPlanner:
         if tier == "approx":
             raise QueryError("expected_knn_many has no approx tier")
         self._check_tier(tier, None)
-        Q = kernels.as_query_array(qs)
-
-        masks = self._pruned_masks(Q, k, "expected", tier)
-
-        def run(lo: int, hi: int) -> np.ndarray:
-            E = self._expected_block(
-                Q[lo:hi], tier, k, None if masks is None else masks(lo, hi)
-            )
-            return np.argsort(E, axis=1, kind="stable")[:, :k]
-
-        blocks = self._run_tiles(Q.shape[0], run, tier=tier)
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        return self._knn(kernels.as_query_array(qs), k, tier)[0]
 
     def expected_knn_report_many(
         self, qs, k: int, tier: str = "pruned"
@@ -979,10 +911,10 @@ class QueryPlanner:
         """:meth:`expected_knn_many` plus the ranked expectations:
         ``(indices, values)``, each ``(m, k)``.
 
-        The values are gathered from the very expectation matrix the
-        ranking was argsorted from, so a cross-shard merge can re-sort
-        candidates by ``(value, global index)`` and reproduce the
-        single-process stable ranking exactly.
+        The values are the very expectations the ranking was sorted by,
+        so a cross-shard merge can re-sort candidates by
+        ``(value, global index)`` and reproduce the single-process
+        stable ranking exactly.
         """
         n = len(self.points)
         if not 1 <= k <= n:
@@ -992,18 +924,23 @@ class QueryPlanner:
                 f"expected_knn_report_many supports exact/pruned, "
                 f"got {tier!r}")
         self._check_tier(tier, None)
-        Q = kernels.as_query_array(qs)
+        return self._knn(kernels.as_query_array(qs), k, tier)
 
-        masks = self._pruned_masks(Q, k, "expected", tier)
-
-        def run(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            E = self._expected_block(
-                Q[lo:hi], tier, k, None if masks is None else masks(lo, hi)
-            )
-            idx = np.argsort(E, axis=1, kind="stable")[:, :k]
-            return idx, np.take_along_axis(E, idx, axis=1)
-
-        blocks = self._run_tiles(Q.shape[0], run, tier=tier)
+    def _knn(
+        self, Q: np.ndarray, k: int, tier: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stable top-``k`` of each row's expectations: over the
+        pruned tier's CSR survivors, or over the exact tier's dense row
+        tiles (both through the same reducer)."""
+        self._begin_answer()
+        if tier == "pruned":
+            indptr, cols = self.candidate_csr(Q, k=k, criterion="expected")
+            return topk_csr(indptr, cols, self._expected_values(Q, indptr, cols), k)
+        blocks = self._run_tiles(
+            Q.shape[0],
+            lambda lo, hi: topk_dense(self._expected_block(Q[lo:hi]), k),
+            tier=tier,
+        )
         if len(blocks) == 1:
             return blocks[0]
         return (
@@ -1038,6 +975,7 @@ class QueryPlanner:
             raise QueryError("tau must lie in [0, 1)")
         self._check_tier(tier, eps)
         self._check_fallback_flag(return_fallback, tier)
+        self._begin_answer()
         Q = kernels.as_query_array(qs)
         if tier == "approx":
             ans = self.approx_index(eps, rel, "support").threshold_nn_many(

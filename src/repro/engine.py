@@ -1662,10 +1662,15 @@ class Engine:
         # (captured before prune_stats below re-runs the prune pass):
         # prune vs evaluate wall time, grouped pairs, and eval-cache
         # reuse.  Present whenever the grouped evaluator served the
-        # query.
+        # query; the exact tier never runs through the planner, whose
+        # last-call stats then belong to an earlier query.
         if len(self._points) and spec.subset is None:
             planner = self._registry.peek(("planner",), self._generation)
-            if planner is not None and planner.last_eval_stats is not None:
+            if (
+                spec.tier != "exact"
+                and planner is not None
+                and planner.last_eval_stats is not None
+            ):
                 diag["eval_pairs"] = planner.last_eval_stats["pairs"]
                 diag["eval_seconds"] = planner.last_eval_stats["eval_seconds"]
                 diag["prune_seconds"] = planner.last_eval_stats["prune_seconds"]

@@ -9,6 +9,7 @@ dual generator must be bit-identical to the flat generator's across all
 six uncertainty model types and all four query methods.
 """
 
+import math
 import random
 
 import numpy as np
@@ -321,3 +322,153 @@ class TestEngineIntegration:
         ):
             assert key in res.diagnostics
         assert res.diagnostics["node_pairs_visited"] < Q.shape[0] * len(points)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized STR packing == the per-slice / per-leaf loop packer
+# ---------------------------------------------------------------------------
+
+
+def _loop_str_leaves(B, capacity):
+    """The loop packer the vectorized STR level replaced (the reference)."""
+    n = B.shape[0]
+    if n == 0:
+        return []
+    cx = B[:, 0] + B[:, 2]
+    cy = B[:, 1] + B[:, 3]
+    order = np.argsort(cx, kind="stable")
+    n_leaves = math.ceil(n / capacity)
+    slices = math.ceil(math.sqrt(n_leaves))
+    per_slice = math.ceil(n / slices)
+    leaves = []
+    for s in range(0, n, per_slice):
+        tile = order[s : s + per_slice]
+        tile = tile[np.argsort(cy[tile], kind="stable")]
+        for t in range(0, tile.shape[0], capacity):
+            leaves.append(tile[t : t + capacity])
+    return leaves
+
+
+def _loop_group_bboxes(B, groups):
+    out = np.empty((len(groups), 4), dtype=np.float64)
+    for g, members in enumerate(groups):
+        sub = B[members]
+        out[g] = (sub[:, 0].min(), sub[:, 1].min(), sub[:, 2].max(), sub[:, 3].max())
+    return out
+
+
+def _loop_hierarchy(B, leaf_size, fanout):
+    groups = _loop_str_leaves(B, leaf_size)
+    gb = _loop_group_bboxes(B, groups)
+    levels = [(groups, gb)]
+    while len(groups) > 1:
+        groups = _loop_str_leaves(gb, fanout)
+        gb = _loop_group_bboxes(gb, groups)
+        levels.append((groups, gb))
+    return levels
+
+
+def _loop_tree_arrays(levels):
+    """The packed-tree arrays as the per-leaf loop built them."""
+    depth = len(levels)
+    out = {"bboxes": [levels[depth - 1 - l][1] for l in range(depth)]}
+    out["child_ptr"], out["child_idx"] = [], []
+    for l in range(depth - 1):
+        groups = levels[depth - 1 - l][0]
+        ptr = np.zeros(len(groups) + 1, dtype=np.intp)
+        np.cumsum([g.size for g in groups], out=ptr[1:])
+        out["child_ptr"].append(ptr)
+        out["child_idx"].append(np.concatenate(groups).astype(np.intp))
+    leaf_items = [np.sort(g.astype(np.intp)) for g in levels[0][0]]
+    out["leaf_flat"] = np.concatenate(leaf_items)
+    out["leaf_ptr"] = np.zeros(len(leaf_items) + 1, dtype=np.intp)
+    np.cumsum([g.shape[0] for g in leaf_items], out=out["leaf_ptr"][1:])
+    sizes = [None] * depth
+    sizes[-1] = np.asarray([g.size for g in leaf_items], dtype=np.intp)
+    for l in range(depth - 2, -1, -1):
+        sizes[l] = np.add.reduceat(
+            sizes[l + 1][out["child_idx"][l]], out["child_ptr"][l][:-1]
+        )
+    out["sizes"] = sizes
+    return out
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bbox_sets(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        centers = rng.uniform(0.0, 100.0, size=(n, 2))
+        half = rng.uniform(0.0, 3.0, size=(n, 2))
+    else:
+        # Tie-heavy: centers on a 4x4 lattice, so most centers repeat.
+        centers = rng.integers(0, 4, size=(n, 2)).astype(float)
+        half = rng.choice([0.0, 0.5, 1.5], size=(n, 2))
+    return np.column_stack([centers - half, centers + half])
+
+
+def _str_cases():
+    cases = []
+    for capacity in (4, 16):
+        for n in (1, capacity - 1, capacity + 1, 2001):
+            for kind in ("random", "ties"):
+                cases.append((capacity, n, kind))
+    return cases
+
+
+class TestStrPackingIdentity:
+    @pytest.mark.parametrize("capacity,n,kind", _str_cases())
+    def test_leaves_and_levels_match_loop_packer(self, capacity, n, kind):
+        from repro.index.bulk import str_hierarchy, str_leaves
+
+        B = _bbox_sets(n, kind, seed=n + capacity)
+        want = _loop_str_leaves(B, capacity)
+        got = str_leaves(B, capacity)
+        assert len(got) == len(want)
+        assert all(_same_bytes(g, w) for g, w in zip(got, want))
+        levels = str_hierarchy(B, capacity, 8)
+        ref = _loop_hierarchy(B, capacity, 8)
+        assert len(levels) == len(ref)
+        for (perm, starts, gb), (groups, ref_gb) in zip(levels, ref):
+            split = np.split(perm, starts[1:])
+            assert len(split) == len(groups)
+            assert all(_same_bytes(g, w) for g, w in zip(split, groups))
+            assert _same_bytes(gb, ref_gb)
+
+    @pytest.mark.parametrize("capacity,n,kind", _str_cases())
+    def test_tree_arrays_byte_identical(self, capacity, n, kind, monkeypatch):
+        from repro.core import dual_tree
+        from repro.core.dual_tree import QueryBlockTree
+
+        B = _bbox_sets(n, kind, seed=7 * n + capacity)
+        Q = 0.5 * (B[:, :2] + B[:, 2:])
+        cols = ModelColumns(
+            [UniformDiskPoint((float(x), float(y)), 0.5) for x, y in Q]
+        )
+        otree = EnvelopeObjectTree(cols, capacity, 8)
+        qtree = QueryBlockTree(Q, capacity, 8)
+        for tree, boxes in (
+            (otree, cols.bboxes),
+            (qtree, np.concatenate([Q, Q], axis=1)),
+        ):
+            want = _loop_tree_arrays(_loop_hierarchy(boxes, capacity, 8))
+            for name in ("bboxes", "child_ptr", "child_idx", "sizes"):
+                got = getattr(tree, name)
+                assert len(got) == len(want[name])
+                assert all(_same_bytes(g, w) for g, w in zip(got, want[name])), name
+            assert _same_bytes(tree.leaf_flat, want["leaf_flat"])
+            assert _same_bytes(tree.leaf_ptr, want["leaf_ptr"])
+        # The object tree's aggregates, packed from the loop packer's
+        # levels, are the same bytes too.
+        ref_levels = [
+            (np.concatenate(groups), np.cumsum([0] + [g.size for g in groups[:-1]]), gb)
+            for groups, gb in _loop_hierarchy(cols.bboxes, capacity, 8)
+        ]
+        monkeypatch.setattr(dual_tree, "str_hierarchy", lambda *a: ref_levels)
+        ref_tree = EnvelopeObjectTree(cols, capacity, 8)
+        aggregates = ("centers_bbox", "means_bbox", "max_radius", "max_reach", "all_mean")
+        for name in aggregates:
+            got, want = getattr(otree, name), getattr(ref_tree, name)
+            assert all(_same_bytes(g, w) for g, w in zip(got, want)), name

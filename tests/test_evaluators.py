@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import Engine, ModelColumns, QueryPlanner, config
+from repro import Engine, ModelColumns, QueryPlanner, QuerySpec, config
 from repro.constructions import (
     cluster_centers,
     clustered_disk_points,
@@ -24,7 +24,7 @@ from repro.constructions import (
     random_disk_points,
     random_queries,
 )
-from repro.core import evaluators
+from repro.core import evaluators, reducers
 from repro.errors import QueryError
 from repro.geometry import kernels
 from repro.uncertain import (
@@ -184,7 +184,7 @@ class TestEdgeRows:
         indptr = np.asarray([0, 0, 1, 1, 4])
         cols = np.asarray([7, 2, 5, 9])
         values = np.asarray([3.0, 2.0, 2.0, 1.0])
-        winners, best = evaluators.min_reduce_csr(indptr, cols, values, 4)
+        winners, best = reducers.min_reduce_csr(indptr, cols, values)
         assert best.tolist() == [np.inf, 3.0, np.inf, 1.0]
         assert winners[1] == 7 and winners[3] == 9
 
@@ -195,7 +195,7 @@ class TestEdgeRows:
         indptr = np.asarray([0, 3])
         cols = np.asarray([2, 4, 8])
         values = np.asarray([1.0, 1.0, 1.0])
-        winners, best = evaluators.min_reduce_csr(indptr, cols, values, 1)
+        winners, best = reducers.min_reduce_csr(indptr, cols, values)
         assert winners.tolist() == [2] and best.tolist() == [1.0]
 
     def test_min_reduce_matches_dense_argmin(self):
@@ -207,7 +207,7 @@ class TestEdgeRows:
         indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
         cols = np.nonzero(mask)[1]
         values = dense[mask]
-        winners, best = evaluators.min_reduce_csr(indptr, cols, values, m)
+        winners, best = reducers.min_reduce_csr(indptr, cols, values)
         masked = np.where(mask, dense, np.inf)
         assert np.array_equal(winners, masked.argmin(axis=1))
         assert np.array_equal(best, masked.min(axis=1))
@@ -215,7 +215,7 @@ class TestEdgeRows:
     def test_max_reduce_empty_rows(self):
         indptr = np.asarray([0, 2, 2, 3])
         values = np.asarray([1.0, 5.0, 2.0])
-        out = evaluators.max_reduce_csr(indptr, values, 3)
+        out = reducers.max_reduce_csr(indptr, values)
         assert out.tolist() == [5.0, 0.0, 2.0]
 
 
@@ -274,6 +274,38 @@ def test_engine_diagnostics_and_stats():
     assert ev["pairs"] >= res.diagnostics["eval_pairs"]
     assert ev["cache_builds"] == 1
     assert sum(ev["pairs_by_tag"].values()) == ev["pairs"]
+
+
+@pytest.mark.parametrize(
+    "spec", [QuerySpec("nonzero"), QuerySpec("expected_knn", k=3)],
+    ids=["nonzero", "expected_knn"],
+)
+def test_eval_pairs_count_every_survivor(spec):
+    # A tile budget of four rows: the reported pairs are the whole
+    # batch's survivors, not one tile's.
+    points = six_model_points(28)
+    Q = queries_for(38, m=40)
+    eng = Engine(points, result_cache_size=0)
+    res = eng.query(Q, spec, diagnostics=True, tile_bytes=len(points) * 24 * 4)
+    diag = res.diagnostics
+    assert diag["survivors"] > 0
+    assert diag["eval_pairs"] == diag["survivors"]
+
+
+def test_unevaluated_calls_report_no_stale_eval():
+    points = random_disk_points(60, seed=5, box=90.0)
+    Q = queries_for(39, m=12)
+    eng = Engine(points, result_cache_size=0)
+    warm = eng.query(Q, QuerySpec("expected_nn"), diagnostics=True)
+    assert warm.diagnostics["eval_pairs"] > 0
+    res = eng.query(
+        Q, QuerySpec("expected_nn", tier="approx", eps=1e3), diagnostics=True
+    )
+    assert not np.any(res.fallback)
+    exact = eng.query(Q, QuerySpec("expected_nn", tier="exact"), diagnostics=True)
+    for diag in (res.diagnostics, exact.diagnostics):
+        for key in ("eval_pairs", "eval_seconds", "prune_seconds"):
+            assert key not in diag
 
 
 # ---------------------------------------------------------------------------
