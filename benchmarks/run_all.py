@@ -96,7 +96,6 @@ def bench_expected_nn_disks(cfg, report):
 
     t_planner, (pi, pv) = _timeit(lambda: index.query_many(Q))
     t_exact_ref, (xi, xv) = _timeit(lambda: index.query_many(Qref, exact=True))
-    t_rtree, _ = _timeit(lambda: index.query_many_rtree(Q))
     identical = bool(
         np.array_equal(pi[: len(Qref)], xi) and np.array_equal(pv[: len(Qref)], xv)
     )
@@ -111,11 +110,9 @@ def bench_expected_nn_disks(cfg, report):
         "m_exact_subsample": cfg["m_exact"],
         "seconds_planner": t_planner,
         "seconds_exact_subsample": t_exact_ref,
-        "seconds_rtree_batch": t_rtree,
         "per_query_planner": per_q_planner,
         "per_query_exact": per_q_exact,
         "speedup_vs_exact": speedup,
-        "speedup_vs_rtree_batch": (t_rtree / len(Q)) / per_q_planner,
         "exact_extrapolated": True,
         "identical_on_subsample": identical,
         "mean_candidates": stats["mean_candidates"],
@@ -126,8 +123,6 @@ def bench_expected_nn_disks(cfg, report):
         ["path", "sec/query", "speedup"],
         [
             ("exact full matrix", f"{per_q_exact:.2e}", "1.0x"),
-            ("rtree batch (PR 1)", f"{t_rtree / len(Q):.2e}",
-             f"{(t_rtree / len(Q)) / per_q_exact:.2f}x"),
             ("planner (PR 2)", f"{per_q_planner:.2e}", f"{speedup:.1f}x"),
         ],
     )
@@ -686,344 +681,6 @@ def bench_engine_sessions(cfg, report):
         "remove-updated engine != fresh engine",
         hard=True,
     )
-
-
-def bench_dual_tree(cfg, report):
-    """The PR 5 headline: dual-tree candidate generation vs the flat
-    dense bound pass, over the same clustered-disks workload as the
-    other planner benches.
-
-    Hard assertions: the dual CSR survivors equal the flat survivors
-    bit for bit on every criterion, every answer path is bit-identical
-    between the two generators, and the traversal provably visits fewer
-    node pairs (and performs fewer leaf-stage bound evaluations) than
-    the dense m*n pass on every workload.  The >= 5x candidate-
-    generation speedup is hard-asserted in the full configuration; the
-    end-to-end answer-path ratios (which include the evaluator cost the
-    traversal cannot touch) and the cheap-evaluator worst case are
-    recorded honestly with no bar.
-    """
-    centers = cluster_centers(cfg["clusters"], seed=101, box=cfg["box"])
-    points = clustered_disk_points(cfg["n"], centers=centers, seed=102)
-    Q = np.asarray(clustered_queries(cfg["m"], centers=centers, seed=103))
-    m, n = Q.shape[0], len(points)
-    from repro import ModelColumns
-
-    cols = ModelColumns(points)
-    flat = QueryPlanner(points, prune="flat", columns=cols)
-    dual = QueryPlanner(points, prune="dual", columns=cols)
-    flat.candidate_csr(Q[:4], criterion="expected")
-    dual.candidate_csr(Q[:4], criterion="expected")  # builds the object tree
-
-    # Candidate generation, the pass the dual tree replaces.
-    parity = {}
-    times = {}
-    for criterion in ("expected", "support"):
-        t_f, (fp, fi) = _timeit(
-            lambda: flat.candidate_csr(Q, criterion=criterion), repeats=3
-        )
-        t_d, (dp, di) = _timeit(
-            lambda: dual.candidate_csr(Q, criterion=criterion), repeats=3
-        )
-        parity[criterion] = bool(
-            np.array_equal(fp, dp) and np.array_equal(fi, di)
-        )
-        times[criterion] = (t_f, t_d)
-    speedup = times["expected"][0] / times["expected"][1]
-    stats = dual.prune_stats(Q, criterion="expected")
-    node_pairs = stats["node_pairs_visited"]
-    refined = stats["refined_pairs"]
-
-    # End-to-end answer paths (evaluator cost included).
-    t_flat_e2e, (fw, fv) = _timeit(lambda: flat.expected_nn_many(Q))
-    t_dual_e2e, (dw, dv) = _timeit(lambda: dual.expected_nn_many(Q))
-    e2e_identical = bool(np.array_equal(fw, dw) and np.array_equal(fv, dv))
-    t_flat_nz, fz = _timeit(lambda: flat.nonzero_nn_many(Q))
-    t_dual_nz, dz = _timeit(lambda: dual.nonzero_nn_many(Q))
-    nz_identical = fz == dz
-    k = min(8, n)
-    knn_identical = bool(
-        np.array_equal(
-            flat.expected_knn_many(Q, k), dual.expected_knn_many(Q, k)
-        )
-    )
-
-    # Worst case, recorded honestly: cheap closed-form discrete
-    # evaluators, where candidate generation is a small share of the
-    # total and the dual tree can only match the flat pass.
-    dpoints = clustered_discrete_points(
-        cfg["n"], k=3, centers=centers, seed=112
-    )
-    dflat = QueryPlanner(dpoints, prune="flat")
-    ddual = QueryPlanner(dpoints, prune="dual")
-    dflat.expected_nn_many(Q[:4])
-    ddual.expected_nn_many(Q[:4])
-    t_wf, (wfw, wfv) = _timeit(lambda: dflat.expected_nn_many(Q), repeats=2)
-    t_wd, (wdw, wdv) = _timeit(lambda: ddual.expected_nn_many(Q), repeats=2)
-    worst_identical = bool(
-        np.array_equal(wfw, wdw) and np.array_equal(wfv, wdv)
-    )
-    worst_stats = ddual.prune_stats(Q, criterion="expected")
-
-    report["results"]["dual_tree_candidates"] = {
-        "model": "uniform disks, clustered (dual-tree vs flat bound pass)",
-        "n": n,
-        "m": m,
-        "dense_pairs": m * n,
-        "seconds_flat_candidates_expected": times["expected"][0],
-        "seconds_dual_candidates_expected": times["expected"][1],
-        "seconds_flat_candidates_support": times["support"][0],
-        "seconds_dual_candidates_support": times["support"][1],
-        "speedup_candidates_expected": speedup,
-        "speedup_candidates_support": times["support"][0] / times["support"][1],
-        "survivor_parity": parity,
-        "node_pairs_visited": node_pairs,
-        "node_pairs_pruned": stats["node_pairs_pruned"],
-        "point_node_pairs": stats["point_node_pairs"],
-        "refined_pairs": refined,
-        "survivors": stats["survivors"],
-        "seconds_flat_expected_nn_e2e": t_flat_e2e,
-        "seconds_dual_expected_nn_e2e": t_dual_e2e,
-        "speedup_expected_nn_e2e": t_flat_e2e / t_dual_e2e,
-        "seconds_flat_nonzero_e2e": t_flat_nz,
-        "seconds_dual_nonzero_e2e": t_dual_nz,
-        "speedup_nonzero_e2e": t_flat_nz / t_dual_nz,
-        "expected_knn_identical": knn_identical,
-        "worst_case_model": "discrete k=3 (cheap closed-form evaluators)",
-        "seconds_worst_flat": t_wf,
-        "seconds_worst_dual": t_wd,
-        "speedup_worst_case": t_wf / t_wd,
-        "worst_case_node_pairs": worst_stats["node_pairs_visited"],
-        "worst_case_refined_pairs": worst_stats["refined_pairs"],
-    }
-    print_table(
-        f"dual-tree candidates, clustered disks, n={n}, m={m}",
-        ["path", "seconds", "speedup"],
-        [
-            ("flat bound pass (expected)", f"{times['expected'][0]:.4f}", "1.0x"),
-            ("dual traversal (expected)", f"{times['expected'][1]:.4f}",
-             f"{speedup:.1f}x"),
-            ("flat expected-NN end-to-end", f"{t_flat_e2e:.3f}", "1.0x"),
-            ("dual expected-NN end-to-end", f"{t_dual_e2e:.3f}",
-             f"{t_flat_e2e / t_dual_e2e:.1f}x"),
-            ("worst case (cheap evaluator)", f"{t_wd:.3f}",
-             f"{t_wf / t_wd:.2f}x"),
-        ],
-    )
-    _soft(
-        report,
-        "dual survivors equal flat survivors",
-        parity["expected"] and parity["support"],
-        f"CSR mismatch: {parity}",
-        hard=True,
-    )
-    _soft(
-        report,
-        "dual answers identical (expected_nn/nonzero/expected_knn)",
-        e2e_identical and nz_identical and knn_identical and worst_identical,
-        "dual != flat on an answer path",
-        hard=True,
-    )
-    _soft(
-        report,
-        "dual visits fewer node pairs than m*n",
-        node_pairs < m * n and worst_stats["node_pairs_visited"] < m * n,
-        f"node pairs {node_pairs} / {worst_stats['node_pairs_visited']} "
-        f"vs dense {m * n}",
-        hard=True,
-    )
-    _soft(
-        report,
-        "dual leaf refinements below m*n",
-        refined < m * n and worst_stats["refined_pairs"] < m * n,
-        f"refined {refined} / {worst_stats['refined_pairs']} vs {m * n}",
-        hard=True,
-    )
-    if not report["quick"]:
-        _soft(
-            report,
-            f"dual candidate generation >= {TARGET_SPEEDUP}x",
-            speedup >= TARGET_SPEEDUP,
-            f"speedup {speedup:.2f}x below acceptance bar",
-            hard=True,
-        )
-
-
-def bench_evaluators(cfg, report):
-    """The PR 6 headline: tag-grouped CSR survivor evaluation vs the
-    per-object batched dispatch it replaces, over the PR 5 clustered-
-    disks workload (same seeds, same dual-tree candidate generation on
-    both sides so only the evaluation stage differs).
-
-    Hard assertions: every float64 answer path (expected_nn / nonzero /
-    threshold / expected_knn) is bit-identical between the grouped and
-    per-object evaluators, the end-to-end expected-NN speedup clears
-    TARGET_EVAL_SPEEDUP in the full configuration, the evaluation cache
-    registers hits on repeated batches, and certified-float32 fallback
-    answers sit inside their emitted error bounds.  The cheap-evaluator
-    worst case (discrete k=3, closed-form expected distances where
-    per-object dispatch was never the bottleneck) is recorded honestly
-    with no bar.
-    """
-    from repro import Engine, ModelColumns, config
-
-    centers = cluster_centers(cfg["clusters"], seed=101, box=cfg["box"])
-    points = clustered_disk_points(cfg["n"], centers=centers, seed=102)
-    Q = np.asarray(clustered_queries(cfg["m"], centers=centers, seed=103))
-    m, n = Q.shape[0], len(points)
-
-    cols = ModelColumns(points)
-    grouped = QueryPlanner(points, columns=cols, evaluator="grouped")
-    objectp = QueryPlanner(points, columns=cols, evaluator="object")
-    grouped.expected_nn_many(Q[:4])  # builds trees + eval cache
-    objectp.expected_nn_many(Q[:4])
-
-    # End-to-end answer paths: identical pruning, different evaluation.
-    t_obj, (ow, ov) = _timeit(lambda: objectp.expected_nn_many(Q), repeats=3)
-    t_grp, (gw, gv) = _timeit(lambda: grouped.expected_nn_many(Q), repeats=3)
-    nn_identical = bool(np.array_equal(ow, gw) and np.array_equal(ov, gv))
-    speedup = t_obj / t_grp
-
-    t_obj_nz, oz = _timeit(lambda: objectp.nonzero_nn_many(Q), repeats=2)
-    t_grp_nz, gz = _timeit(lambda: grouped.nonzero_nn_many(Q), repeats=2)
-    nz_identical = oz == gz
-    k = min(8, n)
-    knn_identical = bool(
-        np.array_equal(
-            objectp.expected_knn_many(Q, k), grouped.expected_knn_many(Q, k)
-        )
-    )
-
-    # Evaluation-phase accounting from the grouped planner itself.
-    cache = grouped.eval_cache()
-    totals = dict(grouped.eval_totals)
-    cache_hits_before = cache.hits
-    grouped.expected_nn_many(Q)  # repeated batch -> pure cache hits
-    cache_hit_gain = cache.hits - cache_hits_before
-    pairs_per_call = totals["pairs"] / max(totals["grouped_calls"], 1.0)
-
-    # Threshold parity needs the all-discrete dataset (the sweep path);
-    # it doubles as the cheap-evaluator worst case, recorded honestly.
-    dpoints = clustered_discrete_points(cfg["n"], k=3, centers=centers, seed=112)
-    dgrouped = QueryPlanner(dpoints, evaluator="grouped")
-    dobject = QueryPlanner(dpoints, evaluator="object")
-    dgrouped.expected_nn_many(Q[:4])
-    dobject.expected_nn_many(Q[:4])
-    t_wo, (wow, wov) = _timeit(lambda: dobject.expected_nn_many(Q), repeats=2)
-    t_wg, (wgw, wgv) = _timeit(lambda: dgrouped.expected_nn_many(Q), repeats=2)
-    worst_identical = bool(
-        np.array_equal(wow, wgw) and np.array_equal(wov, wgv)
-    )
-    tau = 0.3
-    mt = min(cfg["m_threshold"], m)
-    th_identical = dgrouped.threshold_nn_exact_many(
-        Q[:mt], tau
-    ) == dobject.threshold_nn_exact_many(Q[:mt], tau)
-
-    # Certified float32 mode on the approx tier's fallback rows.
-    with config.execution(dtype="float32"):
-        f32p = QueryPlanner(points, columns=cols, evaluator="grouped")
-        fw, fv, fb = f32p.expected_nn_many(
-            Q, tier="approx", eps=1e-9, return_fallback=True
-        )
-        f32_bounds = f32p.last_fallback_bounds
-    rows = np.flatnonzero(fb)
-    if rows.size and f32_bounds is not None:
-        f32_err = float(np.max(np.abs(fv[rows] - gv[rows])))
-        f32_bound_min = float(f32_bounds.min())
-        f32_certified = bool(np.all(np.abs(fv[rows] - gv[rows]) <= f32_bounds))
-    else:
-        f32_err, f32_bound_min, f32_certified = 0.0, 0.0, True
-
-    # Engine-level diagnostics surface the same accounting.
-    eng = Engine(points)
-    eng.query(Q[:4], method="expected_nn")
-    res = eng.query(Q, method="expected_nn", diagnostics=True)
-    diag_ok = res.diagnostics.get("eval_pairs", 0) > 0 and (
-        "eval_seconds" in res.diagnostics
-    )
-
-    report["results"]["grouped_evaluators"] = {
-        "model": "uniform disks, clustered (grouped CSR vs per-object dispatch)",
-        "n": n,
-        "m": m,
-        "seconds_object_expected_nn_e2e": t_obj,
-        "seconds_grouped_expected_nn_e2e": t_grp,
-        "speedup_expected_nn_e2e": speedup,
-        "seconds_object_nonzero_e2e": t_obj_nz,
-        "seconds_grouped_nonzero_e2e": t_grp_nz,
-        "speedup_nonzero_e2e": t_obj_nz / t_grp_nz,
-        "expected_nn_identical": nn_identical,
-        "nonzero_identical": nz_identical,
-        "expected_knn_identical": knn_identical,
-        "threshold_identical": th_identical,
-        "pairs_per_call": pairs_per_call,
-        "prune_seconds_total": totals["prune_seconds"],
-        "eval_seconds_total": totals["eval_seconds"],
-        "eval_cache_hits": int(cache.hits),
-        "eval_cache_builds": int(cache.builds),
-        "eval_cache_hit_gain_on_repeat": int(cache_hit_gain),
-        "pairs_by_tag": dict(cache.pair_counts),
-        "worst_case_model": "discrete k=3 (cheap closed-form evaluators)",
-        "seconds_worst_object": t_wo,
-        "seconds_worst_grouped": t_wg,
-        "speedup_worst_case": t_wo / t_wg,
-        "float32_fallback_rows": int(rows.size),
-        "float32_max_error": f32_err,
-        "float32_min_bound": f32_bound_min,
-        "float32_within_certificate": f32_certified,
-        "engine_diagnostics_present": bool(diag_ok),
-    }
-    print_table(
-        f"grouped evaluators, clustered disks, n={n}, m={m}",
-        ["path", "seconds", "speedup"],
-        [
-            ("per-object expected-NN e2e", f"{t_obj:.4f}", "1.0x"),
-            ("grouped expected-NN e2e", f"{t_grp:.4f}", f"{speedup:.2f}x"),
-            ("per-object nonzero e2e", f"{t_obj_nz:.4f}", "1.0x"),
-            ("grouped nonzero e2e", f"{t_grp_nz:.4f}",
-             f"{t_obj_nz / t_grp_nz:.2f}x"),
-            ("worst case (cheap evaluator)", f"{t_wg:.4f}",
-             f"{t_wo / t_wg:.2f}x"),
-        ],
-    )
-    _soft(
-        report,
-        "grouped answers identical (expected_nn/nonzero/threshold/knn)",
-        nn_identical and nz_identical and knn_identical and th_identical
-        and worst_identical,
-        "grouped != per-object on a float64 answer path",
-        hard=True,
-    )
-    _soft(
-        report,
-        "eval cache hits on repeated batches",
-        cache.builds == 1 and cache_hit_gain > 0,
-        f"builds={cache.builds} hit_gain={cache_hit_gain}",
-        hard=True,
-    )
-    _soft(
-        report,
-        "float32 fallback within certificate",
-        f32_certified,
-        f"max err {f32_err:.3e} exceeds bound (min bound {f32_bound_min:.3e})",
-        hard=True,
-    )
-    _soft(
-        report,
-        "engine surfaces evaluation diagnostics",
-        diag_ok,
-        "eval_pairs / eval_seconds missing from QueryResult.diagnostics",
-        hard=True,
-    )
-    if not report["quick"]:
-        _soft(
-            report,
-            f"grouped expected-NN e2e >= {TARGET_EVAL_SPEEDUP}x",
-            speedup >= TARGET_EVAL_SPEEDUP,
-            f"speedup {speedup:.2f}x below acceptance bar",
-            hard=True,
-        )
 
 
 def bench_resilience(cfg, report):
@@ -1826,26 +1483,6 @@ def main(argv=None) -> int:
         help="run only the PR 4 engine-session benchmark",
     )
     ap.add_argument(
-        "--out-dual",
-        default=os.path.join(os.path.dirname(__file__), "..", "BENCH_pr5.json"),
-        help="dual-tree report path (default: repo-root BENCH_pr5.json)",
-    )
-    ap.add_argument(
-        "--dual-only",
-        action="store_true",
-        help="run only the PR 5 dual-tree benchmark",
-    )
-    ap.add_argument(
-        "--out-eval",
-        default=os.path.join(os.path.dirname(__file__), "..", "BENCH_pr6.json"),
-        help="grouped-evaluator report path (default: repo-root BENCH_pr6.json)",
-    )
-    ap.add_argument(
-        "--eval-only",
-        action="store_true",
-        help="run only the PR 6 grouped-evaluator benchmark",
-    )
-    ap.add_argument(
         "--out-resilience",
         default=os.path.join(os.path.dirname(__file__), "..", "BENCH_pr7.json"),
         help="resilience report path (default: repo-root BENCH_pr7.json)",
@@ -1887,15 +1524,13 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
     only_flags = (
-        args.engine_only, args.dual_only, args.eval_only,
-        args.resilience_only, args.cluster_only, args.service_only,
-        args.wal_only,
+        args.engine_only, args.resilience_only, args.cluster_only,
+        args.service_only, args.wal_only,
     )
     if sum(only_flags) > 1:
         ap.error(
-            "--engine-only, --dual-only, --eval-only, --resilience-only, "
-            "--cluster-only, --service-only and --wal-only are mutually "
-            "exclusive"
+            "--engine-only, --resilience-only, --cluster-only, "
+            "--service-only and --wal-only are mutually exclusive"
         )
 
     if args.quick:
@@ -1961,9 +1596,8 @@ def main(argv=None) -> int:
     hard_failure = False
 
     skip_core = (
-        args.engine_only or args.dual_only or args.eval_only
-        or args.resilience_only or args.cluster_only or args.service_only
-        or args.wal_only
+        args.engine_only or args.resilience_only or args.cluster_only
+        or args.service_only or args.wal_only
     )
     if not skip_core:
         report = {
@@ -1997,8 +1631,8 @@ def main(argv=None) -> int:
         print(f"\nwrote {out}")
 
     if not (
-        args.dual_only or args.eval_only or args.resilience_only
-        or args.cluster_only or args.service_only or args.wal_only
+        args.resilience_only or args.cluster_only or args.service_only
+        or args.wal_only
     ):
         report4 = {
             "pr": 4,
@@ -2028,64 +1662,8 @@ def main(argv=None) -> int:
         print(f"wrote {out4}")
 
     if not (
-        args.engine_only or args.eval_only or args.resilience_only
-        or args.cluster_only or args.service_only or args.wal_only
-    ):
-        report5 = {
-            "pr": 5,
-            "benchmark": (
-                "dual-tree candidate generation: output-sensitive prune "
-                "pass replacing the dense O(m*n) bound matrix"
-            ),
-            "quick": bool(args.quick),
-            "config": {
-                k: cfg[k] for k in ("n", "m", "clusters", "box")
-            },
-            "results": {},
-            "soft_assertions": [],
-        }
-        bench_dual_tree(cfg, report5)
-        failed5 = [a["name"] for a in report5["soft_assertions"] if not a["ok"]]
-        report5["all_assertions_passed"] = not failed5
-        failed += failed5
-        hard_failure |= bool(report5.get("hard_failure"))
-        out5 = os.path.abspath(args.out_dual)
-        with open(out5, "w") as fh:
-            json.dump(report5, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out5}")
-
-    if not (
-        args.engine_only or args.dual_only or args.resilience_only
-        or args.cluster_only or args.service_only or args.wal_only
-    ):
-        report6 = {
-            "pr": 6,
-            "benchmark": (
-                "output-sensitive survivor evaluation: tag-grouped CSR "
-                "kernels, quadrature caching, certified float32 mode"
-            ),
-            "quick": bool(args.quick),
-            "config": {
-                k: cfg[k] for k in ("n", "m", "clusters", "box")
-            },
-            "results": {},
-            "soft_assertions": [],
-        }
-        bench_evaluators(cfg, report6)
-        failed6 = [a["name"] for a in report6["soft_assertions"] if not a["ok"]]
-        report6["all_assertions_passed"] = not failed6
-        failed += failed6
-        hard_failure |= bool(report6.get("hard_failure"))
-        out6 = os.path.abspath(args.out_eval)
-        with open(out6, "w") as fh:
-            json.dump(report6, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out6}")
-
-    if not (
-        args.engine_only or args.dual_only or args.eval_only
-        or args.cluster_only or args.service_only or args.wal_only
+        args.engine_only or args.cluster_only or args.service_only
+        or args.wal_only
     ):
         report7 = {
             "pr": 7,
@@ -2112,8 +1690,8 @@ def main(argv=None) -> int:
         print(f"wrote {out7}")
 
     if not (
-        args.engine_only or args.dual_only or args.eval_only
-        or args.resilience_only or args.service_only or args.wal_only
+        args.engine_only or args.resilience_only or args.service_only
+        or args.wal_only
     ):
         report8 = {
             "pr": 8,
@@ -2140,8 +1718,8 @@ def main(argv=None) -> int:
         print(f"wrote {out8}")
 
     if not (
-        args.engine_only or args.dual_only or args.eval_only
-        or args.resilience_only or args.cluster_only or args.wal_only
+        args.engine_only or args.resilience_only or args.cluster_only
+        or args.wal_only
     ):
         report9 = {
             "pr": 9,
@@ -2168,8 +1746,8 @@ def main(argv=None) -> int:
         print(f"wrote {out9}")
 
     if not (
-        args.engine_only or args.dual_only or args.eval_only
-        or args.resilience_only or args.cluster_only or args.service_only
+        args.engine_only or args.resilience_only or args.cluster_only
+        or args.service_only
     ):
         report10 = {
             "pr": 10,

@@ -95,13 +95,13 @@ class Execution:
     ----------
     tile_bytes:
         Target byte budget for the per-tile floating-point working set of
-        the planner's bound pass.  A batch of ``m`` queries over ``n``
+        the planner's exact tier.  A batch of ``m`` queries over ``n``
         objects is processed in row tiles sized so the simultaneous
         ``(rows, n)`` float64 temporaries stay within this budget —
         peak memory is O(tile), never O(m * n).  The default (16 MiB)
         bounds the working set to an L3-cache-sized slice while keeping
         tiles wide enough to amortize per-object dispatch; shrink it to
-        cap memory harder on huge batches.  The dual pruned tier is not
+        cap memory harder on huge batches.  The pruned tier is not
         row-tiled: it sizes its refinement chunks and its evaluator pair
         batches from the same budget.
     parallel_backend:
@@ -114,15 +114,6 @@ class Execution:
         through ``map_tiles`` directly.
     parallel_workers:
         Worker count for the parallel backends (``None`` = CPU count).
-    evaluator:
-        ``"grouped"`` (default) or ``"object"`` — how the planner
-        evaluates post-prune survivors.  ``"grouped"`` flattens each
-        batch's survivor CSR into (query, object) pairs, partitions
-        them by model tag, and issues one vectorized kernel call per
-        model family present; ``"object"`` keeps the per-object
-        dispatch loop.  Both replay the same float operation sequence,
-        so answers are bit-identical; ``"object"`` exists as the
-        reference path for parity tests and baseline benchmarks.
     dtype:
         ``"float64"`` (default) or ``"float32"``.  In float32 mode the
         grouped expected-distance kernels used to resolve the approx
@@ -130,11 +121,6 @@ class Execution:
         per-row error bound is folded into the reported certificate
         (instead of the exact tier's 0).  The exact and pruned tiers
         always stay float64 and bit-identical.
-    backend:
-        ``"numpy"`` (default) or ``"numba"`` — kernel backend for the
-        lens-area and disk tail-quadrature kernels.  ``"numba"`` takes
-        effect only when numba is importable (otherwise the NumPy path
-        runs unchanged); the NumPy path is the bit-exact reference.
     memory_budget_bytes:
         Optional admission-control budget (``None`` = unlimited).  When
         set, the planner's allocation estimator auto-tiles tile-sized
@@ -152,9 +138,7 @@ class Execution:
     tile_bytes: int = 16 * 1024 * 1024
     parallel_backend: str = "serial"
     parallel_workers: Optional[int] = None
-    evaluator: str = "grouped"
     dtype: str = "float64"
-    backend: str = "numpy"
     memory_budget_bytes: Optional[int] = None
     max_workers: Optional[int] = None
 

@@ -1,9 +1,10 @@
 """Dual-tree candidate generation: output-sensitive prune passes.
 
-The flat pruned tier evaluates the envelope bracket of **every**
-(query, object) pair — O(m·n) bound work even when almost everything is
-pruned.  This module replaces that dense pass with the standard batch-NN
-acceleration of production spatial engines: a best-first **dual
+A flat prune pass evaluates the envelope bracket of **every** (query,
+object) pair — O(m·n) bound work even when almost everything is
+pruned.  This module is the planner's candidate generator instead, the
+standard batch-NN acceleration of production spatial engines: a
+best-first **dual
 traversal** of a query-block tree against an object-envelope tree, both
 STR-packed straight from the SoA arrays (:func:`repro.index.bulk.
 str_hierarchy` — no node objects, no recursion), processed one level at
@@ -25,16 +26,17 @@ Per level the traversal
    survivors into the children cross product.
 
 At the leaf level each query block refines its reachable members with
-the **exact flat-tier bounds** (the same
+the **exact column bounds** (the same
 :meth:`~repro.uncertain.ModelColumns.envelope_bounds_many` /
 :meth:`~repro.uncertain.ModelColumns.expected_bounds_many` floats) and
 the same ``k``-th-smallest-ub cutoff.  Because every object among the
 ``k`` smallest upper bounds of a query provably survives node pruning,
-the member-level cutoff equals the flat tier's cutoff *bit for bit*,
-and the emitted survivor sets are **exactly the flat tier's survivor
-sets** — a CSR layout feeding the existing evaluators unchanged, so
-answers stay bit-identical while the bound work becomes proportional to
-the surviving frontier instead of ``m·n``.
+the member-level cutoff equals the flat pass's cutoff *bit for bit*,
+and the emitted survivor sets are **exactly the flat pass's survivor
+sets** (the tests keep that flat pass as the oracle) — a CSR layout
+feeding the evaluators, so answers stay bit-identical to the exact tier
+while the bound work becomes proportional to the surviving frontier
+instead of ``m·n``.
 
 Parallelism fans out over **query subtrees** (each root child's
 traversal is independent) via :func:`repro.core.parallel.map_ordered`;
@@ -252,7 +254,7 @@ class DualTreeCandidates:
 
     ``indptr`` has shape ``(m + 1,)``; ``indices[indptr[r]:indptr[r+1]]``
     are query ``r``'s surviving object columns in ascending order —
-    exactly the flat tier's survivors.  ``stats`` records the traversal
+    exactly the flat pass's survivors.  ``stats`` records the traversal
     telemetry (node pairs visited / pruned, leaf pairs, member-level
     refinements, survivor count).
     """
@@ -326,8 +328,8 @@ def _pair_bounds(
     return lb, ub
 
 
-#: The shared cutoff selector: one implementation for both generators
-#: keeps the leaf cutoff the exact float the flat tier selects.
+#: The shared cutoff selector: one implementation keeps the leaf cutoff
+#: the exact float the flat pass selects.
 _kth_smallest = kernels.kth_smallest_rowwise
 
 
@@ -515,7 +517,7 @@ def _refine(
     best_full[uniq] = best
     keep1 = lb1 <= best_full[pair_row] * slack
     # Stage R2 — member refinement of the surviving (row, leaf) pairs
-    # with the flat tier's exact bounds and exact cutoff, one flat pair
+    # with the exact column bounds and the flat pass's cutoff, one pair
     # batch for all queries at once.
     srt = np.argsort(pair_row[keep1], kind="stable")
     kept_row = pair_row[keep1][srt]
@@ -586,7 +588,7 @@ def dual_tree_candidates(
         so fewer (query row, object leaf) pairs reach the refinement.
     k / criterion:
         The prune test — survivors of query ``q`` are exactly the flat
-        tier's ``lb_i(q) <= k``-th smallest ``ub_j(q)`` set, with
+        pass's ``lb_i(q) <= k``-th smallest ``ub_j(q)`` set, with
         ``criterion`` selecting the support or expected-distance
         bracket.
     backend / workers:

@@ -1,10 +1,8 @@
 """Tag-grouped survivor evaluation (the output-sensitive evaluation path).
 
-BENCH_pr5 measured the honest gap left after dual-tree candidate
-generation: pruning is output-sensitive, but the planner still walked
-each batch's CSR survivor sets with one Python ``*_many`` dispatch per
-surviving *object*.  This module makes the evaluation side
-output-sensitive too:
+Dual-tree candidate generation makes pruning output-sensitive; this
+module does the same for evaluation, instead of one Python ``*_many``
+dispatch per surviving *object*:
 
 * the survivor CSR is flattened into parallel ``(query_row, object)``
   **pair arrays**, stable-partitioned by ``ModelColumns.tags``
@@ -24,9 +22,9 @@ float sequence **operation for operation** (the models document their
 row-independence: elementwise kernels plus per-row multiply-and-sum
 reductions over fixed-length contiguous axes).  A (query, object) pair
 therefore produces the same double whether it is evaluated through the
-per-object path or through any grouping/chunking of the pair arrays —
-the planner's ``evaluator="object"`` escape hatch exists precisely to
-assert this in tests and benchmarks.  Two consequences shape the code:
+model's own method (the planner's exact tier, which the tests use as
+the oracle) or through any grouping/chunking of the pair arrays.  Two
+consequences shape the code:
 
 * discrete / histogram pairs are **sub-grouped by description
   complexity** (location count / cell count) so their per-row reductions
@@ -35,7 +33,7 @@ assert this in tests and benchmarks.  Two consequences shape the code:
   complexities in one ragged reduction would change the floats;
 * polygon (no vectorized cdf exists) and unknown models fall back to
   one batched ``expected_distance_many`` call per distinct *object* in
-  the group — the identical call the per-object path makes.
+  the group — the model's own method, as in the exact tier.
 
 Float32 mode
 ------------
@@ -121,7 +119,7 @@ class EvalCache:
     dual tree) and reused across queries, batches, and criteria:
 
     * shared Gauss–Legendre node grids (writable copies of the cached
-      read-only rules, so the compiled backend can take them directly);
+      read-only rules);
     * per-disk areas, per-gaussian truncation masses, per-rect areas —
       the scalars the model cdfs fold in;
     * discrete location stacks grouped by description complexity ``k``
@@ -361,20 +359,6 @@ def _expected_disk(cache, qx, qy, sub, f32):
     radius = cache.columns.radii[sub]
     area = cache.disk_area[sub]
     nodes, weights = cache.nodes, cache.weights
-    if not f32 and kernels.active_backend() == "numba":
-        from ..geometry import _compiled
-
-        v = _compiled.disk_expected_pairs(
-            np.ascontiguousarray(qx),
-            np.ascontiguousarray(qy),
-            np.ascontiguousarray(cx),
-            np.ascontiguousarray(cy),
-            np.ascontiguousarray(radius),
-            np.ascontiguousarray(area),
-            nodes,
-            weights,
-        )
-        return v, None
     bounds = None
     if f32:
         d64 = np.hypot(qx - cx, qy - cy)
@@ -673,8 +657,8 @@ def _fallback_groups(sub: np.ndarray):
 
 def _expected_fallback(cache, Q, rows, sub):
     # Polygon (no vectorized cdf exists) and unknown models: one batched
-    # call per distinct object — the identical call (same query subset,
-    # same defaults) the per-object path makes, so values match bit for
+    # call per distinct object — the model's own method with its
+    # defaults, row-independent, so values match the exact tier bit for
     # bit and the pair runs in float64 with a zero f32 certificate.
     out = np.empty(sub.shape[0], dtype=np.float64)
     for i, pos in _fallback_groups(sub):
@@ -693,9 +677,10 @@ def expected_distance_pairs(
 
     ``rows`` / ``cols`` are parallel arrays naming one pair per entry
     (any order; the planner passes CSR order).  Returns
-    ``(values, bounds)``: float64 values bit-identical to the per-object
-    path, and — only with ``use_float32=True`` — a certified per-pair
-    float64 error bound (zero on fallback pairs, which stay float64).
+    ``(values, bounds)``: float64 values bit-identical to the models'
+    own ``expected_distance_many``, and — only with
+    ``use_float32=True`` — a certified per-pair float64 error bound
+    (zero on fallback pairs, which stay float64).
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)

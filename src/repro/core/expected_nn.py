@@ -59,8 +59,8 @@ class ExpectedNNIndex:
 
     @property
     def _rtree(self) -> RTree:
-        """Lazily built: only the scalar branch-and-bound paths (and the
-        comparison-only ``query_many_rtree``) need the recursive tree."""
+        """Lazily built: only the scalar branch-and-bound paths need the
+        recursive tree."""
         if self._rtree_cache is None:
             self._rtree_cache = RTree([p.support_bbox() for p in self.points])
         return self._rtree_cache
@@ -90,13 +90,6 @@ class ExpectedNNIndex:
             arg = E.argmin(axis=1)
             return arg, E[np.arange(E.shape[0]), arg]
         return self.planner.expected_nn_many(qs)
-
-    def query_many_rtree(self, qs) -> Tuple[np.ndarray, np.ndarray]:
-        """The R-tree level-wise batched best-first search (the pre-planner
-        batch path, kept for comparison benchmarks)."""
-        return self._rtree.query_many(
-            qs, lambda i, Qs: self.points[i].expected_distance_many(Qs)
-        )
 
     def expected_distance_matrix(self, qs) -> np.ndarray:
         """``E[d(q, P_i)]`` for every query/point pair, shape ``(m, n)``."""

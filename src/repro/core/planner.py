@@ -42,31 +42,30 @@ fills their values in the same order, and one segmented reducer of
 ``(rows, n)`` is allocated and nothing is row-tiled.  Under
 ``parallel_backend="thread"`` the dual traversal fans out over query
 subtrees (:mod:`repro.core.dual_tree`, whose query tree packs
-``_QUERY_LEAF_SIZE`` rows per leaf).  The exact tier, and the bound pass
-of the flat / kdtree / rtree generators, run in row tiles sized from
-``config.EXECUTION.tile_bytes`` (so a tile's simultaneous ``(rows, n)``
-float64 temporaries fit the configured budget), and those tiles can be
-fanned out across cores by :func:`repro.core.parallel.map_tiles`
-(``parallel_backend="thread"``; results are assembled in tile order, so
-parallel answers are bit-identical to serial — the ``"process"``
-backend serves picklable workloads through ``map_tiles`` directly, and
-the planner rejects it since its tile closures hold model objects).
+``_QUERY_LEAF_SIZE`` rows per leaf).  Only the exact tier runs in row
+tiles, sized from ``config.EXECUTION.tile_bytes`` (so a tile's
+simultaneous ``(rows, n)`` float64 temporaries fit the configured
+budget); those tiles can be fanned out across cores by
+:func:`repro.core.parallel.map_tiles` (``parallel_backend="thread"``;
+results are assembled in tile order, so parallel answers are
+bit-identical to serial — the ``"process"`` backend serves picklable
+workloads through ``map_tiles`` directly, and the planner rejects it
+since its tile closures hold model objects).
 
 Candidate generation
 --------------------
-The pruned tier's default candidate generator is the
-**dual-tree traversal** of :mod:`repro.core.dual_tree`
-(``method="dual"``): a query-block STR tree is walked against a cached
-object-envelope STR tree level by level, node pairs are pruned against
-per-block running best upper bounds, and the surviving members are
-refined with the flat tier's exact bounds — the emitted CSR survivor
-sets equal the flat pass's survivors bit for bit, but the bound work is
-proportional to the surviving frontier instead of ``m * n``.  The flat
-``(rows, n)`` pass (``method="flat"`` / ``prune="flat"``) and the bulk
-leaf groupings (``"kdtree"`` / ``"rtree"`` from :mod:`repro.index.bulk`)
-remain as escape hatches; whatever the generator, its survivors reach
-the same evaluators and reducers as one CSR, so answers are identical
-across methods.
+The pruned tier has one candidate generator, the **dual-tree
+traversal** of :mod:`repro.core.dual_tree`: a query-block STR tree is
+walked against a cached object-envelope STR tree level by level, node
+pairs are pruned against per-block running best upper bounds, and the
+surviving members are refined with the exact column bounds of
+:class:`~repro.uncertain.ModelColumns`.  The emitted CSR survivor sets
+equal the flat ``(rows, n)`` bound pass's survivors bit for bit (the
+tests keep that flat pass as their oracle), but the bound work is
+proportional to the surviving frontier instead of ``m * n``.  Survivors
+are evaluated by the tag-grouped kernels of
+:mod:`repro.core.evaluators`; the exact tier, which calls each object's
+own ``*_many`` methods, is their oracle.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ from ..config import EXECUTION
 from ..errors import QueryError
 from ..geometry import kernels
 from .. import resilience as _resilience
-from ..index.bulk import group_bboxes, kd_leaves, str_leaves
 from ..uncertain.columns import TAG_DISCRETE, ModelColumns
 from . import evaluators as _evaluators
 from . import parallel as _parallel
@@ -102,23 +100,23 @@ __all__ = ["QueryPlanner"]
 #: few ulps above its true value can never discard a genuine candidate.
 _CUTOFF_SLACK = 1.0 + 1e-12
 
-#: Object-envelope tree parameters of the dual-tree candidate generator
-#: (``method="dual"``); the query-block tree shares the fanout.
+#: Object-envelope tree parameters of the dual-tree candidate
+#: generator; the query-block tree shares the fanout.
 _DUAL_LEAF_SIZE = 16
 _DUAL_FANOUT = 8
 
 #: Rows per query-block leaf.  Survivors do not depend on it (the dual
-#: pass emits exactly the flat tier's survivors); small blocks keep each
-#: block's bounds tight, so fewer (query row, object leaf) pairs reach
-#: the leaf refinement.
+#: pass emits exactly the flat bound pass's survivors); small blocks
+#: keep each block's bounds tight, so fewer (query row, object leaf)
+#: pairs reach the leaf refinement.
 _QUERY_LEAF_SIZE = 4
 
-#: Peak float64 working-set bytes per (query, object) pair in a tile's
-#: bound-plus-evaluate pass (lb/ub/center-distance temporaries in the
-#: kernels, plus the evaluator's value matrix): 8 simultaneous arrays.
+#: Peak float64 working-set bytes per (query, object) pair in an
+#: exact-tier tile (the dmin/dmax or expectation matrices and the
+#: kernels' temporaries): 8 simultaneous arrays.
 _BYTES_PER_PAIR = 64
 
-#: Per-pair bytes of the dual pruned tier: no bound temporaries
+#: Per-pair bytes of the pruned tier: no bound temporaries
 #: materialize per row (the traversal, whose query leaves hold
 #: ``_QUERY_LEAF_SIZE`` rows, budgets its own refinement chunks), so a
 #: surviving pair costs its CSR column, its row id and its evaluated
@@ -139,21 +137,6 @@ class QueryPlanner:
     columns:
         Optional precomputed :class:`ModelColumns` for ``points`` (built
         once here when omitted).
-    method:
-        ``"dual"`` (the ``"auto"`` default) — dual-tree candidate
-        generation (:mod:`repro.core.dual_tree`): output-sensitive,
-        bit-identical survivors to the flat pass; ``"flat"`` — one
-        vectorized pass over the tile's ``(rows, n)`` bound matrices;
-        ``"kdtree"`` / ``"rtree"`` — group objects into bulk leaves
-        (argpartition kd splits / STR tiles) and prune whole groups
-        first.
-    prune:
-        Convenience escape hatch: ``prune="dual"`` / ``prune="flat"``
-        overrides ``method`` (the two spellings name the same
-        strategies).
-    leaf_size:
-        Group capacity for the kd/rtree methods (the dual trees use
-        their own packing parameters).
     object_tree:
         Optional prebuilt
         :class:`~repro.core.dual_tree.EnvelopeObjectTree` over the same
@@ -177,9 +160,6 @@ class QueryPlanner:
         self,
         points: Sequence,
         columns: Optional[ModelColumns] = None,
-        method: str = "auto",
-        prune: Optional[str] = None,
-        leaf_size: int = 32,
         tile_bytes: Optional[int] = None,
         parallel_backend: Optional[str] = None,
         parallel_workers: Optional[int] = None,
@@ -187,7 +167,6 @@ class QueryPlanner:
         object_tree: Optional[EnvelopeObjectTree] = None,
         object_tree_supplier=None,
         eval_cache_supplier=None,
-        evaluator: Optional[str] = None,
     ):
         self.points = list(points)
         if not self.points:
@@ -195,23 +174,9 @@ class QueryPlanner:
         self.columns = columns if columns is not None else ModelColumns(self.points)
         if self.columns.n != len(self.points):
             raise QueryError("columns were built over a different point set")
-        if prune is not None:
-            if prune not in ("dual", "flat"):
-                raise QueryError(
-                    f"unknown prune strategy {prune!r}; expected 'dual' or 'flat'"
-                )
-            method = prune
-        if method not in ("auto", "dual", "flat", "kdtree", "rtree"):
-            raise QueryError(f"unknown planner method {method!r}")
-        if method == "auto":
-            method = "dual"
-        self.method = method
-        self.leaf_size = int(leaf_size)
         self.tile_bytes = tile_bytes
         self.parallel_backend = parallel_backend
         self.parallel_workers = parallel_workers
-        self._leaves: Optional[List[np.ndarray]] = None
-        self._leaf_bboxes: Optional[np.ndarray] = None
         self._approx_cache = approx_cache if approx_cache is not None else {}
         if object_tree is not None and object_tree.n != self.columns.n:
             raise QueryError("object tree was built over a different point set")
@@ -221,17 +186,6 @@ class QueryPlanner:
         #: tree is owned (and counted) by the session, like the approx
         #: cache view.
         self._object_tree_supplier = object_tree_supplier
-        if evaluator is not None and evaluator not in ("grouped", "object"):
-            raise QueryError(
-                f"unknown evaluator {evaluator!r}; expected 'grouped' or 'object'"
-            )
-        #: Per-planner override of ``config.EXECUTION.evaluator``
-        #: (``None`` reads the live config at call time).  ``"grouped"``
-        #: routes survivor evaluation through the tag-grouped pair
-        #: kernels of :mod:`repro.core.evaluators`; ``"object"`` keeps
-        #: the historical one-batched-call-per-object dispatch (the
-        #: bit-identity reference).
-        self.evaluator = evaluator
         #: Optional registry hook for the lazily built
         #: :class:`~repro.core.evaluators.EvalCache`, mirroring
         #: ``object_tree_supplier``.
@@ -269,16 +223,11 @@ class QueryPlanner:
         return len(self.points)
 
     # -- tiled execution -----------------------------------------------------
-    def _tile_rows(self, tier: str = "pruned") -> int:
+    def _tile_rows(self, tier: str) -> int:
         tb = self.tile_bytes if self.tile_bytes is not None else EXECUTION.tile_bytes
-        # The reduced estimate only applies where the dual generator
-        # actually replaces the per-tile bound pass (the pruned tier);
-        # exact-tier tiles still stage their own full extremal matrices.
-        per_pair = (
-            _BYTES_PER_PAIR_DUAL
-            if self.method == "dual" and tier == "pruned"
-            else _BYTES_PER_PAIR
-        )
+        # Pruned rows stage no bound matrices; exact-tier tiles stage
+        # their own full extremal matrices.
+        per_pair = _BYTES_PER_PAIR_DUAL if tier == "pruned" else _BYTES_PER_PAIR
         rows = max(1, int(tb) // max(len(self.points) * per_pair, 1))
         # Admission control: when a memory budget is configured, the
         # tile height is clamped so one tile's working set fits it (or
@@ -288,9 +237,9 @@ class QueryPlanner:
             what=f"{tier}-tier bound-pass tile",
         )
 
-    def _run_tiles(self, m: int, fn, tier: str = "pruned") -> List:
-        """``fn(lo, hi)`` over cache-sized row tiles, optionally fanned
-        out across workers; results in tile order."""
+    def _run_tiles(self, m: int, fn) -> List:
+        """The exact tier's ``fn(lo, hi)`` over cache-sized row tiles,
+        optionally fanned out across workers; results in tile order."""
         backend = (
             self.parallel_backend
             if self.parallel_backend is not None
@@ -305,12 +254,7 @@ class QueryPlanner:
                 "parallel_backend='thread' (the process backend serves "
                 "picklable workloads via repro.core.parallel.map_tiles)"
             )
-        if self.method in ("kdtree", "rtree"):
-            # Materialize the lazily built leaf grouping before tiles
-            # fan out, so concurrent tile closures only read shared
-            # state (a half-initialized _groups() would race).
-            self._groups()
-        tiles = _parallel.tile_ranges(m, self._tile_rows(tier))
+        tiles = _parallel.tile_ranges(m, self._tile_rows("exact"))
         return _parallel.map_tiles(
             fn,
             tiles,
@@ -347,8 +291,8 @@ class QueryPlanner:
 
     # -- candidate generation ------------------------------------------------
     def object_tree(self) -> EnvelopeObjectTree:
-        """The (lazily built) object-envelope STR tree behind
-        ``method="dual"`` — one per planner, shared across batches,
+        """The (lazily built) object-envelope STR tree behind the
+        pruned tier — one per planner, shared across batches,
         criteria, and ``k`` (the tree depends only on the column
         store)."""
         if self._object_tree is None:
@@ -380,14 +324,6 @@ class QueryPlanner:
             )
         return self._eval_cache
 
-    def _use_grouped(self) -> bool:
-        mode = self.evaluator if self.evaluator is not None else EXECUTION.evaluator
-        if mode not in ("grouped", "object"):
-            raise QueryError(
-                f"unknown evaluator {mode!r}; expected 'grouped' or 'object'"
-            )
-        return mode == "grouped"
-
     @staticmethod
     def _use_float32() -> bool:
         dtype = EXECUTION.dtype
@@ -416,17 +352,27 @@ class QueryPlanner:
             "prune_seconds": float(self._last_prune_seconds),
         }
 
-    def _dual_csr(self, Q: np.ndarray, k: int, criterion: str) -> DualTreeCandidates:
+    def _dual_csr(
+        self, qs, k: int, criterion: str, record: bool = True
+    ) -> DualTreeCandidates:
         """One dual-tree prune pass over the whole batch (the traversal
         is output-sensitive, so it is never row-tiled; threads fan out
-        over query subtrees instead)."""
+        over query subtrees instead).
+
+        ``record=False`` leaves the cumulative totals and the last-call
+        fields untouched (the :meth:`prune_stats` re-run)."""
+        Q = kernels.as_query_array(qs)
+        n = len(self.points)
+        k = min(max(int(k), 1), n)
+        if criterion not in ("support", "expected"):
+            raise QueryError(f"unknown pruning criterion {criterion!r}")
         # Admission gate: the traversal is never row-tiled, so the clamp
         # result is unused — the call rejects requests whose single-row
         # worst case (every object surviving) already exceeds the
         # configured memory budget.
         _resilience.clamp_tile_rows(
             Q.shape[0] if Q.shape[0] else 1,
-            len(self.points),
+            n,
             _BYTES_PER_PAIR_DUAL,
             what="dual-tree refinement working set",
         )
@@ -449,6 +395,8 @@ class QueryPlanner:
             workers=self.parallel_workers,
             tile_bytes=self.tile_bytes,
         )
+        if not record:
+            return res
         self._last_prune_seconds = time.perf_counter() - t0
         self.eval_totals["prune_seconds"] += self._last_prune_seconds
         self.dual_totals["traversals"] += 1.0
@@ -463,32 +411,6 @@ class QueryPlanner:
         self.last_dual_stats = dict(res.stats)
         return res
 
-    def _groups(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        if self._leaves is None:
-            if self.method == "rtree":
-                self._leaves = str_leaves(self.columns.bboxes, self.leaf_size)
-            else:
-                self._leaves = kd_leaves(self.columns.centers, self.leaf_size)
-            self._leaf_bboxes = group_bboxes(self.columns.bboxes, self._leaves)
-        return self._leaves, self._leaf_bboxes
-
-    def _member_bounds(
-        self, Qsub: np.ndarray, members: Optional[np.ndarray], criterion: str
-    ):
-        """The criterion's ``(lb, ub)`` bracket, optionally on a column
-        subset (``members=None`` is the full set)."""
-        if criterion == "expected":
-            return self.columns.expected_bounds_many(Qsub, members=members)
-        return self.columns.envelope_bounds_many(Qsub, members=members)
-
-    def _mask_block(self, Q: np.ndarray, k: int, criterion: str) -> np.ndarray:
-        """The boolean candidate mask of one query tile."""
-        if self.method == "flat" or Q.shape[0] == 0:
-            lb, ub = self._member_bounds(Q, None, criterion)
-            cutoff = self._kth_smallest(ub, k) * _CUTOFF_SLACK
-            return lb <= cutoff[:, None]
-        return self._grouped_mask(Q, k, criterion)
-
     def candidate_mask(
         self, qs, k: int = 1, criterion: str = "support"
     ) -> np.ndarray:
@@ -498,31 +420,20 @@ class QueryPlanner:
         exceed the ``k``-th smallest upper bound over the set (``k = 1``
         is the nearest-neighbor test ``dmin <= min dmax``); ``criterion``
         selects the support (``dmin``/``dmax``) or expected-distance
-        bracket.  Every query keeps at least ``k`` candidates, and the
-        mask is identical across every ``method``.
+        bracket.  Every query keeps at least ``k`` candidates.
 
-        The non-dual generators compute tile by tile: only the boolean
-        mask spans the full batch; the float64 bound temporaries stay
-        O(tile).  The dual generator is output-sensitive (O(survivors)
-        work and memory) and densifies its CSR only because the mask is
-        the requested product here — prefer :meth:`candidate_csr` when
-        a sparse layout will do.
+        The dual generator is output-sensitive (O(survivors) work and
+        memory) and densifies its CSR only because the mask is the
+        requested product here — prefer :meth:`candidate_csr` when a
+        sparse layout will do.
         """
         Q = kernels.as_query_array(qs)
         n = len(self.points)
-        k = min(max(int(k), 1), n)
-        if criterion not in ("support", "expected"):
-            raise QueryError(f"unknown pruning criterion {criterion!r}")
         _resilience.require_bytes(
             Q.shape[0] * n,
             f"candidate mask output (m={Q.shape[0]}, n={n})",
         )
-        if self.method == "dual":
-            return self._dual_csr(Q, k, criterion).mask(n)
-        blocks = self._run_tiles(
-            Q.shape[0], lambda lo, hi: self._mask_block(Q[lo:hi], k, criterion)
-        )
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        return self._dual_csr(Q, k, criterion).mask(n)
 
     def candidate_csr(
         self, qs, k: int = 1, criterion: str = "support"
@@ -532,81 +443,11 @@ class QueryPlanner:
         columns in ascending order.
 
         Native output of the dual generator (no ``(m, n)`` boolean is
-        ever materialized); gathered from each row tile's mask for the
-        other methods, so only the tile's mask is ever dense.  The
-        pruned answer paths and the Monte-Carlo candidate rounds consume
-        this layout directly.
+        ever materialized).  The pruned answer paths and the
+        Monte-Carlo candidate rounds consume this layout directly.
         """
-        Q = kernels.as_query_array(qs)
-        n = len(self.points)
-        k = min(max(int(k), 1), n)
-        if criterion not in ("support", "expected"):
-            raise QueryError(f"unknown pruning criterion {criterion!r}")
-        if self.method == "dual":
-            res = self._dual_csr(Q, k, criterion)
-            return res.indptr, res.indices
-
-        def tile(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            mask = self._mask_block(Q[lo:hi], k, criterion)
-            return mask.sum(axis=1), np.nonzero(mask)[1]
-
-        blocks = self._run_tiles(Q.shape[0], tile)
-        indptr = np.zeros(Q.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.concatenate([b[0] for b in blocks]), out=indptr[1:])
-        cols = np.concatenate([b[1] for b in blocks]).astype(np.intp, copy=False)
-        return indptr, cols
-
-    #: Shared with the dual-tree leaf refinement so both generators
-    #: select the identical cutoff float (bit-parity of survivor sets).
-    _kth_smallest = staticmethod(kernels.kth_smallest_rowwise)
-
-    def _grouped_mask(self, Q: np.ndarray, k: int, criterion: str) -> np.ndarray:
-        """Two-stage prune: leaf-level bbox bounds, then member bounds.
-
-        Stage 1 bounds each group by its aggregate bbox (``maxdist`` to
-        the group bbox dominates every member's ``dmax``, so the k-th
-        smallest group bound is a valid cutoff) and drops dead groups per
-        query; stage 2 tightens the cutoff with surviving members' upper
-        bounds and emits the member-level mask.
-        """
-        m = Q.shape[0]
-        n = len(self.points)
-        leaves, leaf_bb = self._groups()
-        leaf_lb = kernels.rect_mindist_many(Q, leaf_bb)
-        leaf_ub = kernels.rect_maxdist_many(Q, leaf_bb)
-        # Each group bound dominates >= |group| member dmax values, so
-        # scanning groups by ascending ub until k members are covered
-        # yields a valid (if loose) k-th-smallest-dmax upper bound.
-        sizes = np.asarray([len(g) for g in leaves], dtype=np.intp)
-        order = np.argsort(leaf_ub, axis=1, kind="stable")
-        covered = np.cumsum(sizes[order], axis=1)
-        need = np.argmax(covered >= k, axis=1)
-        cutoff0 = leaf_ub[np.arange(m), order[np.arange(m), need]]
-        alive = leaf_lb <= (cutoff0 * _CUTOFF_SLACK)[:, None]
-        # Stage 2a: tighten the cutoff from surviving members' ubs.
-        lb = np.full((m, n), np.inf)
-        ub = np.full((m, n), np.inf)
-        for g, members in enumerate(leaves):
-            rows = np.flatnonzero(alive[:, g])
-            if not rows.size:
-                continue
-            glb, gub = self._member_bounds(Q[rows], members, criterion)
-            lb[rows[:, None], members[None, :]] = glb
-            ub[rows[:, None], members[None, :]] = gub
-        cutoff = self._kth_smallest(
-            np.minimum(ub, cutoff0[:, None]), k
-        ) * _CUTOFF_SLACK
-        return lb <= cutoff[:, None]
-
-    def candidate_lists(
-        self, qs, k: int = 1, criterion: str = "support"
-    ) -> List[np.ndarray]:
-        """Per-query arrays of surviving object indices."""
-        indptr, indices = self.candidate_csr(qs, k=k, criterion=criterion)
-        return [
-            indices[indptr[r] : indptr[r + 1]]
-            for r in range(indptr.shape[0] - 1)
-        ]
+        res = self._dual_csr(qs, k, criterion)
+        return res.indptr, res.indices
 
     # -- survivor evaluation -------------------------------------------------
     def _expected_block(self, Q: np.ndarray) -> np.ndarray:
@@ -627,30 +468,11 @@ class QueryPlanner:
             dmaxs[:, i] = p.dmax_many(Q)
         return dmins, dmaxs
 
-    def _per_object(
-        self, Q: np.ndarray, rows: np.ndarray, cols: np.ndarray, *methods: str
-    ) -> List[np.ndarray]:
-        """``evaluator="object"``: one batched call per surviving object
-        and model method, scattered back into CSR pair order — the
-        bit-identity reference of the grouped kernels."""
-        outs = [np.empty(cols.shape[0]) for _ in methods]
-        order = np.argsort(cols, kind="stable")
-        uniq, starts = np.unique(cols[order], return_index=True)
-        bounds = np.append(starts, cols.shape[0])
-        for g, i in enumerate(uniq.tolist()):
-            pos = order[bounds[g] : bounds[g + 1]]
-            Qi = Q[rows[pos]]
-            for out, name in zip(outs, methods):
-                out[pos] = getattr(self.points[i], name)(Qi)
-        return outs
-
     def _expected_values(
         self, Q: np.ndarray, indptr: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
         """Expected distances of the CSR survivor pairs, in CSR order."""
         rows = kernels.csr_rows(indptr)
-        if not self._use_grouped():
-            return self._per_object(Q, rows, cols, "expected_distance_many")[0]
         t0 = time.perf_counter()
         values, _ = _evaluators.expected_distance_pairs(
             self.eval_cache(), Q, rows, cols
@@ -663,9 +485,6 @@ class QueryPlanner:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(dmin, dmax)`` of the CSR survivor pairs, in CSR order."""
         rows = kernels.csr_rows(indptr)
-        if not self._use_grouped():
-            dmin, dmax = self._per_object(Q, rows, cols, "dmin_many", "dmax_many")
-            return dmin, dmax
         t0 = time.perf_counter()
         dmin, dmax = _evaluators.support_bounds_pairs(
             self.eval_cache(), Q, rows, cols
@@ -721,7 +540,6 @@ class QueryPlanner:
         blocks = self._run_tiles(
             Q.shape[0],
             lambda lo, hi: nonzero_from_matrices(*self._support_matrices(Q[lo:hi])),
-            tier=tier,
         )
         return [s for block in blocks for s in block]
 
@@ -751,7 +569,6 @@ class QueryPlanner:
         blocks = self._run_tiles(
             Q.shape[0],
             lambda lo, hi: support_report(*self._support_matrices(Q[lo:hi])),
-            tier=tier,
         )
         if len(blocks) == 1:
             return blocks[0]
@@ -796,7 +613,7 @@ class QueryPlanner:
             self.last_fallback_bounds = None
             # Validate the execution dtype up front so a bad config
             # fails loudly even when no row needs the fallback.
-            use_f32 = self._use_float32() and self._use_grouped()
+            use_f32 = self._use_float32()
             ans = self.approx_index(eps, rel, "expected").expected_nn_many(Q)
             winners = ans.winners.copy()
             values = ans.values.copy()
@@ -831,7 +648,7 @@ class QueryPlanner:
             arg = E.argmin(axis=1) if E.shape[0] else np.zeros(0, dtype=np.intp)
             return arg, E[np.arange(E.shape[0]), arg]
 
-        blocks = self._run_tiles(Q.shape[0], run, tier=tier)
+        blocks = self._run_tiles(Q.shape[0], run)
         if len(blocks) == 1:
             return blocks[0]
         return (
@@ -889,7 +706,7 @@ class QueryPlanner:
             E[kernels.csr_rows(indptr), cols] = self._expected_values(Q, indptr, cols)
             return E
         blocks = self._run_tiles(
-            Q.shape[0], lambda lo, hi: self._expected_block(Q[lo:hi]), tier=tier
+            Q.shape[0], lambda lo, hi: self._expected_block(Q[lo:hi])
         )
         return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
@@ -939,7 +756,6 @@ class QueryPlanner:
         blocks = self._run_tiles(
             Q.shape[0],
             lambda lo, hi: topk_dense(self._expected_block(Q[lo:hi]), k),
-            tier=tier,
         )
         if len(blocks) == 1:
             return blocks[0]
@@ -999,9 +815,7 @@ class QueryPlanner:
                 out.append({i: v for i, v in enumerate(pi) if v > tau})
             return out
         indptr, cols = self.candidate_csr(Q, criterion="support")
-        if self._use_grouped() and not (
-            cols.size and np.any(self.columns.tags[cols] != TAG_DISCRETE)
-        ):
+        if not (cols.size and np.any(self.columns.tags[cols] != TAG_DISCRETE)):
             # All candidates are discrete-tagged: gather every sweep
             # entry from the column store in one vectorized pass, then
             # run the unchanged per-query Eq. (2) sweep.  Mixed sets
@@ -1038,23 +852,24 @@ class QueryPlanner:
         """Mean/max candidate counts for a query matrix (diagnostics).
 
         ``criterion`` / ``k`` must match the answer path being diagnosed
-        (``k`` is the expected-kNN neighbor count; 1 otherwise).  With
-        the dual generator the result additionally carries the traversal
-        telemetry of this pass: ``node_pairs_visited`` /
-        ``node_pairs_pruned`` (tree-node pairs bounded / discarded),
-        ``point_node_pairs`` and ``refined_pairs`` (leaf-stage bound
-        evaluations), and ``survivors`` (total surviving pairs).
+        (``k`` is the expected-kNN neighbor count; 1 otherwise).  The
+        result also carries this pass's traversal telemetry:
+        ``node_pairs_visited`` / ``node_pairs_pruned`` (tree-node pairs
+        bounded / discarded), ``point_node_pairs`` and ``refined_pairs``
+        (leaf-stage bound evaluations), and ``survivors`` (total
+        surviving pairs).  The pass is a diagnostic re-run: it adds
+        nothing to :attr:`dual_totals` or :attr:`eval_totals` and leaves
+        the last-call fields to the answer call it describes.
         """
-        indptr, _ = self.candidate_csr(qs, k=k, criterion=criterion)
-        counts = np.diff(indptr)
+        res = self._dual_csr(qs, k, criterion, record=False)
+        counts = res.counts()
         n = float(len(self.points))
         out = {
             "n": n,
-            "queries": float(indptr.shape[0] - 1),
+            "queries": float(res.m),
             "mean_candidates": float(counts.mean()) if counts.size else 0.0,
             "max_candidates": float(counts.max()) if counts.size else 0.0,
             "mean_fraction": float(counts.mean() / n) if counts.size else 0.0,
         }
-        if self.method == "dual" and self.last_dual_stats is not None:
-            out.update(self.last_dual_stats)
+        out.update(res.stats)
         return out

@@ -408,7 +408,7 @@ class QuantizedEnvelopeIndex:
         )
         self._depth = depth
 
-    def _per_object_eval(
+    def _eval_by_object(
         self, evaluate, pair_rows: np.ndarray, pair_cols: np.ndarray, C: np.ndarray
     ) -> np.ndarray:
         """``evaluate(point_i, centers)`` gathered over CSR pairs, one
@@ -456,7 +456,7 @@ class QuantizedEnvelopeIndex:
         npairs = cols.shape[0]
         pair_pos = np.arange(npairs, dtype=np.intp)
         if self.criterion == "expected":
-            vals = self._per_object_eval(
+            vals = self._eval_by_object(
                 lambda p, Qs: p.expected_distance_many(Qs), pr, cols, C
             )
             minv = np.minimum.reduceat(vals, indptr[:-1])
@@ -465,10 +465,10 @@ class QuantizedEnvelopeIndex:
             self._leaf_value[need] = minv
             self._leaf_winner[need] = cols[first]
         else:
-            dmins = self._per_object_eval(
+            dmins = self._eval_by_object(
                 lambda p, Qs: p.dmin_many(Qs), pr, cols, C
             )
-            dmaxs = self._per_object_eval(
+            dmaxs = self._eval_by_object(
                 lambda p, Qs: p.dmax_many(Qs), pr, cols, C
             )
             best = np.minimum.reduceat(dmaxs, indptr[:-1])

@@ -1263,6 +1263,12 @@ class Engine:
     def _execute(self, spec: QuerySpec, Q: np.ndarray) -> QueryResult:
         if spec.subset is not None:
             return self._execute_subset(spec, Q)
+        planner = self._registry.peek(("planner",), self._generation)
+        if planner is not None:
+            # Paths that prune without a planner answer call (the
+            # Monte-Carlo candidate rounds) must not report an earlier
+            # query's evaluation stats in their diagnostics.
+            planner._begin_answer()
         m = Q.shape[0]
         n = len(self._points)
         base = dict(
@@ -1658,12 +1664,10 @@ class Engine:
         diag: Dict[str, float] = {}
         if result.fallback is not None:
             diag["fallback_rows"] = float(np.count_nonzero(result.fallback))
-        # Evaluation-phase breakdown of the answer pass that just ran
-        # (captured before prune_stats below re-runs the prune pass):
+        # Evaluation-phase breakdown of the answer pass that just ran:
         # prune vs evaluate wall time, grouped pairs, and eval-cache
         # reuse.  Present whenever the grouped evaluator served the
-        # query; the exact tier never runs through the planner, whose
-        # last-call stats then belong to an earlier query.
+        # query; the exact tier never runs through the planner.
         if len(self._points) and spec.subset is None:
             planner = self._registry.peek(("planner",), self._generation)
             if (
@@ -1689,13 +1693,13 @@ class Engine:
             # expected_knn's k), so the reported counts describe the
             # same survivor sets the evaluators saw.
             k = spec.k if spec.method == "expected_knn" else 1
+            # The re-run adds nothing to the planner's totals.
             stats = self.planner().prune_stats(Q, criterion=criterion, k=k)
             diag["mean_candidates"] = stats["mean_candidates"]
             diag["max_candidates"] = stats["max_candidates"]
             diag["mean_candidate_fraction"] = stats["mean_fraction"]
             diag["candidates_pruned_fraction"] = 1.0 - stats["mean_fraction"]
-            # Dual-tree traversal telemetry (present when the planner's
-            # candidate generator is the dual tree).
+            # Dual-tree traversal telemetry of the re-run.
             for key in (
                 "node_pairs_visited",
                 "node_pairs_pruned",
@@ -1703,8 +1707,7 @@ class Engine:
                 "refined_pairs",
                 "survivors",
             ):
-                if key in stats:
-                    diag[key] = stats[key]
+                diag[key] = stats[key]
         result.diagnostics.update(diag)
 
     @staticmethod

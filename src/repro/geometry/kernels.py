@@ -53,33 +53,7 @@ __all__ = [
     "points_in_polygon_many",
     "gauss_legendre_nodes",
     "batched_tail_quadrature",
-    "numba_available",
-    "active_backend",
 ]
-
-
-# -- kernel backend ----------------------------------------------------------
-
-def numba_available() -> bool:
-    """True when the optional numba backend can be imported."""
-    from . import _compiled
-
-    return _compiled.NUMBA_AVAILABLE
-
-
-def active_backend() -> str:
-    """The kernel backend in effect: ``config.EXECUTION.backend`` when
-    its requirements are met, else ``"numpy"``.
-
-    ``"numba"`` is honoured only when numba imports; the silent fallback
-    keeps ``backend="numba"`` safe to set unconditionally in configs that
-    run on machines without it.
-    """
-    from ..config import EXECUTION
-
-    if EXECUTION.backend == "numba" and numba_available():
-        return "numba"
-    return "numpy"
 
 
 # -- input normalisation -----------------------------------------------------
@@ -235,8 +209,8 @@ def rect_maxdist_many(Q, rects) -> np.ndarray:
 def kth_smallest_rowwise(values: np.ndarray, k: int) -> np.ndarray:
     """The ``k``-th smallest entry of every row of ``values``.
 
-    This is the planner's pruning-cutoff selector.  Both candidate
-    generators (the flat pass and the dual-tree leaf refinement) must
+    This is the planner's pruning-cutoff selector.  The dual-tree leaf
+    refinement and the flat bound pass the tests keep as its oracle must
     select the *identical float* for their survivor sets to match bit
     for bit, so there is exactly one implementation.
     """
@@ -318,15 +292,6 @@ def lens_area_many(d, r1, r2) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     r1 = np.broadcast_to(np.asarray(r1, dtype=np.float64), d.shape)
     r2 = np.broadcast_to(np.asarray(r2, dtype=np.float64), d.shape)
-    if active_backend() == "numba":
-        from . import _compiled
-
-        flat = _compiled.lens_area_flat(
-            np.ascontiguousarray(d, dtype=np.float64).ravel(),
-            np.ascontiguousarray(r1, dtype=np.float64).ravel(),
-            np.ascontiguousarray(r2, dtype=np.float64).ravel(),
-        )
-        return flat.reshape(d.shape)
     rmin = np.minimum(r1, r2)
     full = np.pi * rmin * rmin
     # Contained covers centers a subnormal apart, where the

@@ -5,7 +5,7 @@ The tree indexes carry batched ``query_many`` probes (vectorized rect
 mindist/maxdist against whole node levels) and the samplers a vectorized
 ``sample_many``, feeding the batch engines in :mod:`repro.core`."""
 
-from .bulk import group_bboxes, kd_leaves, str_leaves
+from .bulk import str_leaves
 from .grid import GridIndex
 from .kdtree import KdTree
 from .persistence import DeltaSetStore
@@ -25,8 +25,6 @@ __all__ = [
     "CdfSampler",
     "DeltaSetStore",
     "GridIndex",
-    "group_bboxes",
-    "kd_leaves",
     "str_leaves",
     "KdTree",
     "QuadTree",

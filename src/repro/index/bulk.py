@@ -1,19 +1,15 @@
-"""Array-based bulk loaders for grouping SoA objects into leaves.
+"""Array-based Sort-Tile-Recursive bulk loading of SoA bboxes.
 
-The recursive pointer builds of :class:`repro.index.KdTree` /
-:class:`repro.index.RTree` construct one Python node per subtree; the
-query planner only ever needs the *leaf level* — a partition of the
-object indices into spatially coherent groups plus one aggregate bbox
-per group.  These builders produce exactly that, straight from the SoA
-arrays with ``np.argsort`` / ``np.argpartition`` and no recursion:
+The recursive pointer build of :class:`repro.index.RTree` constructs one
+Python node per subtree; the dual-tree candidate generator
+(:mod:`repro.core.dual_tree`) needs only the packed levels — partitions
+of the items into spatially coherent groups plus one aggregate bbox per
+group.  These builders produce exactly that, straight from the SoA
+arrays with ``np.argsort`` / ``np.lexsort`` and no recursion:
 
-* :func:`str_leaves` — Sort-Tile-Recursive packing of bbox centers (the
-  classic R-tree bulk load);
-* :func:`kd_leaves` — iterative median splits of a point/center array
-  (the kd-tree layout, medians via ``np.argpartition``).
-
-Both return a list of index arrays partitioning ``range(n)``;
-:func:`group_bboxes` aggregates member bboxes per group.
+* :func:`str_leaves` — one STR level over bbox centers (the classic
+  R-tree bulk load), as a list of index arrays partitioning ``range(n)``;
+* :func:`str_hierarchy` — the full bottom-up level hierarchy.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["str_leaves", "kd_leaves", "group_bboxes", "str_hierarchy"]
+__all__ = ["str_leaves", "str_hierarchy"]
 
 
 def _as_bboxes(bboxes, capacity: int) -> np.ndarray:
@@ -77,36 +73,6 @@ def str_leaves(bboxes, capacity: int = 16) -> List[np.ndarray]:
     return np.split(perm, starts[1:])
 
 
-def kd_leaves(points, leaf_size: int = 16) -> List[np.ndarray]:
-    """Partition point indices by iterative kd median splits.
-
-    Medians are found with ``np.argpartition`` (linear time), alternating
-    the split axis by depth exactly as the recursive build would; the
-    work list replaces the call stack.
-    """
-    if leaf_size < 1:
-        raise ValueError("leaf_size must be >= 1")
-    P = np.asarray(points, dtype=np.float64)
-    if P.ndim != 2 or P.shape[1] != 2:
-        raise ValueError(f"point array of shape {P.shape}; expected (n, 2)")
-    n = P.shape[0]
-    if n == 0:
-        return []
-    leaves: List[np.ndarray] = []
-    work = [(np.arange(n, dtype=np.intp), 0)]
-    while work:
-        idxs, depth = work.pop()
-        if idxs.shape[0] <= leaf_size:
-            leaves.append(idxs)
-            continue
-        axis = depth % 2
-        mid = idxs.shape[0] // 2
-        part = np.argpartition(P[idxs, axis], mid)
-        work.append((idxs[part[:mid]], depth + 1))
-        work.append((idxs[part[mid:]], depth + 1))
-    return leaves
-
-
 def str_hierarchy(
     bboxes, leaf_size: int = 32, fanout: int = 8
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -115,7 +81,7 @@ def str_hierarchy(
     Level 0 partitions the items into leaves of at most ``leaf_size``
     (exactly :func:`str_leaves`); each subsequent level STR-packs the
     level below by ``fanout`` until a single root group remains.  Every
-    level is a ``(perm, starts, group_bboxes)`` triple: group ``j`` of
+    level is a ``(perm, starts, bboxes)`` triple: group ``j`` of
     the level holds ``perm[starts[j]:starts[j + 1]]``, indices into the
     level below (level 0 indexes the items themselves).  This is the
     array-form tree behind the dual-tree candidate generator
@@ -131,16 +97,3 @@ def str_hierarchy(
     while levels[-1][2].shape[0] > 1:
         levels.append(_str_level(levels[-1][2], fanout))
     return levels
-
-
-def group_bboxes(bboxes, groups: List[np.ndarray]) -> np.ndarray:
-    """Aggregate member bboxes per group, shape ``(len(groups), 4)``."""
-    B = np.asarray(bboxes, dtype=np.float64)
-    out = np.empty((len(groups), 4), dtype=np.float64)
-    for g, members in enumerate(groups):
-        sub = B[members]
-        out[g, 0] = sub[:, 0].min()
-        out[g, 1] = sub[:, 1].min()
-        out[g, 2] = sub[:, 2].max()
-        out[g, 3] = sub[:, 3].max()
-    return out

@@ -13,7 +13,7 @@ per request by row range.
 Correctness rests on row independence: every coalescible execution
 path answers row ``i`` from row ``i``'s floats alone (the dual-tree
 prune emits per-row survivor sets provably equal to the flat prune's,
-tiled execution is hard-asserted bit-identical to flat, and seeded
+tiled execution is asserted bit-identical to one tile, and seeded
 Monte-Carlo blocks depend only on ``(s, seed)``, never on the query
 matrix).  Splitting a coalesced batch therefore returns **bit-identical
 answers** to running each request serially — the service tests and

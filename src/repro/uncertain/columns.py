@@ -506,34 +506,28 @@ class ModelColumns:
         ]
 
     # -- vectorized envelope bounds -----------------------------------------
-    def center_distances(self, qs, members=None) -> np.ndarray:
-        """``|q - centers[i]|`` for every query/object pair, ``(m, n)``
-        (or ``(m, len(members))`` for an index subset)."""
-        centers = self.centers if members is None else self.centers[members]
-        return kernels.pairwise_distances(qs, centers)
+    def center_distances(self, qs) -> np.ndarray:
+        """``|q - centers[i]|`` for every query/object pair, ``(m, n)``."""
+        return kernels.pairwise_distances(qs, self.centers)
 
-    def envelope_bounds_many(
-        self, qs, members=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def envelope_bounds_many(self, qs) -> Tuple[np.ndarray, np.ndarray]:
         """Brackets ``(lb, ub)`` with ``lb <= dmin_i(q)`` and
         ``dmax_i(q) <= ub``, each of shape ``(m, n)``.
 
         Elementwise tighter of the bbox bound and the enclosing-disk
         bound; exact (equal to ``dmin``/``dmax``) for disk, Gaussian and
-        rectangle models.  ``members`` restricts the columns to an index
-        subset (the planner's grouped leaf prune).
+        rectangle models.  The dense reference of
+        :meth:`member_pair_bounds`.
         """
         Q = kernels.as_query_array(qs)
-        bboxes = self.bboxes if members is None else self.bboxes[members]
-        radii = self.radii if members is None else self.radii[members]
-        d = self.center_distances(Q, members)
+        d = self.center_distances(Q)
         lb = np.maximum(
-            kernels.rect_mindist_many(Q, bboxes),
-            np.maximum(d - radii[None, :], 0.0),
+            kernels.rect_mindist_many(Q, self.bboxes),
+            np.maximum(d - self.radii[None, :], 0.0),
         )
         ub = np.minimum(
-            kernels.rect_maxdist_many(Q, bboxes),
-            d + radii[None, :],
+            kernels.rect_maxdist_many(Q, self.bboxes),
+            d + self.radii[None, :],
         )
         return lb, ub
 
@@ -581,8 +575,8 @@ class ModelColumns:
         distances serve the quantized-envelope builder), every operation
         here replays the matrix path's exact float sequence
         (``sqrt(dx*dx + dy*dy)`` center/mean distances), so the
-        dual-tree leaf refinement reproduces the flat tier's bounds —
-        and therefore its survivor sets — bit for bit.
+        dual-tree leaf refinement reproduces the matrix bounds — and
+        therefore the flat bound pass's survivor sets — bit for bit.
         """
         if criterion not in ("support", "expected"):
             raise ValueError(f"unknown pruning criterion {criterion!r}")
@@ -608,24 +602,21 @@ class ModelColumns:
                 ub = np.minimum(ub, np.where(hm, dm + reach, np.inf))
         return lb, ub
 
-    def expected_bounds_many(
-        self, qs, members=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def expected_bounds_many(self, qs) -> Tuple[np.ndarray, np.ndarray]:
         """Brackets ``(lb, ub)`` on ``E[d(q, P_i)]``, each ``(m, n)``.
 
         Starts from the support bracket ``dmin <= E <= dmax`` and
         sharpens both sides with the first-moment (Jensen) bracket
         ``|q - mean| <= E <= |q - mean| + mean_reach`` where the mean is
-        known.  ``members`` restricts the columns as in
-        :meth:`envelope_bounds_many`.
+        known.
         """
         Q = kernels.as_query_array(qs)
-        lb, ub = self.envelope_bounds_many(Q, members)
-        means = self.means if members is None else self.means[members]
-        reach = self.mean_reach if members is None else self.mean_reach[members]
-        hm = (self.has_mean if members is None else self.has_mean[members])[None, :]
-        dm = kernels.pairwise_distances(Q, means)
+        lb, ub = self.envelope_bounds_many(Q)
+        hm = self.has_mean[None, :]
+        dm = kernels.pairwise_distances(Q, self.means)
         lb = np.maximum(lb, np.where(hm, dm, 0.0))
         with np.errstate(invalid="ignore"):
-            ub = np.minimum(ub, np.where(hm, dm + reach[None, :], np.inf))
+            ub = np.minimum(
+                ub, np.where(hm, dm + self.mean_reach[None, :], np.inf)
+            )
         return lb, ub

@@ -87,9 +87,8 @@ class TestSingleObject:
         self.points = [UniformDiskPoint((5.0, 5.0), 1.5)]
         self.Q = np.array([[5.0, 5.0], [100.0, -40.0], [0.0, 0.0]])
 
-    @pytest.mark.parametrize("method", ["flat", "kdtree", "rtree", "dual"])
-    def test_candidate_mask_never_empty(self, method):
-        planner = QueryPlanner(self.points, method=method)
+    def test_candidate_mask_never_empty(self):
+        planner = QueryPlanner(self.points)
         mask = planner.candidate_mask(self.Q)
         assert mask.all()
 

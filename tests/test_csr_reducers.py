@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Engine, QueryPlanner, QuerySpec, config
+from repro import Engine, QueryPlanner, QuerySpec
 from repro.core import reducers
 from repro.core.nonzero import UncertainSet, nonzero_from_matrices, support_report
 from repro.errors import QueryError
@@ -232,40 +232,35 @@ def lattice_queries():
     return np.asarray(grid, dtype=float)
 
 
-@pytest.mark.parametrize("evaluator", ["grouped", "object"])
-def test_engine_pruned_equals_exact_nonzero(evaluator):
+def test_engine_pruned_equals_exact_nonzero():
     pts = lattice_points()
     Q = lattice_queries()
     eng = Engine(pts, result_cache_size=0)
     uset = UncertainSet(pts)
     want = dense_sets(uset.dmin_matrix(Q), uset.dmax_matrix(Q))
-    with config.execution(evaluator=evaluator):
-        pruned = eng.query(Q, QuerySpec("nonzero")).answers
+    pruned = eng.query(Q, QuerySpec("nonzero")).answers
     exact = eng.query(Q, QuerySpec("nonzero", tier="exact")).answers
     assert list(pruned) == want
     assert list(exact) == want
 
 
-@pytest.mark.parametrize("evaluator", ["grouped", "object"])
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_engine_pruned_equals_exact_knn(k, evaluator):
+def test_engine_pruned_equals_exact_knn(k):
     pts = lattice_points()
     Q = lattice_queries()
     eng = Engine(pts, result_cache_size=0)
     E = np.column_stack([p.expected_distance_many(Q) for p in pts])
     want, _ = dense_topk(E, k)
-    with config.execution(evaluator=evaluator):
-        pruned = eng.query(Q, QuerySpec("expected_knn", k=k)).answers
+    pruned = eng.query(Q, QuerySpec("expected_knn", k=k)).answers
     exact = eng.query(Q, QuerySpec("expected_knn", k=k, tier="exact")).answers
     assert np.asarray(pruned).tobytes() == want.tobytes()
     assert np.asarray(exact).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("method", ["dual", "flat", "rtree"])
-def test_planner_reports_match_dense_on_lattice(method):
+def test_planner_reports_match_dense_on_lattice():
     pts = lattice_points()
     Q = lattice_queries()
-    planner = QueryPlanner(pts, method=method)
+    planner = QueryPlanner(pts)
     uset = UncertainSet(pts)
     dmins, dmaxs = uset.dmin_matrix(Q), uset.dmax_matrix(Q)
     # The pruned report's floats decide the same sets; its second value

@@ -1,12 +1,13 @@
 """Dual-tree candidate generation: survivor parity, answer identity,
 output sensitivity, and the session/Monte-Carlo integrations.
 
-The acceptance property of PR 5's traversal is twofold: the emitted CSR
+The acceptance property of the traversal is twofold: the emitted CSR
 survivor sets must be a superset-of-or-equal-to the flat prune's
 survivors (so no winner is ever discarded — in fact they are *exactly
-equal*, which these tests pin), and every answer produced through the
-dual generator must be bit-identical to the flat generator's across all
-six uncertainty model types and all four query methods.
+equal*, byte for byte, which these tests pin against the flat pass kept
+here as the oracle), and every answer produced through the dual
+generator must be bit-identical to the exact tier's across all six
+uncertainty model types and all four query methods.
 """
 
 import math
@@ -37,7 +38,9 @@ from repro.constructions import (
     random_disk_points,
     random_queries,
 )
+from repro.core import planner as planner_module
 from repro.errors import QueryError
+from repro.geometry import kernels
 
 
 def six_model_points(seed, n_per=5, box=90.0):
@@ -87,26 +90,48 @@ def clustered_workload(n=400, m=200, clusters=10, seed=70):
     return points, Q
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+def flat_survivors(cols, Q, k=1, criterion="support"):
+    """The flat prune pass, the dual tree's oracle: the dense column
+    bracket of every (query, object) pair, the planner's slacked k-th
+    smallest upper bound per row, then ``lb <= cutoff``.  Returns the
+    boolean mask and its CSR ``(indptr, indices)``."""
+    if criterion == "expected":
+        lb, ub = cols.expected_bounds_many(Q)
+    else:
+        lb, ub = cols.envelope_bounds_many(Q)
+    cutoff = kernels.kth_smallest_rowwise(ub, k) * planner_module._CUTOFF_SLACK
+    mask = lb <= cutoff[:, None]
+    indptr = np.zeros(Q.shape[0] + 1, dtype=np.intp)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    return mask, indptr, np.nonzero(mask)[1].astype(np.intp)
+
+
+def parity_inputs(seed, offset, m):
+    """The six-model mix for an integer seed; the clustered disk
+    workload, where most pairs are pruned, for ``"clustered"``."""
+    if seed == "clustered":
+        return clustered_workload(n=300, m=150)
+    return six_model_points(seed), queries_for(seed + offset, m=m)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "clustered"])
 @pytest.mark.parametrize("criterion", ["support", "expected"])
 class TestSurvivorParity:
     """Dual survivors must contain — and in fact equal — flat survivors."""
 
     def test_superset_and_equality(self, seed, criterion):
-        points = six_model_points(seed)
-        Q = queries_for(seed + 10)
+        points, Q = parity_inputs(seed, 10, 60)
         cols = ModelColumns(points)
-        flat = QueryPlanner(points, method="flat", columns=cols)
         for k in (1, 2, 7):
-            mask = flat.candidate_mask(Q, k=k, criterion=criterion)
+            mask, indptr, indices = flat_survivors(cols, Q, k, criterion)
             res = dual_tree_candidates(Q, cols, k=k, criterion=criterion)
             dual_mask = res.mask(len(points))
             assert np.all(mask <= dual_mask), (k, "flat survivor was pruned")
-            assert np.array_equal(mask, dual_mask), k
+            assert res.indptr.tobytes() == indptr.tobytes(), k
+            assert res.indices.tobytes() == indices.tobytes(), k
 
     def test_every_query_keeps_k(self, seed, criterion):
-        points = six_model_points(seed)
-        Q = queries_for(seed + 20, m=30)
+        points, Q = parity_inputs(seed, 20, 30)
         cols = ModelColumns(points)
         for k in (1, 3):
             res = dual_tree_candidates(Q, cols, k=k, criterion=criterion)
@@ -118,10 +143,9 @@ class TestSurvivorEdgeCases:
         points = six_model_points(4)
         cols = ModelColumns(points)
         Q = queries_for(5)[:1]
-        flat = QueryPlanner(points, method="flat", columns=cols)
         res = dual_tree_candidates(Q, cols)
         assert res.indptr.shape == (2,)
-        assert np.array_equal(res.mask(len(points)), flat.candidate_mask(Q))
+        assert np.array_equal(res.mask(len(points)), flat_survivors(cols, Q)[0])
 
     def test_empty_batch(self):
         cols = ModelColumns(six_model_points(6))
@@ -139,7 +163,6 @@ class TestSurvivorEdgeCases:
 
     def test_planner_empty_queries_dual(self):
         planner = QueryPlanner(six_model_points(8))
-        assert planner.method == "dual"  # auto default
         assert planner.candidate_mask([]).shape == (0, len(planner.points))
         indptr, indices = planner.candidate_csr([])
         assert indptr.tolist() == [0] and indices.size == 0
@@ -147,61 +170,54 @@ class TestSurvivorEdgeCases:
 
 @pytest.mark.parametrize("seed", [1, 2])
 class TestAnswerIdentity:
-    """Dual-vs-flat bit-identity for all four query methods over the
-    six-model mix."""
-
-    def planners(self, points):
-        cols = ModelColumns(points)
-        return (
-            QueryPlanner(points, prune="dual", columns=cols),
-            QueryPlanner(points, prune="flat", columns=cols),
-        )
+    """Dual-tree pruned vs exact-tier bit-identity for all four query
+    methods over the six-model mix."""
 
     def test_expected_nn(self, seed):
-        points = six_model_points(seed)
+        planner = QueryPlanner(six_model_points(seed))
         Q = queries_for(seed + 30, m=40)
-        dual, flat = self.planners(points)
-        di, dv = dual.expected_nn_many(Q)
-        fi, fv = flat.expected_nn_many(Q)
-        assert np.array_equal(di, fi) and np.array_equal(dv, fv)
+        di, dv = planner.expected_nn_many(Q)
+        ei, ev = planner.expected_nn_many(Q, tier="exact")
+        assert np.array_equal(di, ei) and np.array_equal(dv, ev)
 
     def test_nonzero(self, seed):
-        points = six_model_points(seed)
+        planner = QueryPlanner(six_model_points(seed))
         Q = queries_for(seed + 40, m=40)
-        dual, flat = self.planners(points)
-        assert dual.nonzero_nn_many(Q) == flat.nonzero_nn_many(Q)
+        assert planner.nonzero_nn_many(Q) == planner.nonzero_nn_many(
+            Q, tier="exact"
+        )
 
     def test_threshold(self, seed):
         # The exact quantification sweep is defined for discrete models.
         points = random_discrete_points(30, k=4, seed=seed, box=60)
         Q = queries_for(seed + 50, m=25, box=60.0)
-        dual, flat = self.planners(points)
+        planner = QueryPlanner(points)
         for tau in (0.0, 0.3):
-            assert dual.threshold_nn_exact_many(Q, tau) == (
-                flat.threshold_nn_exact_many(Q, tau)
+            assert planner.threshold_nn_exact_many(Q, tau) == (
+                planner.threshold_nn_exact_many(Q, tau, tier="exact")
             )
 
     def test_expected_knn(self, seed):
         points = six_model_points(seed)
         Q = queries_for(seed + 60, m=30)
-        dual, flat = self.planners(points)
+        planner = QueryPlanner(points)
         for k in (1, 4, len(points)):
             assert np.array_equal(
-                dual.expected_knn_many(Q, k), flat.expected_knn_many(Q, k)
+                planner.expected_knn_many(Q, k),
+                planner.expected_knn_many(Q, k, tier="exact"),
             )
 
     def test_monte_carlo_csr_rounds(self, seed):
         points = six_model_points(seed)
         Q = queries_for(seed + 70, m=30)
-        dual, flat = self.planners(points)
+        planner = QueryPlanner(points)
         mc = MonteCarloPNN(points, s=80, rng=seed)
         full = mc.query_matrix(Q)
-        assert np.array_equal(mc.query_matrix(Q, planner=dual), full)
-        assert np.array_equal(mc.query_matrix(Q, planner=flat), full)
+        assert np.array_equal(mc.query_matrix(Q, planner=planner), full)
         # Adaptive early stopping consumes the CSR layout directly too.
-        adaptive = mc.query_matrix(Q, planner=dual, adaptive=True, tol=0.2)
+        adaptive = mc.query_matrix(Q, planner=planner, adaptive=True, tol=0.2)
         assert np.array_equal(
-            adaptive, mc.query_matrix(Q, planner=flat, adaptive=True, tol=0.2)
+            adaptive, mc.query_matrix(Q, adaptive=True, tol=0.2)
         )
 
 
@@ -222,8 +238,11 @@ class TestOutputSensitivity:
         planner.candidate_csr(Q, criterion="expected")
         assert planner.dual_totals["traversals"] == 2.0
         assert planner.dual_totals["node_pairs_visited"] > 0
+        totals = dict(planner.dual_totals)
         stats = planner.prune_stats(Q, criterion="expected")
         assert "node_pairs_visited" in stats and "refined_pairs" in stats
+        # The diagnostic re-run is not counted.
+        assert planner.dual_totals == totals
 
     def test_object_tree_reused_across_criteria(self):
         points, Q = clustered_workload(n=120, m=60)
@@ -269,14 +288,6 @@ class TestBackends:
 
 
 class TestPruneKnob:
-    def test_prune_escape_hatch(self):
-        points = six_model_points(9)
-        assert QueryPlanner(points).method == "dual"
-        assert QueryPlanner(points, prune="flat").method == "flat"
-        assert QueryPlanner(points, prune="dual").method == "dual"
-        with pytest.raises(QueryError, match="prune"):
-            QueryPlanner(points, prune="bogus")
-
     def test_object_tree_validation(self):
         points = six_model_points(10)
         other = EnvelopeObjectTree(ModelColumns(points[:4]))
@@ -349,7 +360,7 @@ def _loop_str_leaves(B, capacity):
     return leaves
 
 
-def _loop_group_bboxes(B, groups):
+def _loop_bboxes(B, groups):
     out = np.empty((len(groups), 4), dtype=np.float64)
     for g, members in enumerate(groups):
         sub = B[members]
@@ -359,11 +370,11 @@ def _loop_group_bboxes(B, groups):
 
 def _loop_hierarchy(B, leaf_size, fanout):
     groups = _loop_str_leaves(B, leaf_size)
-    gb = _loop_group_bboxes(B, groups)
+    gb = _loop_bboxes(B, groups)
     levels = [(groups, gb)]
     while len(groups) > 1:
         groups = _loop_str_leaves(gb, fanout)
-        gb = _loop_group_bboxes(gb, groups)
+        gb = _loop_bboxes(gb, groups)
         levels.append((groups, gb))
     return levels
 

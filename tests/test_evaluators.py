@@ -1,12 +1,13 @@
-"""Tag-grouped CSR survivor evaluation (PR 6).
+"""Tag-grouped CSR survivor evaluation.
 
 The acceptance property of the grouped evaluator is bit-identity: for
 every float64 query path, the tag-grouped kernels of
-``repro.core.evaluators`` must return *the same bits* as the per-object
-``expected_distance_many`` / ``dmin_many`` / ``dmax_many`` dispatch they
-replace, across all six uncertainty model types and all four query
-methods.  Float32 mode is certified rather than identical: answers must
-sit inside the per-row error bound the kernels emit.
+``repro.core.evaluators`` must return *the same bits* as the models' own
+``expected_distance_many`` / ``dmin_many`` / ``dmax_many``, which the
+planner's exact tier calls and these tests use as the oracle, across all
+six uncertainty model types and all four query methods.  Float32 mode is
+certified rather than identical: answers must sit inside the per-row
+error bound the kernels emit.
 """
 
 import math
@@ -76,93 +77,72 @@ def queries_for(seed, m=50, box=90.0):
     return np.asarray(qs)
 
 
-def planner_pair(points, **kw):
-    cols = ModelColumns(points)
-    return (
-        QueryPlanner(points, columns=cols, evaluator="grouped", **kw),
-        QueryPlanner(points, columns=cols, evaluator="object", **kw),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Grouped vs per-object bit-identity
+# Grouped kernels (pruned tier) vs the models' own methods (exact tier)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 class TestGroupedObjectParity:
     def test_expected_nn(self, seed):
-        grouped, obj = planner_pair(six_model_points(seed))
+        planner = QueryPlanner(six_model_points(seed))
         Q = queries_for(seed + 10)
-        wg, vg = grouped.expected_nn_many(Q)
-        wo, vo = obj.expected_nn_many(Q)
+        # Every pair, not only the winners: the grouped kernels against
+        # the exact tier's per-object expectation matrix.
+        E = planner.expected_distance_matrix(Q, tier="exact")
+        rows, cols = np.indices(E.shape).reshape(2, -1)
+        values, _ = evaluators.expected_distance_pairs(
+            planner.eval_cache(), Q, rows, cols
+        )
+        assert values.tobytes() == E.ravel().tobytes()
+        wg, vg = planner.expected_nn_many(Q)
+        wo, vo = planner.expected_nn_many(Q, tier="exact")
         assert np.array_equal(wg, wo)
         assert np.array_equal(vg, vo)
 
     def test_expected_matrix_and_knn(self, seed):
-        grouped, obj = planner_pair(six_model_points(seed))
+        planner = QueryPlanner(six_model_points(seed))
         Q = queries_for(seed + 20, m=25)
-        assert np.array_equal(
-            grouped.expected_distance_matrix(Q), obj.expected_distance_matrix(Q)
-        )
-        kg = grouped.expected_knn_many(Q, 4)
-        ko = obj.expected_knn_many(Q, 4)
+        pruned = planner.expected_distance_matrix(Q)
+        exact = planner.expected_distance_matrix(Q, tier="exact")
+        kept = np.isfinite(pruned)
+        assert np.array_equal(pruned[kept], exact[kept])
+        kg = planner.expected_knn_many(Q, 4)
+        ko = planner.expected_knn_many(Q, 4, tier="exact")
         assert np.array_equal(np.asarray(kg), np.asarray(ko))
 
     def test_nonzero(self, seed):
-        grouped, obj = planner_pair(six_model_points(seed))
+        planner = QueryPlanner(six_model_points(seed))
         Q = queries_for(seed + 30, m=25)
-        ng = grouped.nonzero_nn_many(Q)
-        no = obj.nonzero_nn_many(Q)
+        ng = planner.nonzero_nn_many(Q)
+        no = planner.nonzero_nn_many(Q, tier="exact")
         assert all(set(a) == set(b) for a, b in zip(ng, no))
 
     def test_threshold_all_discrete(self, seed):
         points = random_discrete_points(40, k=3, seed=seed, box=60.0)
-        grouped, obj = planner_pair(points)
+        planner = QueryPlanner(points)
         Q = queries_for(seed + 40, m=20, box=60.0)
         for tau in (0.1, 0.4):
-            assert grouped.threshold_nn_exact_many(
+            assert planner.threshold_nn_exact_many(
                 Q, tau
-            ) == obj.threshold_nn_exact_many(Q, tau)
+            ) == planner.threshold_nn_exact_many(Q, tau, tier="exact")
 
     def test_exact_tier_matches_pruned(self, seed):
-        grouped, _ = planner_pair(six_model_points(seed))
+        planner = QueryPlanner(six_model_points(seed))
         Q = queries_for(seed + 50, m=20)
-        we, ve = grouped.expected_nn_many(Q, tier="exact")
-        wp, vp = grouped.expected_nn_many(Q, tier="pruned")
+        we, ve = planner.expected_nn_many(Q, tier="exact")
+        wp, vp = planner.expected_nn_many(Q, tier="pruned")
         assert np.array_equal(we, wp)
         assert np.array_equal(ve, vp)
 
 
 def test_threshold_mixed_tags_raises_on_both():
-    points = six_model_points(21)
-    grouped, obj = planner_pair(points)
+    planner = QueryPlanner(six_model_points(21))
     Q = queries_for(31, m=5)
     with pytest.raises(QueryError):
-        grouped.threshold_nn_exact_many(Q, 0.2)
+        planner.threshold_nn_exact_many(Q, 0.2)
     with pytest.raises(QueryError):
-        obj.threshold_nn_exact_many(Q, 0.2)
-
-
-def test_execution_config_selects_evaluator():
-    points = six_model_points(22)
-    Q = queries_for(32, m=15)
-    base = QueryPlanner(points).expected_nn_many(Q)
-    for mode in ("grouped", "object"):
-        with config.execution(evaluator=mode):
-            w, v = QueryPlanner(points).expected_nn_many(Q)
-        assert np.array_equal(w, base[0])
-        assert np.array_equal(v, base[1])
-
-
-def test_unknown_evaluator_rejected():
-    points = random_disk_points(5, seed=1)
-    with pytest.raises(QueryError):
-        QueryPlanner(points, evaluator="vectorised")
-    with config.execution(evaluator="bogus"):
-        planner = QueryPlanner(points)
-        with pytest.raises(QueryError):
-            planner.expected_nn_many(np.zeros((1, 2)))
+        planner.threshold_nn_exact_many(Q, 0.2, tier="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +152,10 @@ def test_unknown_evaluator_rejected():
 
 class TestEdgeRows:
     def test_single_point_dataset(self):
-        points = [UniformDiskPoint((3.0, 4.0), 1.5)]
-        grouped, obj = planner_pair(points)
+        planner = QueryPlanner([UniformDiskPoint((3.0, 4.0), 1.5)])
         Q = np.asarray([(0.0, 0.0), (3.0, 4.0), (100.0, -7.0)])
-        wg, vg = grouped.expected_nn_many(Q)
-        wo, vo = obj.expected_nn_many(Q)
+        wg, vg = planner.expected_nn_many(Q)
+        wo, vo = planner.expected_nn_many(Q, tier="exact")
         assert np.array_equal(wg, wo) and np.array_equal(vg, vo)
         assert wg.tolist() == [0, 0, 0]
 
@@ -246,8 +225,7 @@ def test_gauss_legendre_nodes_cached_identity():
 
 
 def test_eval_cache_hits_accumulate():
-    points = six_model_points(26)
-    grouped, _ = planner_pair(points)
+    grouped = QueryPlanner(six_model_points(26))
     Q = queries_for(36, m=10)
     grouped.expected_nn_many(Q)
     cache = grouped.eval_cache()
@@ -270,10 +248,19 @@ def test_engine_diagnostics_and_stats():
     assert res.diagnostics["eval_pairs"] > 0
     stats = eng.stats()
     ev = stats["evaluators"]
-    assert ev["grouped_calls"] >= 2
-    assert ev["pairs"] >= res.diagnostics["eval_pairs"]
     assert ev["cache_builds"] == 1
     assert sum(ev["pairs_by_tag"].values()) == ev["pairs"]
+    # Exactly the two answer passes count; the diagnostics re-run of
+    # the prune (same batch, same survivors) adds nothing.
+    diag = res.diagnostics
+    assert ev["grouped_calls"] == 2
+    assert ev["pairs"] == 2 * diag["eval_pairs"]
+    last = eng.planner().last_eval_stats
+    assert ev["prune_seconds"] == diag["prune_seconds"] + last["prune_seconds"]
+    dual = stats["dual_tree"]
+    assert dual["traversals"] == 2
+    for key in ("node_pairs_visited", "refined_pairs", "survivors"):
+        assert dual[key] == 2 * diag[key], key
 
 
 @pytest.mark.parametrize(
@@ -298,12 +285,14 @@ def test_unevaluated_calls_report_no_stale_eval():
     eng = Engine(points, result_cache_size=0)
     warm = eng.query(Q, QuerySpec("expected_nn"), diagnostics=True)
     assert warm.diagnostics["eval_pairs"] > 0
+    # The Monte-Carlo rounds prune but never call the evaluators.
+    mc = eng.query(Q[:5], QuerySpec("mc_pnn", s=32, seed=1), diagnostics=True)
     res = eng.query(
         Q, QuerySpec("expected_nn", tier="approx", eps=1e3), diagnostics=True
     )
     assert not np.any(res.fallback)
     exact = eng.query(Q, QuerySpec("expected_nn", tier="exact"), diagnostics=True)
-    for diag in (res.diagnostics, exact.diagnostics):
+    for diag in (mc.diagnostics, res.diagnostics, exact.diagnostics):
         for key in ("eval_pairs", "eval_seconds", "prune_seconds"):
             assert key not in diag
 
@@ -323,12 +312,12 @@ class TestFloat32Certified:
     def test_fallback_rows_within_certificate(self):
         points, Q = self._workload()
         with config.execution(dtype="float32"):
-            planner = QueryPlanner(points, evaluator="grouped")
+            planner = QueryPlanner(points)
             wf, vf, fb = planner.expected_nn_many(
                 Q, tier="approx", eps=1e-9, return_fallback=True
             )
             bounds = planner.last_fallback_bounds
-        w64, v64 = QueryPlanner(points, evaluator="grouped").expected_nn_many(Q)
+        w64, v64 = QueryPlanner(points).expected_nn_many(Q)
         rows = np.flatnonzero(fb)
         if rows.size == 0:
             pytest.skip("no fallback rows at this eps")
@@ -336,12 +325,19 @@ class TestFloat32Certified:
         assert np.all(np.abs(vf[rows] - v64[rows]) <= bounds)
 
     def test_float64_dtype_stays_bit_identical(self):
+        # In float64 the approx tier's fallback rows resolve on the
+        # pruned tier, so they equal the exact tier bit for bit.
         points, Q = self._workload()
-        grouped, obj = planner_pair(points)
-        wg, vg = grouped.expected_nn_many(Q, tier="approx", eps=1e-9)
-        wo, vo = obj.expected_nn_many(Q, tier="approx", eps=1e-9)
-        assert np.array_equal(wg, wo)
-        assert np.array_equal(vg, vo)
+        planner = QueryPlanner(points)
+        wg, vg, fb = planner.expected_nn_many(
+            Q, tier="approx", eps=1e-9, return_fallback=True
+        )
+        assert planner.last_fallback_bounds is None
+        rows = np.flatnonzero(fb)
+        assert rows.size
+        wo, vo = planner.expected_nn_many(Q[rows], tier="exact")
+        assert np.array_equal(wg[rows], wo)
+        assert np.array_equal(vg[rows], vo)
 
     def test_engine_certificate_carries_bounds(self):
         points, Q = self._workload()
@@ -358,47 +354,6 @@ class TestFloat32Certified:
         # where a bad value must fail loudly.
         points = random_disk_points(5, seed=2)
         with config.execution(dtype="float16"):
-            planner = QueryPlanner(points, evaluator="grouped")
+            planner = QueryPlanner(points)
             with pytest.raises(QueryError):
                 planner.expected_nn_many(np.zeros((1, 2)), tier="approx", eps=0.5)
-
-
-# ---------------------------------------------------------------------------
-# Compiled backend (skips gracefully without numba)
-# ---------------------------------------------------------------------------
-
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not importable"
-)
-
-
-def test_backend_gates_off_without_numba():
-    if kernels.numba_available():
-        pytest.skip("numba present; gating covered by the numba leg")
-    with config.execution(backend="numba"):
-        assert kernels.active_backend() == "numpy"
-
-
-@needs_numba
-def test_numba_lens_area_matches_numpy():
-    rng = np.random.default_rng(9)
-    d = rng.uniform(0, 8, 4096)
-    r1 = rng.uniform(0.1, 4, 4096)
-    r2 = rng.uniform(0.1, 4, 4096)
-    with config.execution(backend="numpy"):
-        ref = kernels.lens_area_many(d, r1, r2)
-    with config.execution(backend="numba"):
-        got = kernels.lens_area_many(d, r1, r2)
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_numba_grouped_matches_object_evaluator():
-    points = random_disk_points(120, seed=8, box=200.0)
-    Q = np.asarray(random_queries(60, seed=9, bbox=(0, 0, 200, 200)))
-    with config.execution(backend="numba"):
-        grouped, obj = planner_pair(points)
-        wg, vg = grouped.expected_nn_many(Q)
-        wo, vo = obj.expected_nn_many(Q)
-    assert np.array_equal(wg, wo)
-    np.testing.assert_allclose(vg, vo, rtol=1e-12, atol=1e-12)

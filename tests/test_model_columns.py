@@ -1,5 +1,5 @@
 """The SoA model store: envelope brackets, moments, tags, CSR columns,
-and the array-based bulk leaf builders."""
+and the array-based STR bulk loaders."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from repro import (
     UniformRectPoint,
 )
 from repro.constructions import random_discrete_points, random_queries
-from repro.index import group_bboxes, kd_leaves, str_leaves
+from repro.index import str_leaves
+from repro.index.bulk import str_hierarchy
 
 
 def mixed_points():
@@ -136,35 +137,35 @@ class TestBulkLeafBuilders:
         )
         return np.asarray([p.support_bbox() for p in points], dtype=np.float64)
 
-    @pytest.mark.parametrize("builder", ["str", "kd"])
+    @pytest.mark.parametrize("builder", ["str", "hierarchy"])
     @pytest.mark.parametrize("n", [1, 5, 16, 17, 100])
     def test_leaves_partition_indices(self, builder, n):
         B = self._bboxes(n, seed=n)
-        centers = 0.5 * (B[:, :2] + B[:, 2:])
         if builder == "str":
-            leaves = str_leaves(B, capacity=8)
+            levels = [str_leaves(B, capacity=8)]
         else:
-            leaves = kd_leaves(centers, leaf_size=8)
-        seen = np.concatenate(leaves)
-        assert sorted(seen.tolist()) == list(range(n))
-        assert all(len(leaf) <= 8 for leaf in leaves)
-        assert all(len(leaf) >= 1 for leaf in leaves)
-
-    def test_group_bboxes_cover_members(self):
-        B = self._bboxes(60, seed=4)
-        leaves = str_leaves(B, capacity=8)
-        G = group_bboxes(B, leaves)
-        for g, members in enumerate(leaves):
-            sub = B[members]
-            assert np.all(G[g, 0] <= sub[:, 0])
-            assert np.all(G[g, 1] <= sub[:, 1])
-            assert np.all(G[g, 2] >= sub[:, 2])
-            assert np.all(G[g, 3] >= sub[:, 3])
+            # Every level partitions the level below, and its group
+            # bboxes cover their members.
+            levels, below = [], B
+            for perm, starts, gb in str_hierarchy(B, 8, 4):
+                groups = np.split(perm, starts[1:])
+                for g, members in enumerate(groups):
+                    sub = below[members]
+                    assert np.all(gb[g, :2] <= sub[:, :2].min(axis=0))
+                    assert np.all(gb[g, 2:] >= sub[:, 2:].max(axis=0))
+                levels.append(groups)
+                below = gb
+            assert len(levels[-1]) == 1
+        for leaves in levels:
+            seen = np.concatenate(leaves)
+            assert sorted(seen.tolist()) == list(range(seen.shape[0]))
+            assert all(1 <= len(leaf) <= 8 for leaf in leaves)
+        assert sum(len(leaf) for leaf in levels[0]) == n
 
     def test_empty_inputs(self):
         assert str_leaves(np.empty((0, 4))) == []
-        assert kd_leaves(np.empty((0, 2))) == []
+        assert str_hierarchy(np.empty((0, 4))) == []
         with pytest.raises(ValueError):
             str_leaves(np.empty((0, 4)), capacity=0)
         with pytest.raises(ValueError):
-            kd_leaves(np.empty((0, 2)), leaf_size=0)
+            str_hierarchy(np.empty((0, 4)), fanout=1)

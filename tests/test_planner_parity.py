@@ -1,7 +1,7 @@
 """Planner/brute-force parity: the pruned query paths must reproduce the
 unpruned answers *exactly* — same winners, same values, same sets, same
-probability dicts — for every uncertainty model type, every planner
-method, and both uniform and clustered workloads.
+probability dicts — for every uncertainty model type, serial and
+thread-parallel pruning, and both uniform and clustered workloads.
 
 This is the acceptance property of the prune-then-evaluate planner: an
 object with ``dmin(q) > min_j dmax_j(q)`` can never be the (nonzero /
@@ -38,7 +38,12 @@ from repro.constructions import (
     random_queries,
 )
 
-METHODS = ["flat", "kdtree", "rtree", "dual"]
+#: Pruned-tier planner settings: the serial dual-tree prune and its
+#: thread fan-out over query subtrees.
+VARIANTS = {
+    "dual": {},
+    "thread": {"parallel_backend": "thread", "parallel_workers": 2},
+}
 
 
 def mixed_points(seed, n_per=6, box=80.0):
@@ -72,19 +77,19 @@ def queries_for(seed, m=80, box=80.0):
     return np.asarray(qs)
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 class TestMixedModelParity:
-    def test_nonzero_nn_parity(self, method, seed):
+    def test_nonzero_nn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 10)
-        planner = QueryPlanner(points, method=method, leaf_size=5)
+        planner = QueryPlanner(points, **VARIANTS[variant])
         assert planner.nonzero_nn_many(Q) == UncertainSet(points).nonzero_nn_many(Q)
 
-    def test_expected_nn_parity(self, method, seed):
+    def test_expected_nn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 20, m=40)
-        planner = QueryPlanner(points, method=method, leaf_size=5)
+        planner = QueryPlanner(points, **VARIANTS[variant])
         E = ExpectedNNIndex(points).expected_distance_matrix(Q)
         want_idx = E.argmin(axis=1)
         want_val = E[np.arange(E.shape[0]), want_idx]
@@ -92,19 +97,19 @@ class TestMixedModelParity:
         assert np.array_equal(got_idx, want_idx)
         assert np.array_equal(got_val, want_val)
 
-    def test_expected_knn_parity(self, method, seed):
+    def test_expected_knn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 30, m=30)
-        planner = QueryPlanner(points, method=method, leaf_size=5)
+        planner = QueryPlanner(points, **VARIANTS[variant])
         for k in (1, 2, 5, len(points)):
             want = expected_knn_many(points, Q, k)
             got = planner.expected_knn_many(Q, k)
             assert np.array_equal(got, want), k
 
-    def test_monte_carlo_pnn_parity(self, method, seed):
+    def test_monte_carlo_pnn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 40, m=50)
-        planner = QueryPlanner(points, method=method, leaf_size=5)
+        planner = QueryPlanner(points, **VARIANTS[variant])
         mc = MonteCarloPNN(points, s=120, rng=seed)
         assert mc.query_many(Q, planner=planner) == mc.query_many(Q)
         assert np.array_equal(
@@ -117,12 +122,12 @@ class TestDiscreteThresholdParity:
     def test_threshold_parity(self, seed):
         points = random_discrete_points(30, k=4, seed=seed, box=60)
         Q = queries_for(seed, m=40, box=60.0)
-        for method in METHODS:
-            planner = QueryPlanner(points, method=method, leaf_size=5)
+        for variant, settings in VARIANTS.items():
+            planner = QueryPlanner(points, **settings)
             for tau in (0.0, 0.2, 0.6):
                 want = threshold_nn_exact_many(points, Q, tau)
                 got = planner.threshold_nn_exact_many(Q, tau)
-                assert got == want, (method, tau)
+                assert got == want, (variant, tau)
 
 
 class TestClusteredWorkloadParity:
@@ -200,7 +205,7 @@ class TestPlannerReusesColumns:
         points = mixed_points(31, n_per=4)
         cols = ModelColumns(points)
         p1 = QueryPlanner(points, columns=cols)
-        p2 = QueryPlanner(points, columns=cols, method="rtree", leaf_size=4)
+        p2 = QueryPlanner(points, columns=cols, parallel_backend="thread")
         Q = queries_for(32, m=20)
         assert p1.nonzero_nn_many(Q) == p2.nonzero_nn_many(Q)
         assert p1.columns is cols and p2.columns is cols

@@ -61,14 +61,6 @@ class TestTiledIdentity:
         assert np.array_equal(flat_v, tiled_v)
         assert flat_sets == tiled_sets
 
-    def test_grouped_method_tiles_identically(self):
-        points, Q = _workload()
-        flat = QueryPlanner(points, method="flat")
-        grouped = QueryPlanner(points, method="kdtree", tile_bytes=32 * 1024)
-        fw, fv = flat.expected_nn_many(Q)
-        gw, gv = grouped.expected_nn_many(Q)
-        assert np.array_equal(fw, gw) and np.array_equal(fv, gv)
-
     def test_parallel_thread_backend_identical(self):
         points, Q = _workload()
         serial = QueryPlanner(points, tile_bytes=32 * 1024)
@@ -125,19 +117,17 @@ class TestTiledMemory:
             planner.expected_nn_many(Q)
             _, peak_tiled = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-        # The dense reference: the flat generator in one huge tile
-        # materializes the full bound/expectation matrices (the dual
-        # default never does, whatever the tile size).
-        flat = QueryPlanner(points, prune="flat")
-        flat.expected_nn_many(Q[:4])
+        # The dense reference: the exact tier in one huge tile
+        # materializes the full dmin/dmax matrices (the pruned tier
+        # never does, whatever the tile size).
         with config.execution(tile_bytes=1 << 62):
             tracemalloc.start()
-            flat.expected_nn_many(Q)
-            _, peak_flat = tracemalloc.get_traced_memory()
+            planner.nonzero_nn_many(Q, tier="exact")
+            _, peak_dense = tracemalloc.get_traced_memory()
             tracemalloc.stop()
         # The tiled pass never materializes even one (m, n) float64.
         assert peak_tiled < m * n * 8
-        assert peak_flat > m * n * 8
+        assert peak_dense > m * n * 8
 
 
 class TestBackendAndTierGuards:

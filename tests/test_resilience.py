@@ -288,22 +288,22 @@ class TestFaultInjection:
         assert stats["tiles_retried"] >= 1
 
     def test_planner_tiles_survive_injected_crash(self):
-        # The flat generator's bound pass fans out through map_tiles, so
-        # its tiles hit the parallel.tile checkpoint (the default dual
-        # route streams through dual_tree.* / evaluators.chunk instead).
+        # The exact tier fans out through map_tiles, so its tiles hit
+        # the parallel.tile checkpoint (the pruned tier streams through
+        # dual_tree.* / evaluators.chunk instead).
         from repro import QueryPlanner
 
         pts = random_disk_points(40, seed=3, box=40.0)
         Q = _queries(64)
-        base = QueryPlanner(pts, method="flat").expected_nn_many(Q)
+        base = QueryPlanner(pts).expected_nn_many(Q, tier="exact")
         planner = QueryPlanner(
-            pts, method="flat", tile_bytes=len(pts) * 64 * 8,
+            pts, tile_bytes=len(pts) * 64 * 8,
             parallel_backend="thread", parallel_workers=2,
         )
         with faults.inject(
             FaultSpec("parallel.tile", "crash", indices=(1,))
         ):
-            got = planner.expected_nn_many(Q)
+            got = planner.expected_nn_many(Q, tier="exact")
         np.testing.assert_array_equal(got[0], base[0])
         np.testing.assert_array_equal(got[1], base[1])
         stats = faults.fault_stats()
