@@ -107,7 +107,7 @@ def nonzero_nn_many(
     """``NN!=0(q, P)`` (Lemma 2.1) for every query row.
 
     Planner-pruned by default; ``exact=True`` runs the unpruned
-    ``(m, n)`` extremal-distance scan.  Both return identical sets.
+    extremal-distance scan in row tiles.  Both return identical sets.
     ``eps=`` opts into the sublinear quantized-envelope tier: sets are
     ε-relaxed (exact on envelope interiors — see
     :class:`repro.QuantizedEnvelopeIndex`), uncertified rows fall back
@@ -125,8 +125,9 @@ def expected_nn_many(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """[AESZ12] expected-distance winners: ``(indices, values)``.
 
-    Planner-pruned by default; ``exact=True`` evaluates the full
-    expectation matrix.  Both return identical winners and values.
+    Planner-pruned by default; ``exact=True`` evaluates every
+    expectation, in row tiles.  Both return identical winners and
+    values.
     ``eps=`` opts into the sublinear quantized-envelope tier: winners
     and values carry a certified error of at most
     ``max(eps, rel * true value)``; uncertified rows are resolved by the
@@ -146,7 +147,7 @@ def expected_knn_many(
     """Expected-distance kNN ranking, an ``(m, k)`` index matrix.
 
     Planner-pruned by default (candidates of the ``k``-th envelope
-    test); ``exact=True`` ranks the full expectation matrix.
+    test); ``exact=True`` ranks every expectation, in row tiles.
     """
     return _session(points).expected_knn_many(qs, k, exact=exact)
 

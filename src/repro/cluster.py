@@ -22,6 +22,9 @@ is **bit-identical** to the single-process :class:`repro.Engine`:
   down to exactly the global sets (see
   :func:`repro.core.nonzero.support_report` for the argument).
 
+Each shardable method's shard report and merge sit on its record in
+:data:`repro.methods.METHODS`; a method without them runs locally.
+
 Globally coupled methods (``threshold``, ``mc_pnn`` — their
 probabilities condition on *all* other objects), the whole-dataset
 ``approx`` tier, subset queries, and deadline queries execute on the
@@ -70,11 +73,11 @@ import numpy as np
 from . import io as _io
 from .config import CLUSTER as _CLUSTER
 from .core import parallel as _parallel
-from .core.expected_nn import ExpectedNNIndex
 from .core.planner import QueryPlanner
-from .engine import Engine, QueryResult, QuerySpec
+from .engine import Engine, QueryResult, QuerySpec, resolve_spec
 from .errors import QueryError, ResourceLimitError
 from .geometry.kernels import as_query_array
+from .methods import METHODS
 from .resilience import admission as _admission
 from .resilience import faults as _faults
 from .resilience import snapshot as _snapshot
@@ -82,9 +85,6 @@ from .resilience.retry import RetryCounters, RetryPolicy
 from .uncertain.columns import ModelColumns
 
 __all__ = ["ShardedEngine", "shard_bounds"]
-
-#: Methods whose answers decompose row-by-shard (see module docstring).
-_SHARDABLE_METHODS = ("expected_nn", "nonzero", "expected_knn")
 
 HEARTBEAT_SITE = "cluster.heartbeat"
 SHARD_QUERY_SITE = "cluster.shard_query"
@@ -127,27 +127,13 @@ def _load_shard_state(points_blob, shm_name, layout, snapshot_path):
     return points, cols, shm
 
 
-def _answer_request(points, planner, expected, lo, payload):
-    """One per-shard answer, with every reported index rebased to the
-    global numbering (``local + lo``)."""
-    method = payload["method"]
-    tier = payload["tier"]
-    Q = payload["Q"]
-    if method == "expected_nn":
-        if tier == "exact":
-            winners, values = expected.query_many(Q, exact=True)
-        else:
-            winners, values = planner.expected_nn_many(Q)
-        return {"winners": np.asarray(winners) + lo, "values": values}
-    if method == "nonzero":
-        report = planner.nonzero_report_many(Q, tier=tier)
-        report["best_idx"] = report["best_idx"] + lo
-        report["members"] = report["members"] + lo
-        return report
-    # expected_knn
-    k_local = min(int(payload["k"]), len(points))
-    idx, values = planner.expected_knn_report_many(Q, k_local, tier=tier)
-    return {"idx": idx + lo, "values": values}
+def _answer_request(planner, lo, payload):
+    """One per-shard report (the method's ``report`` in
+    :data:`repro.methods.METHODS`), with every reported index rebased
+    to the global numbering (``local + lo``)."""
+    return METHODS[payload["method"]].report(
+        planner, payload["Q"], payload["tier"], payload["k"], lo
+    )
 
 
 def _shard_worker_main(
@@ -178,9 +164,6 @@ def _shard_worker_main(
         )
         try:
             planner = QueryPlanner(points, columns=cols)
-            expected = ExpectedNNIndex(
-                points, planner=planner, columns=cols
-            )
             heartbeat.value = time.monotonic()
             while True:
                 try:
@@ -202,9 +185,7 @@ def _shard_worker_main(
                     # An injected "kill" here never returns — the
                     # supervisor sees the dead process and fails over.
                     _faults.fire(SHARD_QUERY_SITE, shard_id)
-                    result = _answer_request(
-                        points, planner, expected, lo, payload
-                    )
+                    result = _answer_request(planner, lo, payload)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:
@@ -546,7 +527,7 @@ class ShardedEngine:
     def _sharded(self, spec: QuerySpec) -> bool:
         return (
             bool(self._shards)
-            and spec.method in _SHARDABLE_METHODS
+            and METHODS[spec.method].report is not None
             and spec.tier in ("exact", "pruned")
             and spec.subset is None
             and spec.deadline_s is None
@@ -560,20 +541,14 @@ class ShardedEngine:
         Shardable specs (see module docstring) scatter to the workers
         and merge; everything else runs on the local engine.
         """
-        if spec is None:
-            spec = QuerySpec(**spec_kwargs)
-        elif spec_kwargs:
-            spec = dataclasses.replace(spec, **spec_kwargs)
+        spec = resolve_spec(spec, spec_kwargs)
         if not self._sharded(spec):
             self._counters["local_queries"] += 1
             return self._local.query(qs, spec)
         self._counters["sharded_queries"] += 1
         t0 = time.perf_counter()
         Q = as_query_array(qs)
-        if spec.method == "expected_knn":
-            n = len(self._local)
-            if spec.k is None or not 1 <= int(spec.k) <= n:
-                raise QueryError(f"k must lie in [1, {n}]")
+        METHODS[spec.method].check(spec, len(self._local))
         self.supervise()
         payload = {
             "method": spec.method,
@@ -709,21 +684,9 @@ class ShardedEngine:
             "shards": len(self._shards),
             "shard_rows": [[s.lo, s.hi] for s in self._shards],
         }
-        if spec.method == "expected_nn":
-            answers, values = _merge_expected_nn(live)
-            result = QueryResult(
-                answers=answers, values=values, plan=plan, **base
-            )
-        elif spec.method == "nonzero":
-            result = QueryResult(
-                answers=_merge_nonzero(live, n), plan=plan, **base
-            )
-        else:  # expected_knn
-            result = QueryResult(
-                answers=_merge_expected_knn(live, int(spec.k)),
-                plan=plan,
-                **base,
-            )
+        result = QueryResult(
+            **METHODS[spec.method].merge(live, spec, n), plan=plan, **base
+        )
         if dead:
             # Honest degradation: the answers cover only the surviving
             # shards' objects, so every row is flagged and the plan
@@ -736,58 +699,3 @@ class ShardedEngine:
                 [self._shards[sid].lo, self._shards[sid].hi] for sid in dead
             ]
         return result
-
-
-def _merge_expected_nn(parts: List[dict]) -> Tuple[np.ndarray, np.ndarray]:
-    """Strict-``<`` fold in ascending shard order == dense argmin with
-    lowest-index tie-break (shards are ascending contiguous ranges)."""
-    winners = np.asarray(parts[0]["winners"]).copy()
-    values = np.asarray(parts[0]["values"]).copy()
-    for part in parts[1:]:
-        v = np.asarray(part["values"])
-        upd = v < values
-        values[upd] = v[upd]
-        winners[upd] = np.asarray(part["winners"])[upd]
-    return winners, values
-
-
-def _merge_expected_knn(parts: List[dict], k: int) -> np.ndarray:
-    """Lexicographic ``(value, global index)`` re-sort of the union of
-    per-shard top-k reports == stable argsort of the full matrix."""
-    idx = np.concatenate([np.asarray(p["idx"]) for p in parts], axis=1)
-    vals = np.concatenate([np.asarray(p["values"]) for p in parts], axis=1)
-    k_eff = min(k, idx.shape[1])
-    order = np.lexsort((idx, vals), axis=-1)[:, :k_eff]
-    return np.take_along_axis(idx, order, axis=1)
-
-
-def _merge_nonzero(parts: List[dict], n_total: int) -> list:
-    """Merge per-shard :func:`repro.core.nonzero.support_report`\\ s
-    into the global Lemma 2.1 sets (see the module docstring and the
-    proof sketch on ``support_report``)."""
-    m = np.asarray(parts[0]["best"]).shape[0]
-    bests = np.stack([np.asarray(p["best"]) for p in parts])
-    bidx = np.stack([np.asarray(p["best_idx"]) for p in parts])
-    seconds = np.stack([np.asarray(p["second"]) for p in parts])
-    gbest = bests.min(axis=0)
-    # Lowest global index attaining the global best (sentinel n_total
-    # marks shards that do not attain it).
-    attaining = np.where(bests == gbest[None, :], bidx, n_total)
-    garg = attaining.min(axis=0)
-    allv = np.concatenate([bests, seconds], axis=0)
-    if allv.shape[0] > 1:
-        gsecond = np.partition(allv, 1, axis=0)[1]
-    else:  # pragma: no cover - one shard always reports two values
-        gsecond = np.full(m, np.inf)
-    sets = []
-    for r in range(m):
-        members: List[int] = []
-        for part in parts:
-            lo = int(part["indptr"][r])
-            hi = int(part["indptr"][r + 1])
-            mem = np.asarray(part["members"][lo:hi])
-            dm = np.asarray(part["member_dmins"][lo:hi])
-            thr = np.where(mem == garg[r], gsecond[r], gbest[r])
-            members.extend(mem[dm < thr].tolist())
-        sets.append(frozenset(members))
-    return sets

@@ -95,7 +95,8 @@ class Execution:
     ----------
     tile_bytes:
         Target byte budget for the per-tile floating-point working set of
-        the planner's exact tier.  A batch of ``m`` queries over ``n``
+        the planner's exact tier (which also serves the
+        :class:`repro.Engine` exact tier).  A batch of ``m`` queries over ``n``
         objects is processed in row tiles sized so the simultaneous
         ``(rows, n)`` float64 temporaries stay within this budget —
         peak memory is O(tile), never O(m * n).  The default (16 MiB)
@@ -108,10 +109,11 @@ class Execution:
         ``"serial"`` (default), ``"thread"``, or ``"process"`` — how
         query tiles are fanned out by :func:`repro.core.parallel.map_tiles`.
         Results are always assembled in tile order, so every backend
-        returns identical answers.  The planner accepts ``"thread"``
-        only (its tile closures hold model objects and cannot be
-        pickled); ``"process"`` serves picklable workloads driven
-        through ``map_tiles`` directly.
+        returns identical answers.  The planner, and with it every
+        planner-backed :class:`repro.Engine` query on any tier, accepts
+        ``"thread"`` only (its tile closures hold model objects and
+        cannot be pickled); ``"process"`` serves picklable workloads
+        driven through ``map_tiles`` directly.
     parallel_workers:
         Worker count for the parallel backends (``None`` = CPU count).
     dtype:

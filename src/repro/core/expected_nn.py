@@ -31,30 +31,22 @@ class ExpectedNNIndex:
     prunes exactly.  Batched queries route through the SoA
     :class:`repro.QueryPlanner` by default.
 
-    ``uset`` / ``planner`` / ``columns`` accept structures the caller
-    already holds over the same points (the :class:`repro.Engine`
-    registry threads its cached ones through), so repeated construction
-    never rebuilds shared state; each is built lazily here when omitted.
+    ``uset`` adopts an :class:`UncertainSet` the caller already holds
+    over the same points (the :class:`repro.Engine` registry shares its
+    cached one); it is built here when omitted.
     """
 
-    def __init__(
-        self,
-        points: Sequence,
-        uset: Optional[UncertainSet] = None,
-        planner: Optional[QueryPlanner] = None,
-        columns=None,
-    ):
+    def __init__(self, points: Sequence, uset: Optional[UncertainSet] = None):
         self.uset = uset if uset is not None else UncertainSet(points)
         self.points = list(points)
         self._rtree_cache: Optional[RTree] = None
-        self._planner: Optional[QueryPlanner] = planner
-        self._columns = columns
+        self._planner: Optional[QueryPlanner] = None
 
     @property
     def planner(self) -> QueryPlanner:
         """The lazily built prune-then-evaluate planner."""
         if self._planner is None:
-            self._planner = QueryPlanner(self.points, columns=self._columns)
+            self._planner = QueryPlanner(self.points)
         return self._planner
 
     @property

@@ -181,20 +181,15 @@ def expected_knn(points: Sequence, q, k: int) -> List[int]:
     return order[:k]
 
 
-def expected_knn_many(points: Sequence, qs, k: int, planner=None) -> np.ndarray:
+def expected_knn_many(points: Sequence, qs, k: int) -> np.ndarray:
     """Batched :func:`expected_knn`: an ``(m, k)`` index matrix.
 
     One ``expected_distance_many`` call per point fills the full
     ``(m, n)`` expectation matrix, then the stable top-k reducer
     (:func:`repro.core.reducers.topk_dense`) reproduces the scalar
-    tie-breaking (ascending index on equal expectations).  With a
-    :class:`repro.QueryPlanner` over the same points, expectations are
-    evaluated only on each query's survivors of the ``k``-th-envelope
-    prune (identical ranking: pruned objects are strictly beyond the
-    ``k``-th smallest expectation).
+    tie-breaking (ascending index on equal expectations).  The
+    :class:`repro.Engine` serves this query through the planner instead.
     """
-    if planner is not None:
-        return planner.expected_knn_many(qs, k)  # validates k itself
     uset = UncertainSet(points)
     if not 1 <= k <= len(points):
         raise QueryError(f"k must lie in [1, {len(points)}]")

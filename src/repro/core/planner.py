@@ -71,7 +71,7 @@ own ``*_many`` methods, is their oracle.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,25 +135,25 @@ class QueryPlanner:
     points:
         The uncertain points (any mix of models).
     columns:
-        Optional precomputed :class:`ModelColumns` for ``points`` (built
-        once here when omitted).
-    object_tree:
-        Optional prebuilt
-        :class:`~repro.core.dual_tree.EnvelopeObjectTree` over the same
-        columns, adopted instead of building lazily — the
-        :class:`repro.Engine` registry shares one per generation across
-        batches and criteria.
+        Optional precomputed :class:`ModelColumns` for ``points``
+        (otherwise built on first use: the exact tier never needs it).
     tile_bytes / parallel_backend / parallel_workers:
         Per-planner overrides of :data:`repro.config.EXECUTION` (``None``
         reads the live config at call time).
-    approx_cache:
-        Optional mutable mapping holding the approx tier's
-        :class:`~repro.core.quant_index.QuantizedEnvelopeIndex` per
-        ``(eps, rel, criterion)`` key.  The :class:`repro.Engine`
-        registry passes an instrumented, generation-tagged view here so
-        quantized envelopes built through the planner are owned (and
-        counted) by the session; a plain private dict is used when
-        omitted.
+    object_tree:
+        Optional prebuilt
+        :class:`~repro.core.dual_tree.EnvelopeObjectTree` over the same
+        columns, adopted instead of building lazily.
+    cache:
+        Optional ``cache(key, build)`` hook returning the structure
+        stored under ``key``, built with ``build()`` on first use.  The
+        planner fetches everything it builds lazily through it: the
+        column store ``("columns",)``, the dual tree ``("dual_tree",)``,
+        the grouped evaluator's ``("eval_cache",)`` and one quantized
+        envelope per ``("quant", eps, rel, criterion)``.  The
+        :class:`repro.Engine` passes its generation-tagged registry
+        here, so those structures are session-owned and counted; a
+        private dict serves when omitted.
     """
 
     def __init__(
@@ -163,34 +163,24 @@ class QueryPlanner:
         tile_bytes: Optional[int] = None,
         parallel_backend: Optional[str] = None,
         parallel_workers: Optional[int] = None,
-        approx_cache: Optional[Dict[Tuple[float, float, str], object]] = None,
         object_tree: Optional[EnvelopeObjectTree] = None,
-        object_tree_supplier=None,
-        eval_cache_supplier=None,
+        cache: Optional[Callable[[tuple, Callable[[], object]], object]] = None,
     ):
         self.points = list(points)
         if not self.points:
             raise QueryError("QueryPlanner requires at least one point")
-        self.columns = columns if columns is not None else ModelColumns(self.points)
-        if self.columns.n != len(self.points):
+        if columns is not None and columns.n != len(self.points):
             raise QueryError("columns were built over a different point set")
+        if object_tree is not None and object_tree.n != len(self.points):
+            raise QueryError("object tree was built over a different point set")
         self.tile_bytes = tile_bytes
         self.parallel_backend = parallel_backend
         self.parallel_workers = parallel_workers
-        self._approx_cache = approx_cache if approx_cache is not None else {}
-        if object_tree is not None and object_tree.n != self.columns.n:
-            raise QueryError("object tree was built over a different point set")
+        self._columns = columns
         self._object_tree = object_tree
-        #: Optional hook called as ``supplier(build)`` on the first lazy
-        #: object-tree build — the Engine registry passes one so the
-        #: tree is owned (and counted) by the session, like the approx
-        #: cache view.
-        self._object_tree_supplier = object_tree_supplier
-        #: Optional registry hook for the lazily built
-        #: :class:`~repro.core.evaluators.EvalCache`, mirroring
-        #: ``object_tree_supplier``.
         self._eval_cache = None
-        self._eval_cache_supplier = eval_cache_supplier
+        self._entries: Dict[tuple, object] = {}
+        self._cache = cache if cache is not None else self._own_cache
         #: Cumulative dual-tree telemetry across this planner's prune
         #: passes (surfaced by :meth:`repro.Engine.stats`).
         self.dual_totals: Dict[str, float] = {
@@ -201,7 +191,6 @@ class QueryPlanner:
             "refined_pairs": 0.0,
             "survivors": 0.0,
         }
-        self.last_dual_stats: Optional[Dict[str, float]] = None
         #: Cumulative evaluation-phase telemetry: grouped kernel passes,
         #: pairs they evaluated, and the prune / evaluate wall-time
         #: split (prune seconds cover the dual traversal passes).
@@ -221,6 +210,21 @@ class QueryPlanner:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def _own_cache(self, key: tuple, build: Callable[[], object]) -> object:
+        if key not in self._entries:
+            self._entries[key] = build()
+        return self._entries[key]
+
+    @property
+    def columns(self) -> ModelColumns:
+        """The column store behind the pruned and approx tiers (built on
+        first use)."""
+        if self._columns is None:
+            self._columns = self._cache(
+                ("columns",), lambda: ModelColumns(self.points)
+            )
+        return self._columns
 
     # -- tiled execution -----------------------------------------------------
     def _tile_rows(self, tier: str) -> int:
@@ -275,19 +279,16 @@ class QueryPlanner:
         ``tier="approx"`` — one per ``(eps, rel, criterion)``."""
         from .quant_index import QuantizedEnvelopeIndex
 
-        key = (float(eps), float(rel), criterion)
-        try:
-            return self._approx_cache[key]
-        except KeyError:
-            index = QuantizedEnvelopeIndex(
+        return self._cache(
+            ("quant", float(eps), float(rel), criterion),
+            lambda: QuantizedEnvelopeIndex(
                 self.points,
                 eps=eps,
                 rel=rel,
                 criterion=criterion,
                 columns=self.columns,
-            )
-            self._approx_cache[key] = index
-            return index
+            ),
+        )
 
     # -- candidate generation ------------------------------------------------
     def object_tree(self) -> EnvelopeObjectTree:
@@ -296,15 +297,11 @@ class QueryPlanner:
         criteria, and ``k`` (the tree depends only on the column
         store)."""
         if self._object_tree is None:
-            def build() -> EnvelopeObjectTree:
-                return EnvelopeObjectTree(
+            self._object_tree = self._cache(
+                ("dual_tree",),
+                lambda: EnvelopeObjectTree(
                     self.columns, _DUAL_LEAF_SIZE, _DUAL_FANOUT
-                )
-
-            self._object_tree = (
-                self._object_tree_supplier(build)
-                if self._object_tree_supplier is not None
-                else build()
+                ),
             )
         return self._object_tree
 
@@ -314,13 +311,9 @@ class QueryPlanner:
         batches, criteria, and query methods (it depends only on the
         point set and its column store)."""
         if self._eval_cache is None:
-            def build() -> _evaluators.EvalCache:
-                return _evaluators.EvalCache(self.points, self.columns)
-
-            self._eval_cache = (
-                self._eval_cache_supplier(build)
-                if self._eval_cache_supplier is not None
-                else build()
+            self._eval_cache = self._cache(
+                ("eval_cache",),
+                lambda: _evaluators.EvalCache(self.points, self.columns),
             )
         return self._eval_cache
 
@@ -408,7 +401,6 @@ class QueryPlanner:
             "survivors",
         ):
             self.dual_totals[key] += res.stats[key]
-        self.last_dual_stats = dict(res.stats)
         return res
 
     def candidate_mask(

@@ -31,19 +31,14 @@ def threshold_nn_exact(points: Sequence, q, tau: float) -> Dict[int, float]:
 
 
 def threshold_nn_exact_many(
-    points: Sequence, qs, tau: float, planner=None
+    points: Sequence, qs, tau: float
 ) -> List[Dict[int, float]]:
     """Batched :func:`threshold_nn_exact`: one answer dict per query row.
 
     The Eq. (2) sweep is inherently per-query (a sorted event sweep), so
-    this front-end loops it; it exists so batch pipelines have a uniform
-    ``*_many`` surface over every engine.  With a
-    :class:`repro.QueryPlanner` over the same points, each sweep runs on
-    the query's candidate subset only (identical probabilities: pruned
-    points are strictly farther than the realized NN in every outcome).
+    this front-end loops it.  The :class:`repro.Engine` serves this
+    query through the planner instead.
     """
-    if planner is not None:
-        return planner.threshold_nn_exact_many(qs, tau)
     return [threshold_nn_exact(points, q, tau) for q in kernels.as_query_array(qs)]
 
 

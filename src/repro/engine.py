@@ -3,16 +3,17 @@
 The paper's whole premise is *preprocess an uncertain point set once,
 then answer many queries fast*.  :class:`Engine` is the public form of
 that contract: construct it once from a ``Sequence[UncertainPoint]`` and
-it owns the :class:`repro.ModelColumns` SoA store plus a **lazy, keyed
-index registry** — the :class:`repro.QueryPlanner`, the dual-tree
-:class:`repro.EnvelopeObjectTree` behind the pruned tier (one per
-generation, shared across batches and criteria),
-:class:`repro.QuantizedEnvelopeIndex` per ``(eps, rel, criterion)``,
-:class:`repro.ExpectedNNIndex`, spiral-search threshold structures, and
-reusable Monte-Carlo sample blocks keyed by ``(s, seed)`` — so repeated
-query batches never rebuild state the session already holds.  The
-stateless :mod:`repro.batch` facade is, since PR 4, a thin wrapper over
-a per-call throwaway ``Engine``; answers are bit-identical either way.
+it owns a **lazy, keyed index registry**: the
+:class:`repro.QueryPlanner` that answers every tier; what the planner
+builds on first use (the :class:`repro.ModelColumns` SoA store, the
+dual-tree :class:`repro.EnvelopeObjectTree`, the evaluators'
+:class:`~repro.core.evaluators.EvalCache`, one
+:class:`repro.QuantizedEnvelopeIndex` per ``(eps, rel, criterion)``);
+spiral-search threshold structures; and Monte-Carlo sample blocks keyed
+by ``(s, seed)``.  Repeated batches never rebuild what the session
+holds, and the exact tier builds none of the pruning structures.  The
+stateless :mod:`repro.batch` facade wraps a per-call throwaway
+``Engine``; answers are bit-identical either way.
 
 Quick start::
 
@@ -38,11 +39,15 @@ method (``expected_nn`` / ``nonzero`` / ``threshold`` / ``expected_knn``
 ``eps`` / ``rel``), the method parameters (``k``, ``tau``, Monte-Carlo
 ``s`` / ``epsilon`` / ``seed`` / ``adaptive`` / ``tol``), an optional
 candidate ``subset`` mask, and per-query execution overrides
-(``tile_bytes`` / ``parallel_backend`` / ``parallel_workers``).  The
-engine compiles the spec against its registry into an execution plan
-and returns a structured :class:`QueryResult` — answers, values,
-per-row certificate / fallback masks, timing, and (opt-in)
-candidates-pruned diagnostics.
+(``tile_bytes`` / ``parallel_backend`` / ``parallel_workers``).  Each
+method is one :class:`repro.methods.Method` record in
+:data:`repro.methods.METHODS`; the engine reads that record to answer
+every tier with one planner call and returns a structured
+:class:`QueryResult` — answers, values, per-row certificate / fallback
+masks, timing, and (opt-in) candidates-pruned diagnostics.  The exact
+tier runs in the planner's row tiles, so it honours ``tile_bytes`` and
+``memory_budget_bytes`` like the other tiers; every planner-backed
+query rejects ``parallel_backend="process"``.
 
 Dynamic updates are **generation-tagged**: every registry entry is
 stamped with the generation it was built at, and :meth:`Engine.insert`
@@ -63,10 +68,8 @@ answers are deterministic and participate; unseeded ones
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
-import functools
 import hashlib
 import itertools
 import os
@@ -85,23 +88,15 @@ from .config import (
     execution as _execution_ctx,
 )
 from .core.expected_nn import ExpectedNNIndex
-from .core.knn import (
-    expected_knn_many as _expected_knn_many,
-    monte_carlo_knn_many as _monte_carlo_knn_many,
-)
+from .core.knn import monte_carlo_knn_many as _monte_carlo_knn_many
 from .core.monte_carlo import MonteCarloPNN, rounds_for_fixed_query
 from .core.nonzero import UncertainSet
 from .core.planner import QueryPlanner
 from .core.spiral import SpiralSearchPNN
-from .core.threshold import (
-    ApproxThresholdIndex,
-    ThresholdAnswer,
-    threshold_nn_exact_many as _threshold_nn_exact_many,
-)
-from .core import parallel as _parallel
+from .core.threshold import ApproxThresholdIndex, ThresholdAnswer
 from .errors import QueryError, QueryTimeoutError, WalCorruptionError, WalError
 from .geometry.kernels import as_query_array
-from .resilience import admission as _admission
+from .methods import METHODS
 from .resilience import deadline as _deadline
 from .resilience import faults as _faults
 from .resilience import snapshot as _snapshot
@@ -110,25 +105,6 @@ from .uncertain.columns import ModelColumns, TAG_NAMES, model_tag
 
 __all__ = ["Engine", "IndexRegistry", "QueryResult", "QuerySpec", "tier_of"]
 
-
-def _exact_tile_worker(points_blob: str, method: str, Q, lo: int, hi: int):
-    """One exact-tier row tile, evaluated self-contained in a process-pool
-    worker.
-
-    Module-level and picklable: the relation travels as :mod:`repro.io`
-    JSON (IEEE doubles round-trip exactly), so the tile replays the very
-    float sequence of the in-process exact path — the exact tier is
-    row-independent, which makes this fan-out bit-identical by
-    construction.
-    """
-    points = _io.loads(points_blob)
-    sub = np.asarray(Q)[lo:hi]
-    if method == "expected_nn":
-        return ExpectedNNIndex(points).query_many(sub, exact=True)
-    # nonzero
-    return UncertainSet(points).nonzero_nn_many(sub)
-
-_METHODS = ("expected_nn", "nonzero", "threshold", "expected_knn", "mc_pnn")
 _TIERS = ("exact", "pruned", "approx")
 #: Per-family LRU caps on registry entries whose keys embed
 #: user-supplied values — without a bound, a long-lived serving session
@@ -142,8 +118,6 @@ _FAMILY_LIMITS = {
     "quant": 8,
     "subset": 8,
 }
-#: Methods served by the quantized-envelope approx tier.
-_APPROX_METHODS = ("expected_nn", "nonzero", "threshold")
 
 
 def tier_of(exact: bool, eps: Optional[float]) -> str:
@@ -244,16 +218,19 @@ class QuerySpec:
     degrade_eps: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        # isinstance first: an unhashable name must not reach the lookup.
+        method = METHODS.get(self.method) if isinstance(self.method, str) else None
+        if method is None:
             raise QueryError(
-                f"unknown query method {self.method!r}; expected {_METHODS}"
+                f"unknown query method {self.method!r}; "
+                f"expected {tuple(METHODS)}"
             )
         if self.tier not in _TIERS:
             raise QueryError(
                 f"unknown planner tier {self.tier!r}; expected {_TIERS}"
             )
         if self.tier == "approx":
-            if self.method not in _APPROX_METHODS:
+            if not method.approx:
                 raise QueryError(
                     f"{self.method} has no approx tier"
                 )
@@ -265,17 +242,7 @@ class QuerySpec:
             raise QueryError("eps= requires tier='approx'")
         if self.rel < 0.0:
             raise QueryError("rel must be non-negative")
-        if self.method == "expected_knn":
-            if self.k is None or int(self.k) < 1:
-                raise QueryError("expected_knn requires k >= 1")
-        if self.method == "threshold":
-            if self.tau is None or not 0.0 <= float(self.tau) < 1.0:
-                raise QueryError("tau must lie in [0, 1)")
-        if self.method == "mc_pnn":
-            if self.s is None and self.epsilon is None:
-                raise QueryError("provide either s or epsilon")
-            if self.adaptive and (self.tol is None or not self.tol > 0.0):
-                raise QueryError("adaptive stopping requires tol > 0")
+        method.check(self)
         if self.deadline_s is not None and not float(self.deadline_s) > 0.0:
             raise QueryError("deadline_s must be positive")
         if self.on_deadline not in ("raise", "degrade"):
@@ -283,7 +250,7 @@ class QuerySpec:
                 f"on_deadline must be 'raise' or 'degrade', "
                 f"got {self.on_deadline!r}"
             )
-        if self.on_deadline == "degrade" and self.method not in _APPROX_METHODS:
+        if self.on_deadline == "degrade" and not method.approx:
             raise QueryError(
                 f"{self.method} has no approx tier to degrade onto; "
                 f"use on_deadline='raise'"
@@ -374,12 +341,10 @@ class QuerySpec:
             # What completes before a wall-clock deadline is inherently
             # non-deterministic; such results must never be replayed.
             return None
-        if self.method == "mc_pnn":
-            seed = _seed_key(self.seed)
-            if seed is None:
-                return None
-        else:
-            seed = None
+        seeded = METHODS[self.method].seeded
+        seed = _seed_key(self.seed) if seeded else None
+        if seeded and seed is None:
+            return None
         return (
             self.method,
             self.tier,
@@ -396,6 +361,27 @@ class QuerySpec:
             self.subset,
             self.diagnostics,
         )
+
+
+def resolve_spec(
+    spec: Optional[QuerySpec], overrides: Dict[str, object]
+) -> QuerySpec:
+    """The spec a ``query(qs, spec, **overrides)`` call runs: a new spec
+    from ``overrides`` alone, or ``spec`` with ``overrides`` replaced.
+
+    ``dataclasses.replace`` re-runs ``__post_init__`` on the already
+    converted index tuple, so a boolean subset mask's original length is
+    restored here and the wrong-dataset guard keeps working.
+    """
+    if spec is None:
+        return QuerySpec(**overrides)
+    if not overrides:
+        return spec
+    mask_len = getattr(spec, "_subset_mask_len", None)
+    resolved = dataclasses.replace(spec, **overrides)
+    if "subset" not in overrides and mask_len is not None:
+        object.__setattr__(resolved, "_subset_mask_len", mask_len)
+    return resolved
 
 
 @dataclasses.dataclass
@@ -539,35 +525,6 @@ class IndexRegistry:
         return total
 
 
-class _QuantCacheView:
-    """The mutable-mapping face :class:`repro.QueryPlanner` expects for
-    its approx cache, backed by the engine so quantized envelopes built
-    through the planner land under the session's
-    ``("quant", eps, rel, criterion)`` keys (counting as registry
-    builds/hits and participating in the per-family LRU)."""
-
-    __slots__ = ("_engine", "_generation")
-
-    def __init__(self, engine: "Engine", generation: int):
-        self._engine = engine
-        self._generation = generation
-
-    def __getitem__(self, key):
-        full = ("quant",) + tuple(key)
-        value = self._engine._registry.peek(full, self._generation)
-        if value is None:
-            raise KeyError(key)
-        self._engine._registry.hits += 1
-        self._engine._touch(full)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        full = ("quant",) + tuple(key)
-        self._engine._registry.put(full, self._generation, value)
-        self._engine._registry.builds += 1
-        self._engine._touch(full)
-
-
 def _key_label(key: tuple) -> str:
     """Human-readable registry key for stats()/repr."""
     name, rest = key[0], key[1:]
@@ -680,36 +637,22 @@ class Engine:
         )
 
     def planner(self) -> QueryPlanner:
-        """The session's three-tier :class:`repro.QueryPlanner` (its
-        approx cache is a registry view and its dual-tree object tree a
-        registry entry, so both are session-owned)."""
+        """The session's three-tier :class:`repro.QueryPlanner`.  What
+        the planner builds on first use — the column store, the dual
+        tree, the eval cache and the quantized envelopes — lands in this
+        registry under the planner's keys, so it is session-owned."""
         self._require_points()
         generation = self._generation
 
-        def object_tree_supplier(build):
-            # Lazily built on the planner's first dual prune pass and
-            # cached under ("dual_tree",): one object-envelope tree per
-            # generation, reused across batches and across the
-            # expected / support criteria (the tree depends only on the
-            # column store).
-            return self._registry.get(("dual_tree",), generation, build)
-
-        def eval_cache_supplier(build):
-            # Same ownership pattern for the grouped evaluator's
-            # precomputations: one EvalCache per generation, hit by
-            # every grouped kernel pass of every batch.
-            return self._registry.get(("eval_cache",), generation, build)
+        def cache(key: tuple, build):
+            value = self._registry.get(key, generation, build)
+            self._touch(key)
+            return value
 
         return self._registry.get(
             ("planner",),
-            self._generation,
-            lambda: QueryPlanner(
-                self._points,
-                columns=self.columns(),
-                approx_cache=_QuantCacheView(self, self._generation),
-                object_tree_supplier=object_tree_supplier,
-                eval_cache_supplier=eval_cache_supplier,
-            ),
+            generation,
+            lambda: QueryPlanner(self._points, cache=cache),
         )
 
     def object_tree(self):
@@ -722,10 +665,8 @@ class Engine:
 
     def expected_index(self) -> ExpectedNNIndex:
         """The session's :class:`repro.ExpectedNNIndex`, sharing the
-        registry's uset.  The engine's answer paths drive the pruned
-        tier through :meth:`planner` directly, so no planner (or column
-        store) is built here — the exact cross-check tier stays as cheap
-        as the pre-session facade."""
+        registry's uset (:meth:`expected_distance_matrix` reads it; the
+        answer paths go through :meth:`planner`)."""
         self._require_points()
         return self._registry.get(
             ("expected_nn",),
@@ -1215,16 +1156,7 @@ class Engine:
         (same spec, same query bytes, same generation) are served from
         the session's result cache.
         """
-        if spec is None:
-            spec = QuerySpec(**spec_kwargs)
-        elif spec_kwargs:
-            mask_len = getattr(spec, "_subset_mask_len", None)
-            spec = dataclasses.replace(spec, **spec_kwargs)
-            if "subset" not in spec_kwargs and mask_len is not None:
-                # replace() re-ran __post_init__ on the already-converted
-                # index tuple; restore the original mask length so the
-                # wrong-dataset guard keeps working.
-                object.__setattr__(spec, "_subset_mask_len", mask_len)
+        spec = resolve_spec(spec, spec_kwargs)
         # Validate dataset-dependent spec fields before the cache is
         # consulted, so an invalid spec raises regardless of cache state.
         self._check_subset(spec)
@@ -1276,15 +1208,15 @@ class Engine:
         )
         if n == 0:
             approx = spec.tier == "approx"
-            expected = spec.method == "expected_nn"
+            method = METHODS[spec.method]
             return QueryResult(
-                answers=self._empty_answers(spec, m),
+                answers=method.shape.empty(m),
                 fallback=np.zeros(m, dtype=bool) if approx else None,
-                values=np.full(m, np.inf) if expected else None,
+                values=np.full(m, np.inf) if method.values else None,
                 # Nothing to approximate: the (empty) answer is exact,
                 # and the certificate keeps the non-empty array contract.
                 certificate=(
-                    np.zeros(m) if approx and expected else None
+                    np.zeros(m) if approx and method.values else None
                 ),
                 plan={"route": "empty", "indexes": []},
                 **base,
@@ -1346,11 +1278,10 @@ class Engine:
         chunk = self.planner()._tile_rows(
             "exact" if spec.tier == "exact" else "pruned"
         )
-        if _EXECUTION.parallel_backend == "process":
-            # A degrade chunk must span several process-pool tiles, or
-            # the exact tier's fan-out degenerates to one tile per
-            # chunk and the pool (with its crash recovery) never
-            # engages.
+        if _EXECUTION.parallel_backend != "serial":
+            # A degrade chunk must span several tiles: map_tiles runs a
+            # one-tile chunk serially, so the pool (with its crash
+            # recovery) would never engage.
             chunk *= 4
         parts: List[QueryResult] = []
         done = 0
@@ -1375,18 +1306,9 @@ class Engine:
             aspec = QuerySpec(
                 spec.method, tier="approx", eps=eps, tau=spec.tau
             )
-            # The approx tail runs on planner tiles, which are
-            # thread-only; a process-backend main tier must not make
-            # degradation itself fail.
-            tail_ctx = (
-                _execution_ctx(parallel_backend="thread")
-                if _EXECUTION.parallel_backend == "process"
-                else contextlib.nullcontext()
+            parts.append(
+                self._dispatch(aspec, Q[done:], dict(base, m=m - done))
             )
-            with tail_ctx:
-                parts.append(
-                    self._dispatch(aspec, Q[done:], dict(base, m=m - done))
-                )
         result = self._merge_chunks(spec, parts, base)
         result.degraded = degraded
         if done < m:
@@ -1403,15 +1325,7 @@ class Engine:
     ) -> QueryResult:
         """Row-concatenate chunked :class:`QueryResult` payloads (every
         degradable method is row-independent, so chunking is exact)."""
-        first = parts[0].answers
-        if isinstance(first, np.ndarray):
-            answers = (
-                parts[0].answers
-                if len(parts) == 1
-                else np.concatenate([p.answers for p in parts])
-            )
-        else:
-            answers = [row for p in parts for row in p.answers]
+        answers = METHODS[spec.method].shape.concat([p.answers for p in parts])
 
         def cat(field: str, fill_dtype) -> Optional[np.ndarray]:
             if all(getattr(p, field) is None for p in parts):
@@ -1437,173 +1351,10 @@ class Engine:
             **base,
         )
 
-    def _exact_process_many(self, method: str, Q: np.ndarray):
-        """The exact tier fanned out over a process pool.
-
-        The planner's tile closures hold model objects and reject the
-        process backend outright; the exact tier's row tiles are
-        self-contained, so they ship to workers via
-        :func:`_exact_tile_worker` and reassemble in tile order —
-        answers are bit-identical to the in-process exact path, and
-        failed tiles recover through ``map_tiles``'s serial retry.
-        """
-        blob = _io.dumps(self._points)
-        n = len(self._points)
-        rows = max(1, int(_EXECUTION.tile_bytes) // max(1, 64 * n))
-        rows = _admission.clamp_tile_rows(
-            rows, n, 64, what=f"{method}/exact process tiles"
-        )
-        tiles = _parallel.tile_ranges(Q.shape[0], rows)
-        fn = functools.partial(_exact_tile_worker, blob, method, Q)
-        parts = _parallel.map_tiles(fn, tiles, backend="process")
-        if method == "expected_nn":
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-        return [row for p in parts for row in p]
-
     def _dispatch(
         self, spec: QuerySpec, Q: np.ndarray, base: Dict
     ) -> QueryResult:
-        method, tier = spec.method, spec.tier
-        route = f"{method}/{tier}"
-        if method == "expected_nn":
-            if tier == "approx":
-                winners, values, fallback = self.planner().expected_nn_many(
-                    Q,
-                    tier="approx",
-                    eps=spec.eps,
-                    rel=spec.rel,
-                    return_fallback=True,
-                )
-                certificate = np.maximum(spec.eps, spec.rel * values)
-                # Fallback rows resolve exactly in float64; under
-                # EXECUTION.dtype="float32" the planner reports their
-                # certified kernel error bounds instead, which fold
-                # into this tier's eps budget.
-                f32_bounds = self.planner().last_fallback_bounds
-                certificate[fallback] = (
-                    0.0 if f32_bounds is None else f32_bounds
-                )
-                return QueryResult(
-                    answers=winners,
-                    values=values,
-                    fallback=fallback,
-                    certificate=certificate,
-                    plan={"route": route, "indexes": ["quant", "planner"]},
-                    **base,
-                )
-            if tier == "exact":
-                if _EXECUTION.parallel_backend == "process":
-                    winners, values = self._exact_process_many(method, Q)
-                else:
-                    winners, values = self.expected_index().query_many(
-                        Q, exact=True
-                    )
-            else:
-                winners, values = self.planner().expected_nn_many(Q)
-            return QueryResult(
-                answers=winners,
-                values=values,
-                plan={
-                    "route": route,
-                    "indexes": ["expected_nn" if tier == "exact" else "planner"],
-                },
-                **base,
-            )
-        if method == "nonzero":
-            if tier == "approx":
-                sets, fallback = self.planner().nonzero_nn_many(
-                    Q,
-                    tier="approx",
-                    eps=spec.eps,
-                    rel=spec.rel,
-                    return_fallback=True,
-                )
-                return QueryResult(
-                    answers=sets,
-                    fallback=fallback,
-                    plan={"route": route, "indexes": ["quant", "planner"]},
-                    **base,
-                )
-            if tier == "exact":
-                if _EXECUTION.parallel_backend == "process":
-                    sets = self._exact_process_many(method, Q)
-                else:
-                    sets = self.uset().nonzero_nn_many(Q)
-            else:
-                sets = self.planner().nonzero_nn_many(Q)
-            return QueryResult(
-                answers=sets,
-                plan={
-                    "route": route,
-                    "indexes": ["uset" if tier == "exact" else "planner"],
-                },
-                **base,
-            )
-        if method == "threshold":
-            if tier == "approx":
-                answers, fallback = self.planner().threshold_nn_exact_many(
-                    Q,
-                    spec.tau,
-                    tier="approx",
-                    eps=spec.eps,
-                    rel=spec.rel,
-                    return_fallback=True,
-                )
-                return QueryResult(
-                    answers=answers,
-                    fallback=fallback,
-                    plan={"route": route, "indexes": ["quant", "planner"]},
-                    **base,
-                )
-            planner = None if tier == "exact" else self.planner()
-            answers = _threshold_nn_exact_many(
-                self._points, Q, spec.tau, planner=planner
-            )
-            return QueryResult(
-                answers=answers,
-                plan={
-                    "route": route,
-                    "indexes": [] if tier == "exact" else ["planner"],
-                },
-                **base,
-            )
-        if method == "expected_knn":
-            planner = None if tier == "exact" else self.planner()
-            ranking = _expected_knn_many(
-                self._points, Q, spec.k, planner=planner
-            )
-            return QueryResult(
-                answers=ranking,
-                plan={
-                    "route": route,
-                    "indexes": [] if tier == "exact" else ["planner"],
-                },
-                **base,
-            )
-        # mc_pnn
-        mc = self.monte_carlo_index(
-            s=spec.s, epsilon=spec.epsilon, delta=spec.delta, seed=spec.seed
-        )
-        planner = None if tier == "exact" else self.planner()
-        answers = mc.query_many(
-            Q,
-            planner=planner,
-            adaptive=spec.adaptive,
-            tol=spec.tol,
-            delta=spec.delta,
-        )
-        return QueryResult(
-            answers=answers,
-            plan={
-                "route": route,
-                "indexes": ["mc_pnn"]
-                + ([] if tier == "exact" else ["planner"]),
-            },
-            **base,
-        )
+        return QueryResult(**METHODS[spec.method].answer(self, spec, Q), **base)
 
     def _check_subset(self, spec: QuerySpec) -> None:
         """Reject subsets that do not fit this dataset (mask built for a
@@ -1636,27 +1387,11 @@ class Engine:
         result.spec = spec
         result.n = n
         result.generation = self._generation
-        result.answers = self._remap_subset(spec.method, result.answers, idx)
+        result.answers = METHODS[spec.method].shape.remap(result.answers, idx)
         result.plan["route"] = f"subset[{idx.size}]/" + str(
             result.plan.get("route", "")
         )
         return result
-
-    @staticmethod
-    def _remap_subset(method: str, answers, idx: np.ndarray):
-        """Lift sub-dataset answer indices back to the parent space."""
-        if method in ("expected_nn",):
-            out = np.asarray(answers).copy()
-            won = out >= 0
-            out[won] = idx[out[won]]
-            return out
-        if method == "expected_knn":
-            return idx[np.asarray(answers)]
-        if method == "nonzero":
-            return [frozenset(int(idx[i]) for i in s) for s in answers]
-        return [
-            {int(idx[i]): v for i, v in row.items()} for row in answers
-        ]
 
     def _collect_diagnostics(
         self, spec: QuerySpec, Q: np.ndarray, result: QueryResult
@@ -1667,14 +1402,10 @@ class Engine:
         # Evaluation-phase breakdown of the answer pass that just ran:
         # prune vs evaluate wall time, grouped pairs, and eval-cache
         # reuse.  Present whenever the grouped evaluator served the
-        # query; the exact tier never runs through the planner.
+        # query; the exact tier evaluates no survivor pairs.
         if len(self._points) and spec.subset is None:
             planner = self._registry.peek(("planner",), self._generation)
-            if (
-                spec.tier != "exact"
-                and planner is not None
-                and planner.last_eval_stats is not None
-            ):
+            if planner is not None and planner.last_eval_stats is not None:
                 diag["eval_pairs"] = planner.last_eval_stats["pairs"]
                 diag["eval_seconds"] = planner.last_eval_stats["eval_seconds"]
                 diag["prune_seconds"] = planner.last_eval_stats["prune_seconds"]
@@ -1684,16 +1415,10 @@ class Engine:
                 for name, pairs in cache.pair_counts.items():
                     diag[f"pairs_{name}"] = float(pairs)
         if spec.tier == "pruned" and len(self._points) and spec.subset is None:
-            criterion = (
-                "expected"
-                if spec.method in ("expected_nn", "expected_knn")
-                else "support"
-            )
-            # Match the answer path's prune parameters (notably
-            # expected_knn's k), so the reported counts describe the
-            # same survivor sets the evaluators saw.
-            k = spec.k if spec.method == "expected_knn" else 1
-            # The re-run adds nothing to the planner's totals.
+            # The answer path's prune parameters, so the reported counts
+            # describe the same survivor sets the evaluators saw.  The
+            # re-run adds nothing to the planner's totals.
+            criterion, k = METHODS[spec.method].prune(spec)
             stats = self.planner().prune_stats(Q, criterion=criterion, k=k)
             diag["mean_candidates"] = stats["mean_candidates"]
             diag["max_candidates"] = stats["max_candidates"]
@@ -1709,18 +1434,6 @@ class Engine:
             ):
                 diag[key] = stats[key]
         result.diagnostics.update(diag)
-
-    @staticmethod
-    def _empty_answers(spec: QuerySpec, m: int):
-        """Well-shaped answers over an empty dataset (nothing can be a
-        neighbor): no winners, empty sets, empty rankings."""
-        if spec.method == "expected_nn":
-            return np.full(m, -1, dtype=np.intp)
-        if spec.method == "expected_knn":
-            return np.zeros((m, 0), dtype=np.intp)
-        if spec.method == "nonzero":
-            return [frozenset()] * m
-        return [{} for _ in range(m)]
 
     # -- facade-compatible convenience methods --------------------------------
     def nonzero_nn_many(

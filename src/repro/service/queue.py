@@ -53,6 +53,7 @@ from ..errors import (
     UnknownDatasetError,
 )
 from ..geometry.kernels import as_query_array
+from ..methods import METHODS
 from .registry import DatasetRegistry
 
 __all__ = ["RequestQueue", "Ticket", "coalescible"]
@@ -63,7 +64,7 @@ def coalescible(spec: QuerySpec) -> bool:
     and split per request (see the module docstring for the exclusions)."""
     if spec.deadline_s is not None or spec.diagnostics:
         return False
-    if spec.method == "mc_pnn" and (
+    if METHODS[spec.method].seeded and (
         spec.adaptive or _seed_key(spec.seed) is None
     ):
         return False

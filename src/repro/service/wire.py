@@ -6,7 +6,7 @@ The daemon speaks a small, versioned JSON protocol:
   ``spec`` is :meth:`repro.QuerySpec.to_dict` output (every field
   optional except ``method``; omitted fields take the spec defaults);
 * a **result** is :func:`encode_result` output — the method's answers
-  in a JSON shape, plus the :class:`repro.QueryResult` masks, timings,
+  in its answer shape's JSON form (:mod:`repro.methods`), plus the :class:`repro.QueryResult` masks, timings,
   and plan.
 
 Python's ``json`` round-trips IEEE doubles exactly (``repr`` shortest
@@ -23,7 +23,7 @@ the HTTP layer maps to 400.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..engine import QueryResult, QuerySpec
 from ..errors import QueryError
 from ..geometry.kernels import as_query_array
 from ..io import json_safe
+from ..methods import METHODS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -125,39 +126,6 @@ def decode_request(payload) -> Tuple[QuerySpec, np.ndarray]:
 
 # -- results ------------------------------------------------------------------
 
-def _encode_answers(method: str, answers) -> List:
-    """Method-specific JSON shape for the answers payload.
-
-    Integer-keyed dicts become sorted ``[index, probability]`` pair
-    lists (JSON object keys are strings, which would lose the index
-    type); frozensets become sorted index lists.
-    """
-    if method in ("expected_nn", "expected_knn"):
-        return np.asarray(answers).tolist()
-    if method == "nonzero":
-        return [sorted(int(i) for i in row) for row in answers]
-    # threshold / mc_pnn: per-row {index: probability}
-    return [
-        [[int(i), float(row[i])] for i in sorted(row)] for row in answers
-    ]
-
-
-def _decode_answers(method: str, answers, m: int):
-    if not isinstance(answers, list) or len(answers) != m:
-        raise QueryError(
-            f"result answers must be a list of {m} rows"
-        )
-    if method == "expected_nn":
-        return np.asarray(answers, dtype=np.intp)
-    if method == "expected_knn":
-        return np.asarray(answers, dtype=np.intp).reshape(m, -1)
-    if method == "nonzero":
-        return [frozenset(int(i) for i in row) for row in answers]
-    return [
-        {int(i): float(p) for i, p in row} for row in answers
-    ]
-
-
 def _mask(value, dtype) -> Optional[np.ndarray]:
     return None if value is None else np.asarray(value, dtype=dtype)
 
@@ -168,7 +136,7 @@ def encode_result(result: QueryResult) -> Dict[str, object]:
         "schema": SCHEMA_VERSION,
         "method": result.spec.method,
         "spec": encode_spec(result.spec),
-        "answers": _encode_answers(result.spec.method, result.answers),
+        "answers": METHODS[result.spec.method].shape.encode(result.answers),
         "values": json_safe(result.values),
         "fallback": json_safe(result.fallback),
         "certificate": json_safe(result.certificate),
@@ -199,15 +167,19 @@ def decode_result(obj) -> QueryResult:
     try:
         spec = decode_spec(obj["spec"])
         m = int(obj["m"])
+        n = int(obj["n"])
+        answers = obj["answers"]
+        if not isinstance(answers, list) or len(answers) != m:
+            raise QueryError(f"result answers must be a list of {m} rows")
         return QueryResult(
             spec=spec,
-            answers=_decode_answers(spec.method, obj["answers"], m),
+            answers=METHODS[spec.method].shape.decode(answers, spec, n),
             values=_mask(obj.get("values"), np.float64),
             fallback=_mask(obj.get("fallback"), bool),
             certificate=_mask(obj.get("certificate"), np.float64),
             degraded=_mask(obj.get("degraded"), bool),
             m=m,
-            n=int(obj["n"]),
+            n=n,
             generation=int(obj.get("generation", 0)),
             elapsed=float(obj.get("elapsed", 0.0)),
             cached=bool(obj.get("cached", False)),

@@ -25,6 +25,7 @@ import pytest
 from repro import (
     Engine,
     QueryError,
+    QuerySpec,
     ResourceLimitError,
     ShardedEngine,
     config,
@@ -125,6 +126,18 @@ class TestBitIdentity:
         )
         assert np.asarray(sub.answers).max() <= 5
         assert cluster.stats()["cluster"]["local_queries"] == before + 2
+
+    def test_spec_overrides_keep_subset_mask_guard(self, cluster):
+        # A boolean mask built for a different dataset is rejected, also
+        # when the call overrides other fields of the spec.
+        mask = np.zeros(len(cluster) + 5, dtype=bool)
+        mask[5] = True
+        spec = QuerySpec("expected_nn", subset=mask)
+        Q = _queries(m=2)
+        with pytest.raises(QueryError, match="mask must have length"):
+            cluster.query(Q, spec)
+        with pytest.raises(QueryError, match="mask must have length"):
+            cluster.query(Q, spec, diagnostics=True)
 
 
 class TestFailover:

@@ -204,11 +204,11 @@ class TestFacadeBitIdentity:
 
 
 class TestRegistryCaching:
-    def test_exact_tier_builds_no_planner_or_columns(self):
+    def test_exact_tier_builds_no_pruning_structures(self):
         engine = Engine(model_points("disk", seed=347, n=8))
         engine.expected_nn_many(queries_for(349, m=4), exact=True)
         built = engine.stats()["built_indexes"]
-        assert "planner" not in built and "columns" not in built
+        assert not {"columns", "dual_tree", "eval_cache"} & set(built)
 
     def test_second_query_builds_nothing(self):
         engine = Engine(mixed_points(67))

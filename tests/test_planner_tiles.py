@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import QueryPlanner, config
+from repro import Engine, QueryPlanner, config
 from repro.constructions import (
     cluster_centers,
     clustered_disk_points,
@@ -128,6 +128,17 @@ class TestTiledMemory:
         # The tiled pass never materializes even one (m, n) float64.
         assert peak_tiled < m * n * 8
         assert peak_dense > m * n * 8
+        # Neither does the engine's exact tier, which runs in the
+        # planner's row tiles.
+        engine = Engine(points)
+        for spec in ({"method": "nonzero"}, {"method": "expected_knn", "k": 3}):
+            engine.query(Q[:4], tier="exact", **spec)  # warm, uncounted
+            with config.execution(tile_bytes=128 * 1024):
+                tracemalloc.start()
+                engine.query(Q, tier="exact", **spec)
+                _, peak_engine = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+            assert peak_engine < m * n * 8, spec
 
 
 class TestBackendAndTierGuards:
@@ -139,6 +150,12 @@ class TestBackendAndTierGuards:
         with config.execution(parallel_backend="process"):
             with pytest.raises(QueryError, match="thread"):
                 QueryPlanner(points).candidate_mask(Q)
+        # The engine's exact tier runs on the planner's tiles, too.
+        with pytest.raises(QueryError, match="thread"):
+            Engine(points).query(
+                Q, method="expected_nn", tier="exact",
+                parallel_backend="process",
+            )
 
     def test_facade_rejects_contradictory_exact_and_eps(self):
         from repro import batch

@@ -180,6 +180,17 @@ class TestAdmission:
             res = Engine(eng.points).query(Q, method="expected_nn")
         np.testing.assert_array_equal(res.answers, base.answers)
         np.testing.assert_array_equal(res.values, base.values)
+        # The exact tier tiles under the same budget, which is below one
+        # (m, n) float64 matrix of this batch.
+        Qx = _queries(64)
+        assert budget < Qx.shape[0] * len(eng) * 8
+        base = eng.query(Qx, method="expected_nn", tier="exact")
+        with execution(memory_budget_bytes=budget):
+            res = Engine(eng.points).query(
+                Qx, method="expected_nn", tier="exact"
+            )
+        np.testing.assert_array_equal(res.answers, base.answers)
+        np.testing.assert_array_equal(res.values, base.values)
 
     def test_require_bytes_without_budget_is_noop(self):
         assert EXECUTION.memory_budget_bytes is None
@@ -343,7 +354,7 @@ class TestPerEngineFaultStats:
         ):
             res = e1.query(
                 Q, method="expected_nn", tier="exact",
-                parallel_backend="process", parallel_workers=2,
+                parallel_backend="thread", parallel_workers=2,
                 tile_bytes=24 * 64 * 4,
             )
         np.testing.assert_array_equal(res.answers, base.answers)
@@ -376,23 +387,25 @@ class TestPerEngineFaultStats:
 
 class TestDegradeComposesWithProcessRecovery:
     def test_degraded_mask_and_recovered_tiles_compose(self):
-        # Satellite of PR 8: one query combines ``on_deadline="degrade"``
-        # with the process backend and an injected ``parallel.tile``
-        # crash — the crash is recovered inside a finished chunk (those
-        # rows stay bit-identical) while the deadline degrades the tail.
+        # One query combines ``on_deadline="degrade"`` with a pool
+        # backend and an injected ``parallel.tile`` crash — the crash is
+        # recovered inside a finished chunk (those rows stay
+        # bit-identical) while the deadline degrades the tail.  Engine
+        # queries reject the process backend, so the pool is threads;
+        # process-pool recovery is test_process_kill_recovered_serially.
         eng = _engine(n=24)
         Q = _queries(30)
         base = eng.query(Q, method="expected_nn", tier="exact")
         # The deadline is generous enough for chunk 0 (including the
-        # process-pool spawn and the serial crash recovery) and is then
-        # tripped deterministically by the slow fault at chunk 1.
+        # serial crash recovery) and is then tripped deterministically
+        # by the slow fault at chunk 1.
         with faults.inject(
             FaultSpec("parallel.tile", "crash", times=1),
             FaultSpec("engine.chunk", "slow", delay_s=3.5, indices=(1,)),
         ):
             res = eng.query(
                 Q, method="expected_nn", tier="exact",
-                parallel_backend="process", parallel_workers=2,
+                parallel_backend="thread", parallel_workers=2,
                 tile_bytes=24 * 64 * 5,
                 deadline_s=3.0, on_deadline="degrade",
             )

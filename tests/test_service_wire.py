@@ -134,23 +134,27 @@ def queries():
 @pytest.mark.parametrize("method", METHODS)
 def test_result_json_round_trip_bit_identical(engine, queries, method):
     spec = _spec_for(method, "pruned")
-    result = engine.query(queries, spec)
-    over_the_wire = json.loads(json.dumps(wire.encode_result(result)))
-    restored = wire.decode_result(over_the_wire)
+    # A zero-row batch is a valid request, so its result must decode.
+    for Q in (queries, queries[:0]):
+        result = engine.query(Q, spec)
+        over_the_wire = json.loads(json.dumps(wire.encode_result(result)))
+        restored = wire.decode_result(over_the_wire)
 
-    assert restored.spec == spec
-    assert restored.m == result.m and restored.n == result.n
-    assert restored.generation == result.generation
-    if method in ("expected_nn", "expected_knn"):
-        assert np.array_equal(restored.answers, np.asarray(result.answers))
-    elif method == "nonzero":
-        assert list(restored.answers) == [frozenset(r) for r in result.answers]
-    else:  # dict-valued probabilities: bit-identical floats
-        assert len(restored.answers) == len(result.answers)
-        for got, want in zip(restored.answers, result.answers):
-            assert got == {int(i): float(p) for i, p in want.items()}
-    if result.values is not None:
-        assert np.array_equal(restored.values, result.values)
+        assert restored.spec == spec
+        assert restored.m == result.m and restored.n == result.n
+        assert restored.generation == result.generation
+        if method in ("expected_nn", "expected_knn"):
+            assert np.array_equal(restored.answers, np.asarray(result.answers))
+        elif method == "nonzero":
+            assert list(restored.answers) == [
+                frozenset(r) for r in result.answers
+            ]
+        else:  # dict-valued probabilities: bit-identical floats
+            assert len(restored.answers) == len(result.answers)
+            for got, want in zip(restored.answers, result.answers):
+                assert got == {int(i): float(p) for i, p in want.items()}
+        if result.values is not None:
+            assert np.array_equal(restored.values, result.values)
 
 
 def test_result_round_trip_masks(engine, queries):
@@ -199,6 +203,14 @@ def test_decode_request_from_bytes():
 def test_decode_request_rejects_malformed(payload):
     with pytest.raises(QueryError):
         wire.decode_request(payload)
+
+
+@pytest.mark.parametrize("method", ["no_such_method", ["expected_nn"], {}, 3])
+def test_decode_request_rejects_bad_method_names(method):
+    # Unknown and unhashable names alike are a 400, never a KeyError or
+    # TypeError from the method-table lookup.
+    with pytest.raises(QueryError, match="unknown query method"):
+        wire.decode_request({"query": [[1.0, 2.0]], "spec": {"method": method}})
 
 
 def test_decode_request_rejects_nan_coordinates():

@@ -1,0 +1,159 @@
+"""Every serving path against the exact tier, for every query method.
+
+One differential check walks the method table
+(:data:`repro.methods.METHODS`) over the tie-heavy lattice data of
+``tests/test_csr_reducers.py``: duplicate models, coincident locations
+and equal distances across owners.  Each way a query can be served must
+return the exact tier's answers bit for bit:
+
+* the pruned tier;
+* the approx tier's fallback rows (methods with an approx tier);
+* a candidate subset that covers every index;
+* a 2-shard :class:`repro.ShardedEngine` (methods with a shard protocol);
+* a coalesced :class:`repro.service.RequestQueue` batch;
+* a wire round trip;
+* a snapshot restore;
+* a write-ahead-log recovery.
+"""
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro import Engine, QuerySpec, ShardedEngine
+from repro.methods import METHODS
+from repro.resilience.retry import RetryPolicy
+from repro.service import DatasetRegistry, RequestQueue, wire
+
+from test_csr_reducers import lattice_points, lattice_queries
+
+#: Spec parameters per method, and whether its exact tier needs discrete
+#: models (the Eq. (2) sweep).  Every table entry must appear here.
+PARAMS = {
+    "expected_nn": ({}, False),
+    "nonzero": ({}, False),
+    "threshold": ({"tau": 0.1}, True),
+    "expected_knn": ({"k": 3}, False),
+    "mc_pnn": ({"s": 32, "seed": 5}, False),
+}
+
+
+def _points(name):
+    pts = lattice_points()
+    return [p for p in pts if p.is_discrete] if PARAMS[name][1] else pts
+
+
+def _spec(name, tier="pruned", **extra):
+    return QuerySpec(name, tier=tier, **PARAMS[name][0], **extra)
+
+
+def _rows(answers, rows):
+    if isinstance(answers, np.ndarray):
+        return answers[rows]
+    return [answers[r] for r in rows]
+
+
+def _assert_same(got, want, rows=None, what=""):
+    __tracebackhide__ = True
+    if rows is None:
+        rows = np.arange(want.m)
+    g, w = _rows(got.answers, rows), _rows(want.answers, rows)
+    if isinstance(w, np.ndarray):
+        assert np.array_equal(np.asarray(g), w), what
+    else:
+        assert list(g) == list(w), what
+    if want.values is not None:
+        assert np.array_equal(got.values[rows], want.values[rows]), what
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    retry = RetryPolicy(attempts=2, base_delay_s=0.01, max_delay_s=0.05)
+    with ShardedEngine(lattice_points(), shards=2, retry=retry) as ce:
+        yield ce
+
+
+def test_table_is_covered():
+    assert set(PARAMS) == set(METHODS)
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_serving_path_matches_exact(name, cluster, tmp_path):
+    method = METHODS[name]
+    points = _points(name)
+    Q = lattice_queries()
+    engine = Engine(points)
+    exact = engine.query(Q, _spec(name, "exact"))
+    assert exact.m == Q.shape[0]
+
+    _assert_same(engine.query(Q, _spec(name)), exact, what="pruned")
+
+    if method.approx:
+        res = engine.query(Q, _spec(name, "approx", eps=0.01))
+        rows = np.flatnonzero(res.fallback)
+        assert rows.size, "no fallback rows to compare"
+        _assert_same(res, exact, rows, what="approx fallback rows")
+
+    every = np.ones(len(points), dtype=bool)
+    _assert_same(
+        engine.query(Q, _spec(name, subset=every)), exact, what="subset"
+    )
+
+    if method.report is not None:
+        assert len(cluster) == len(points)
+        for tier in ("exact", "pruned"):
+            res = cluster.query(Q, _spec(name, tier))
+            assert res.plan["route"].startswith("cluster/")
+            _assert_same(res, exact, what=f"2-shard cluster, {tier}")
+
+    registry = DatasetRegistry()
+    try:
+        registry.create("lattice", points=points)
+        queue = RequestQueue(registry, start=False)
+        cuts = [0, 1, 40, 90, Q.shape[0]]
+        tickets = [
+            queue.submit("lattice", _spec(name), Q[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        queue.start()
+        parts = [t.wait(60) for t in tickets]
+        queue.close()
+    finally:
+        registry.close_all()
+    assert all(p.plan["coalesced"] == len(tickets) for p in parts)
+    coalesced = SimpleNamespace(
+        answers=method.shape.concat([p.answers for p in parts]),
+        values=(
+            np.concatenate([p.values for p in parts])
+            if method.values else None
+        ),
+    )
+    _assert_same(coalesced, exact, what="coalesced queue batch")
+
+    pruned = engine.query(Q, _spec(name))
+    restored = wire.decode_result(
+        json.loads(json.dumps(wire.encode_result(pruned)))
+    )
+    _assert_same(restored, exact, what="wire round trip")
+
+    path = str(tmp_path / "snap.npz")
+    engine.save(path)
+    _assert_same(
+        Engine.load(path).query(Q, _spec(name)), exact, what="snapshot"
+    )
+
+    durable_dir = str(tmp_path / "durable")
+    half = len(points) // 2
+    durable = Engine.open_durable(durable_dir, points[:half])
+    durable.insert(points[half:])
+    durable.close()
+    recovered = Engine.open_durable(durable_dir)
+    try:
+        _assert_same(
+            recovered.query(Q, _spec(name)), exact, what="WAL recovery"
+        )
+    finally:
+        recovered.close()
+
