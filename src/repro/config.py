@@ -118,11 +118,12 @@ class Execution:
         Worker count for the parallel backends (``None`` = CPU count).
     dtype:
         ``"float64"`` (default) or ``"float32"``.  In float32 mode the
-        grouped expected-distance kernels used to resolve the approx
-        tier's fallback rows run in single precision, and a certified
-        per-row error bound is folded into the reported certificate
-        (instead of the exact tier's 0).  The exact and pruned tiers
-        always stay float64 and bit-identical.
+        grouped quadrature and discrete expected-distance kernels used
+        to resolve the approx tier's fallback rows run in single
+        precision, and a certified per-row error bound is folded into
+        the reported certificate (instead of the exact tier's 0); disk
+        pairs keep their float64 closed form and a zero bound.  The
+        exact and pruned tiers always stay float64 and bit-identical.
     memory_budget_bytes:
         Optional admission-control budget (``None`` = unlimited).  When
         set, the planner's allocation estimator auto-tiles tile-sized

@@ -23,8 +23,10 @@ row-independence: elementwise kernels plus per-row multiply-and-sum
 reductions over fixed-length contiguous axes).  A (query, object) pair
 therefore produces the same double whether it is evaluated through the
 model's own method (the planner's exact tier, which the tests use as
-the oracle) or through any grouping/chunking of the pair arrays.  Two
-consequences shape the code:
+the oracle) or through any grouping/chunking of the pair arrays.  Disk
+pairs need no replay: the model and the evaluator call the same
+closed-form kernel, :func:`repro.geometry.kernels.disk_expected_distance`.
+Two consequences shape the code:
 
 * discrete / histogram pairs are **sub-grouped by description
   complexity** (location count / cell count) so their per-row reductions
@@ -37,21 +39,23 @@ consequences shape the code:
 
 Float32 mode
 ------------
-``use_float32=True`` runs the expected-distance kernels in single
-precision and returns a certified per-pair error bound (float64).  The
-bounds are deliberately conservative: quadrature kernels whose cdfs pass
-through ``arccos`` lose up to ``O(sqrt(eps32))`` absolute accuracy where
-the query circle grazes a support feature (the derivative of ``arccos``
-is unbounded at ±1), so their certificate is
-``4 sqrt(eps32) (hi - lo) + 64 eps32 hi``; the arithmetic-only discrete
-kernel is certified at ``64 eps32 E``.  Pairs that evaluate through the
-per-object fallback run in float64 and carry a zero bound.
+``use_float32=True`` runs the quadrature kernels (rect, gaussian,
+histogram) and the discrete kernel in single precision and returns a
+certified per-pair error bound (float64).  The bounds are deliberately
+conservative: quadrature kernels whose cdfs pass through ``arccos`` lose
+up to ``O(sqrt(eps32))`` absolute accuracy where the query circle grazes
+a support feature (the derivative of ``arccos`` is unbounded at ±1), so
+their certificate is ``4 sqrt(eps32) (hi - lo) + 64 eps32 hi``; the
+arithmetic-only discrete kernel is certified at ``64 eps32 E``.  Disk
+pairs (whose closed form is cheaper in float64 than any float32
+quadrature) and pairs that evaluate through the per-object fallback run
+in float64 and carry a zero bound.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +97,6 @@ _F32_LIN_COEFF = 64.0
 #: kernel (node grid × live temporaries); pair batches are chunked so a
 #: chunk's working set stays within ``config.EXECUTION.tile_bytes``.
 #: Chunking never changes results — every kernel is row-independent.
-_BYTES_DISK = _NODES * 8 * 12
 _BYTES_RECT = _NODES * 8 * 18
 _BYTES_GAUSS = _NODES * _GAUSS_PANELS * _GAUSS_ORDER * 8 * 8
 
@@ -120,8 +123,8 @@ class EvalCache:
 
     * shared Gauss–Legendre node grids (writable copies of the cached
       read-only rules);
-    * per-disk areas, per-gaussian truncation masses, per-rect areas —
-      the scalars the model cdfs fold in;
+    * per-gaussian truncation masses and per-rect areas — the scalars
+      the model cdfs fold in;
     * discrete location stacks grouped by description complexity ``k``
       (``(group, k, 2)`` / ``(group, k)`` arrays plus dense object →
       (group, row) lookups);
@@ -151,15 +154,6 @@ class EvalCache:
         )
         self.gnodes = gnodes.copy()
         self.gweights = gweights.copy()
-
-        self.disk_area: Optional[np.ndarray] = None
-        ids = np.flatnonzero(tags == TAG_DISK)
-        if ids.size:
-            area = np.full(n, np.nan)
-            r = columns.radii[ids]
-            # Same product order as Circle.area(): (pi * r) * r.
-            area[ids] = np.pi * r * r
-            self.disk_area = area
 
         self.gauss_mass: Optional[np.ndarray] = None
         ids = np.flatnonzero(tags == TAG_GAUSSIAN)
@@ -238,7 +232,7 @@ class EvalCache:
             + self.hist_group.nbytes
             + self.hist_row.nbytes
         )
-        for arr in (self.disk_area, self.gauss_mass, self.rect_area):
+        for arr in (self.gauss_mass, self.rect_area):
             if arr is not None:
                 total += arr.nbytes
         for d in (
@@ -260,68 +254,9 @@ class EvalCache:
 
 def _quad_bound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Certified |E_f32 - E_f64| bound for the arccos-bearing quadrature
-    kernels (disk / rect / gaussian / histogram)."""
+    kernels (rect / gaussian / histogram)."""
     span = np.maximum(hi - lo, 0.0)
     return _F32_SQRT_COEFF * _SQRT_EPS32 * span + _F32_LIN_COEFF * _EPS32 * np.abs(hi)
-
-
-def _lens_area_pairs(d, R, r2):
-    """`kernels.lens_area_many` replayed with the per-pair constants kept
-    as ``(p, 1)`` broadcasts along the node axis.
-
-    Every op is elementwise, so the floats are positionally identical to
-    the flat ``np.repeat`` layout the models use -- but the staging copies,
-    boolean gathers and the scatter of the partial branch disappear.  The
-    partial-branch formula runs on the full array (garbage at non-partial
-    positions is discarded by the final ``where``), which is cheaper than
-    three gathers plus a scatter at typical partial fractions.  Dtype
-    generic: the float32 pipeline reuses it on down-cast inputs.
-    """
-    d_b = d[:, None]
-    r2_b = r2[:, None]
-    rmin = np.minimum(R, r2_b)
-    full = np.pi * rmin * rmin
-    # The denominator-underflow product form is load-bearing: centers a
-    # subnormal apart must land in the contained branch (see the scalar
-    # lens_area).
-    degenerate = 2.0 * d_b * rmin == 0.0
-    absdiff = np.abs(R - r2_b)
-    rsum = R + r2_b
-    contained = (d_b <= absdiff) | ((d_b < rsum) & degenerate)
-    # (d < rsum) & ~contained == (d < rsum) & (d > absdiff) & ~degenerate:
-    # the two contained clauses knock out exactly the d <= absdiff and
-    # degenerate cases.
-    partial = (d_b < rsum) & ~contained
-    # Per-pair constants stay (p, 1); the alpha/beta chains run in place
-    # (same float sequence, a fraction of the temporaries).
-    d2 = d_b * d_b
-    R2 = R * R
-    b2 = r2_b * r2_b
-    # over=: subnormal denominators at discarded non-partial positions
-    # can overflow the division; the partial branch itself never does.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        alpha = d2 + R2
-        alpha -= b2
-        alpha /= 2.0 * d_b * R
-        np.clip(alpha, -1.0, 1.0, out=alpha)
-        np.arccos(alpha, out=alpha)
-        s = 2.0 * alpha
-        np.sin(s, out=s)
-        s /= 2.0
-        alpha -= s
-        alpha *= R2
-        beta = (d2 + b2) - R2
-        beta /= (2.0 * d_b) * r2_b
-        np.clip(beta, -1.0, 1.0, out=beta)
-        np.arccos(beta, out=beta)
-        np.multiply(2.0, beta, out=s)
-        np.sin(s, out=s)
-        s /= 2.0
-        beta -= s
-        beta *= b2
-        alpha += beta
-    out = np.where(partial, alpha, np.where(contained, full, 0.0))
-    return out.astype(R.dtype, copy=False)
 
 
 def _corner_area_local(x, y, r):
@@ -354,39 +289,12 @@ def _corner_area_local(x, y, r):
 # run the same sequence on down-cast inputs.
 
 def _expected_disk(cache, qx, qy, sub, f32):
+    # The closed form runs in float64 in both modes (it costs less than
+    # a float32 quadrature would), so its float32 certificate is zero.
     centers = cache.columns.centers[sub]
-    cx, cy = centers[:, 0], centers[:, 1]
-    radius = cache.columns.radii[sub]
-    area = cache.disk_area[sub]
-    nodes, weights = cache.nodes, cache.weights
-    bounds = None
-    if f32:
-        d64 = np.hypot(qx - cx, qy - cy)
-        bounds = _quad_bound(
-            np.maximum(d64 - radius, 0.0), d64 + radius
-        )
-        dt = np.float32
-        qx, cx = qx.astype(dt), cx.astype(dt)
-        qy, cy = qy.astype(dt), cy.astype(dt)
-        radius = radius.astype(dt)
-        area = area.astype(dt)
-        nodes = nodes.astype(dt)
-        weights = weights.astype(dt)
-    d = np.hypot(qx - cx, qy - cy)
-    lo = np.maximum(d - radius, 0.0)
-    hi = d + radius
-    p = sub.shape[0]
-    out = np.empty(p, dtype=np.float64)
-    for sl in _chunks(p, _BYTES_DISK):
-        lo_s = lo[sl]
-        span = np.maximum(hi[sl] - lo_s, 0.0)
-        R = lo_s[:, None] + span[:, None] * nodes[None, :]
-        lens = _lens_area_pairs(d[sl], R, radius[sl])
-        G = np.where(R > 0.0, lens / area[sl][:, None], 0.0)
-        vals = 1.0 - G
-        tail = span * (vals * weights[None, :]).sum(axis=1)
-        out[sl] = lo_s + tail
-    return out, bounds
+    d = np.hypot(qx - centers[:, 0], qy - centers[:, 1])
+    out = kernels.disk_expected_distance(d, cache.columns.radii[sub])
+    return out, None
 
 
 def _expected_gaussian(cache, qx, qy, sub, f32):
@@ -783,43 +691,38 @@ def support_bounds_pairs(
 # -- threshold sweep entries -------------------------------------------------
 
 def gather_sweep_entries(
-    columns: ModelColumns,
+    cache: EvalCache,
     Q: np.ndarray,
     indptr: np.ndarray,
     cols: np.ndarray,
-) -> List[List[Tuple[float, int, float]]]:
-    """Per-query Eq. (2) sweep entries for CSR candidate sets, gathered
-    from the column store's location CSR in one vectorized pass.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat Eq. (2) sweep entries of CSR candidate sets, gathered from
+    the column store's location CSR in one vectorized pass.
 
-    Returns, for each query row, the ``(distance, local owner, weight)``
-    entries :func:`repro.core.quantification.entries_for_query` would
-    build from the candidate sublist — same floats (the distances keep
-    the scalar ``math.hypot``, whose results differ from ``np.hypot`` in
-    the last ulp on this interpreter), same owner order.  All candidates
-    must be discrete-tagged; the planner falls back to the per-object
-    path otherwise (preserving the duck-typed / error semantics).
+    Returns ``(lens, dist, weight)`` in the layout
+    :func:`repro.core.quantification.sweep_quantification_csr` reads:
+    ``lens[j]`` locations of candidate ``cols[j]``, then every
+    location's distance to its query row and its weight, row by row and
+    candidate by candidate.  The distances are the scalar
+    ``math.hypot`` of :func:`repro.core.quantification.entries_for_query`
+    (``np.hypot`` differs from it in the last ulp on some inputs).  All
+    candidates must be discrete-tagged; the planner falls back to the
+    per-object path otherwise (preserving the duck-typed / error
+    semantics).
     """
+    columns = cache.columns
     if cols.size and np.any(columns.tags[cols] != TAG_DISCRETE):
         raise QueryError(
             "gather_sweep_entries requires discrete-tagged candidates"
         )
-    m = indptr.shape[0] - 1
-    out: List[List[Tuple[float, int, float]]] = [[] for _ in range(m)]
-    if not cols.size:
-        return out
-    counts = np.diff(indptr)
     gather, lens = kernels.csr_segment_gather(columns.loc_offsets, cols)
-    qrow = np.repeat(kernels.csr_rows(indptr), lens).tolist()
-    local = np.arange(cols.shape[0], dtype=np.intp) - np.repeat(
-        indptr[:-1], counts
+    if cols.size:
+        cache.hits += 1
+        cache.note_pairs(TAG_DISCRETE, cols.shape[0])
+    qrow = np.repeat(kernels.csr_rows(indptr), lens)
+    dx = columns.locations[gather, 0] - Q[qrow, 0]
+    dy = columns.locations[gather, 1] - Q[qrow, 1]
+    dist = np.fromiter(
+        map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.shape[0]
     )
-    owner = np.repeat(local, lens).tolist()
-    px = columns.locations[gather, 0].tolist()
-    py = columns.locations[gather, 1].tolist()
-    ww = columns.location_weights[gather].tolist()
-    qxs = Q[:, 0].tolist()
-    qys = Q[:, 1].tolist()
-    hyp = math.hypot
-    for x, y, w, r, i in zip(px, py, ww, qrow, owner):
-        out[r].append((hyp(x - qxs[r], y - qys[r]), i, w))
-    return out
+    return lens, dist, columns.location_weights[gather]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,16 +33,63 @@ from ..geometry import kernels
 from ..geometry.voronoi import VoronoiLocator
 from ..index.kdtree import KdTree
 from .nonzero import UncertainSet
+from .reducers import csr_dicts
 
 
-def _round_block(nnz: int, planner=None) -> int:
-    """Monte-Carlo rounds per vectorized block: as many rounds as keep
-    the block's ~6 simultaneous ``(rounds, nnz)`` float64 temporaries
-    inside the ``tile_bytes`` working-set budget."""
+#: Float64 bytes per (round, candidate pair) of a pruned round block:
+#: the block's ~6 simultaneous ``(rounds, nnz)`` temporaries.
+_ROUND_PAIR_BYTES = 8 * 6
+
+#: Bytes per candidate pair held across a pruned query: its win
+#: counter plus the active rows' CSR arrays (positions, columns, row
+#: ids and both query coordinates).
+_HELD_PAIR_BYTES = 8 * 6
+
+#: Bytes per (row, object) pair of an unpruned row tile: its win
+#: counter and one round's squared-distance temporaries.
+_DENSE_PAIR_BYTES = 8 * 5
+
+
+def _round_block(nnz: int, planner=None, held: int = 0) -> int:
+    """Monte-Carlo rounds per vectorized block over ``nnz`` candidate
+    pairs: as many rounds as keep the block's temporaries inside the
+    ``tile_bytes`` working-set budget and, under a memory budget, inside
+    what the budget leaves beside the ``held`` bytes (the request is
+    refused when not even one round fits)."""
+    per_round = max(int(nnz) * _ROUND_PAIR_BYTES, 1)
     tb = getattr(planner, "tile_bytes", None)
     if tb is None:
         tb = EXECUTION.tile_bytes
-    return max(1, int(tb) // max(int(nnz) * 8 * 6, 1))
+    rounds = max(1, int(tb) // per_round)
+    _resilience.require_bytes(
+        held + per_round,
+        f"Monte-Carlo counters and one round over {nnz} candidate pairs",
+    )
+    budget = _resilience.admission.budget_bytes()
+    if budget is not None:
+        rounds = max(1, min(rounds, (budget - held) // per_round))
+    return rounds
+
+
+def _csr_round_positions(sx, sy, qx, qy, rows, starts, cols, j0, j1):
+    """CSR positions of the winners of rounds ``j0..j1``, shape
+    ``(j1 - j0, rows in the CSR)``.
+
+    Every round gathers only the candidate pairs' coordinates from the
+    sample views ``sx`` / ``sy`` (``(s, n)``, strided views of the
+    sample block: no copy) and reduces each row's segment twice — its
+    smallest squared distance, then the lowest position attaining it —
+    so ties resolve to the lowest column, as a dense argmin does.
+    Blocking rounds cannot change a winner: the squared distances are
+    elementwise and min is exact.
+    """
+    nnz = cols.shape[0]
+    dx = qx[None, :] - sx[j0:j1][:, cols]
+    dy = qy[None, :] - sy[j0:j1][:, cols]
+    d2 = dx * dx + dy * dy
+    minv = np.minimum.reduceat(d2, starts, axis=1)
+    pos = np.where(d2 == minv[:, rows], np.arange(nnz, dtype=np.intp), nnz)
+    return np.minimum.reduceat(pos, starts, axis=1)
 
 
 def rounds_for_fixed_query(epsilon: float, delta: float, n: int) -> int:
@@ -201,18 +248,22 @@ class MonteCarloPNN:
     ) -> np.ndarray:
         """``pihat`` estimates for an ``(m, 2)`` query matrix, ``(m, n)``.
 
-        The vectorized engine behind :meth:`query_many`: each round's
-        instantiation is compared against *all* queries in one
-        ``(m, n)`` squared-distance kernel and the winner counted with a
-        vectorized argmin — no per-query tree walks.
+        The counts come from the same rounds as :meth:`query_many`; this
+        method densifies them only because the ``(m, n)`` matrix is its
+        requested product.  Without a planner every round compares its
+        instantiation against a tile of queries in one ``(rows, n)``
+        squared-distance kernel and picks each winner with a vectorized
+        argmin — no per-query tree walks; the row tiles keep each tile's
+        counters and distances inside ``EXECUTION.tile_bytes``.
 
         With a :class:`repro.QueryPlanner` (built over the same points),
         each query is first reduced to its candidate set — an object
         with ``dmin(q) > min_j dmax_j(q)`` can never be the instantiated
         nearest neighbor in *any* round, so only candidate distances are
-        computed (CSR layout, segment argmins) and the estimates are
-        identical to the unpruned pass over the same stored
-        instantiations.
+        computed (CSR layout, segment argmins), each round's winner is
+        recorded by its CSR position and counted over the ``nnz``
+        candidate pairs, and the estimates are identical to the
+        unpruned pass over the same stored instantiations.
 
         ``adaptive=True`` turns on per-query empirical-Bernstein early
         stopping: rounds are consumed in blocks of ``check_every`` (in
@@ -234,176 +285,15 @@ class MonteCarloPNN:
         Q = kernels.as_query_array(qs)
         m = Q.shape[0]
         n = self._samples.shape[1]
-        if planner is not None and len(planner) != n:
-            raise QueryError("planner was built over a different point set")
-        if adaptive:
-            return self._query_matrix_adaptive(
-                Q, planner, tol, delta, min_rounds, check_every, return_rounds
-            )
-        if planner is not None:
-            est = self._query_matrix_pruned(Q, planner)
-            return (est, np.full(m, self.s, dtype=np.intp)) if return_rounds else est
-        _resilience.require_bytes(
-            self.s * m * np.dtype(np.intp).itemsize + m * n * 8,
-            f"Monte-Carlo winner/count matrices (s={self.s}, m={m}, n={n})",
+        indptr, cols, values, rounds = self._estimates(
+            Q, planner, adaptive, tol, delta, min_rounds, check_every
         )
-        winners = np.empty((self.s, m), dtype=np.intp)
-        for j in range(self.s):
-            _resilience.checkpoint("mc.round", j)
-            d2 = kernels.pairwise_sq_distances(Q, self._samples[j])
-            winners[j] = d2.argmin(axis=1)
-        offsets = winners + np.arange(m, dtype=np.intp)[None, :] * n
-        counts = np.bincount(offsets.ravel(), minlength=m * n).reshape(m, n)
-        est = counts / float(self.s)
-        return (est, np.full(m, self.s, dtype=np.intp)) if return_rounds else est
-
-    def _query_matrix_adaptive(
-        self,
-        Q: np.ndarray,
-        planner,
-        tol: Optional[float],
-        delta: float,
-        min_rounds: int,
-        check_every: int,
-        return_rounds: bool,
-    ):
-        """Blockwise rounds with per-query empirical-Bernstein stopping."""
-        if tol is None or not tol > 0.0:
-            raise QueryError("adaptive stopping requires tol > 0")
-        if not 0.0 < delta < 1.0:
-            raise QueryError("delta must lie in (0, 1)")
-        m = Q.shape[0]
-        n = self._samples.shape[1]
         _resilience.require_bytes(
-            m * n * 8,
-            f"Monte-Carlo count matrix (m={m}, n={n})",
+            m * n * 8, f"Monte-Carlo estimate matrix (m={m}, n={n})"
         )
-        min_rounds = max(1, min(int(min_rounds), self.s))
-        check_every = max(1, int(check_every))
-        rounds_used = np.zeros(m, dtype=np.intp)
-        active = np.arange(m, dtype=np.intp)
-        if planner is not None:
-            # CSR candidate layout (and per-pair win counters) taken
-            # straight from the planner's survivor sets (the dual-tree
-            # generator emits CSR natively — no (m, n) boolean is ever
-            # densified here); per block only the active queries'
-            # segments are gathered — O(active nnz) work.
-            indptr_full, cols_full = planner.candidate_csr(
-                Q, criterion="support"
-            )
-            rows_full = kernels.csr_rows(indptr_full)
-            pair_counts = np.zeros(rows_full.shape[0], dtype=np.int64)
-        else:
-            counts = np.zeros((m, n), dtype=np.int64)
-        sx = np.ascontiguousarray(self._samples[:, :, 0])
-        sy = np.ascontiguousarray(self._samples[:, :, 1])
-        L = math.log(3.0 / delta)
-        t = 0
-        while t < self.s and active.size:
-            # First block runs straight to min_rounds (the first stopping
-            # check), then one check per check_every rounds.
-            t1 = min(self.s, min_rounds if t < min_rounds else t + check_every)
-            Qa = Q[active]
-            if planner is None:
-                for j in range(t, t1):
-                    _resilience.checkpoint("mc.round", j)
-                    d2 = kernels.pairwise_sq_distances(Qa, self._samples[j])
-                    counts[active, d2.argmin(axis=1)] += 1
-            else:
-                gather, lens = kernels.csr_segment_gather(indptr_full, active)
-                nnz = gather.shape[0]
-                cols = cols_full[gather]
-                rows = np.repeat(np.arange(active.size, dtype=np.intp), lens)
-                indptr = np.concatenate(([0], np.cumsum(lens)[:-1])).astype(
-                    np.intp
-                )
-                qx = Qa[rows, 0]
-                qy = Qa[rows, 1]
-                pair_pos = np.arange(nnz, dtype=np.intp)
-                # Blocked rounds, as in _query_matrix_pruned; the win
-                # tallies accumulate with np.add.at because a pair can
-                # win several rounds inside one block.
-                for j0 in range(t, t1, _round_block(nnz, planner)):
-                    _resilience.checkpoint("mc.round", j0)
-                    j1 = min(j0 + _round_block(nnz, planner), t1)
-                    dx = qx[None, :] - sx[j0:j1][:, cols]
-                    dy = qy[None, :] - sy[j0:j1][:, cols]
-                    d2 = dx * dx + dy * dy
-                    minv = np.minimum.reduceat(d2, indptr, axis=1)
-                    pos = np.where(d2 == minv[:, rows], pair_pos[None, :], nnz)
-                    idx = gather[np.minimum.reduceat(pos, indptr, axis=1)]
-                    np.add.at(pair_counts, idx.ravel(), 1)
-            rounds_used[active] += t1 - t
-            t = t1
-            if t >= min_rounds:
-                # Empirical-Bernstein half-width from the largest
-                # per-object Bernoulli variance c (t - c) / t^2; objects
-                # that never won (every non-candidate) contribute 0.
-                if planner is None:
-                    c = counts[active]
-                    v = (c * (t - c)).max(axis=1) / float(t) ** 2
-                else:
-                    cv = pair_counts[gather]
-                    v = (
-                        np.maximum.reduceat(cv * (t - cv), indptr)
-                        if nnz
-                        else np.zeros(active.size, dtype=np.int64)
-                    ) / float(t) ** 2
-                hw = np.sqrt(2.0 * v * L / t) + 3.0 * L / t
-                active = active[hw >= tol]
-        if planner is not None:
-            counts = np.zeros((m, n), dtype=np.int64)
-            counts[rows_full, cols_full] = pair_counts
-        est = counts / np.maximum(rounds_used, 1).astype(np.float64)[:, None]
-        return (est, rounds_used) if return_rounds else est
-
-    def _query_matrix_pruned(self, Q: np.ndarray, planner) -> np.ndarray:
-        """Candidate-only rounds over the shared ``(s, n, 2)`` array.
-
-        The candidate pairs arrive in the planner's CSR layout (columns
-        ascend within each query; the dual-tree generator emits this
-        directly, with no dense (m, n) mask in between); every round
-        gathers only those pairs' coordinates and finds each query's
-        winner with two ``np.minimum.reduceat`` segment passes.  Ties
-        resolve to the lowest surviving column — the same winner the
-        full argmin picks, since pruned objects are strictly farther in
-        every round.
-        """
-        m = Q.shape[0]
-        n = self._samples.shape[1]
-        if m == 0:
-            return np.zeros((0, n), dtype=np.float64)
-        _resilience.require_bytes(
-            self.s * m * np.dtype(np.intp).itemsize + m * n * 8,
-            f"Monte-Carlo winner/count matrices (s={self.s}, m={m}, n={n})",
-        )
-        indptr_full, cols = planner.candidate_csr(Q, criterion="support")
-        rows = kernels.csr_rows(indptr_full)
-        nnz = cols.shape[0]
-        indptr = indptr_full[:-1]
-        qx = Q[rows, 0]
-        qy = Q[rows, 1]
-        sx = np.ascontiguousarray(self._samples[:, :, 0])
-        sy = np.ascontiguousarray(self._samples[:, :, 1])
-        pair_pos = np.arange(nnz, dtype=np.intp)
-        winners = np.empty((self.s, m), dtype=np.intp)
-        # Rounds run in blocks (axis-1 segment reductions over a
-        # (rounds, nnz) gather) so the per-round Python dispatch
-        # amortizes away; blocking cannot change any winner — the
-        # squared distances are computed elementwise from the same
-        # floats and min is exact.
-        for j0 in range(0, self.s, _round_block(nnz, planner)):
-            _resilience.checkpoint("mc.round", j0)
-            j1 = min(j0 + _round_block(nnz, planner), self.s)
-            dx = qx[None, :] - sx[j0:j1][:, cols]
-            dy = qy[None, :] - sy[j0:j1][:, cols]
-            d2 = dx * dx + dy * dy
-            minv = np.minimum.reduceat(d2, indptr, axis=1)
-            pos = np.where(d2 == minv[:, rows], pair_pos[None, :], nnz)
-            winners[j0:j1] = cols[np.minimum.reduceat(pos, indptr, axis=1)]
-        offsets = winners + np.arange(m, dtype=np.intp)[None, :] * n
-        counts = np.bincount(offsets.ravel(), minlength=m * n).reshape(m, n)
-        return counts / float(self.s)
+        est = np.zeros((m, n), dtype=np.float64)
+        est[kernels.csr_rows(indptr), cols] = values
+        return (est, rounds) if return_rounds else est
 
     def query_many(
         self,
@@ -414,18 +304,149 @@ class MonteCarloPNN:
         delta: float = 0.05,
     ) -> List[Dict[int, float]]:
         """Batched :meth:`query`: one sparse ``{i: pihat_i}`` dict per row
-        of the ``(m, 2)`` query matrix.  ``planner`` routes through the
-        pruned candidate engine (identical estimates); ``adaptive`` /
-        ``tol`` turn on empirical-Bernstein early stopping (see
-        :meth:`query_matrix`)."""
-        est = self.query_matrix(
-            qs, planner=planner, adaptive=adaptive, tol=tol, delta=delta
+        of the ``(m, 2)`` query matrix, built straight from the rows'
+        nonzero win counters (no ``(m, n)`` matrix).  ``planner`` routes
+        through the pruned candidate rounds (identical estimates);
+        ``adaptive`` / ``tol`` turn on empirical-Bernstein early
+        stopping (see :meth:`query_matrix`)."""
+        Q = kernels.as_query_array(qs)
+        indptr, cols, values, _ = self._estimates(
+            Q, planner, adaptive, tol, delta
         )
-        out: List[Dict[int, float]] = []
-        for row in est:
-            nz = np.nonzero(row)[0]
-            out.append({int(i): float(row[i]) for i in nz})
-        return out
+        return csr_dicts(indptr, cols, values)
+
+    def _estimates(
+        self,
+        Q: np.ndarray,
+        planner,
+        adaptive: bool,
+        tol: Optional[float],
+        delta: float,
+        min_rounds: int = 16,
+        check_every: int = 16,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, cols, values, rounds)``: each row's objects with a
+        nonzero win count in CSR layout, their estimates ``count /
+        rounds[row]`` and the rounds each row consumed."""
+        n = self._samples.shape[1]
+        if planner is not None and len(planner) != n:
+            raise QueryError("planner was built over a different point set")
+        stop = None
+        if adaptive:
+            if tol is None or not tol > 0.0:
+                raise QueryError("adaptive stopping requires tol > 0")
+            if not 0.0 < delta < 1.0:
+                raise QueryError("delta must lie in (0, 1)")
+            stop = (
+                float(tol),
+                math.log(3.0 / delta),
+                max(1, min(int(min_rounds), self.s)),
+                max(1, int(check_every)),
+            )
+        if planner is not None:
+            return self._won(*self._count_wins(Q, planner, stop))
+        # Unpruned rounds compare every row with all n objects; each row
+        # counts its own wins, so row tiles keep the (rows, n) counters
+        # and distances inside tile_bytes without changing a count.
+        step = _resilience.clamp_tile_rows(
+            max(1, int(EXECUTION.tile_bytes) // max(n * _DENSE_PAIR_BYTES, 1)),
+            n,
+            _DENSE_PAIR_BYTES,
+            what="Monte-Carlo round tile",
+        )
+        parts = [
+            self._won(*self._count_wins(Q[lo : lo + step], None, stop))
+            for lo in range(0, max(Q.shape[0], 1), step)
+        ]
+        indptr = [parts[0][0]]
+        for part in parts[1:]:
+            indptr.append(indptr[-1][-1] + part[0][1:])
+        return (
+            np.concatenate(indptr),
+            *(np.concatenate([part[i] for part in parts]) for i in (1, 2, 3)),
+        )
+
+    @staticmethod
+    def _won(indptr, cols, counts, rounds):
+        """:meth:`_count_wins` output narrowed to the pairs that won:
+        ``(indptr, cols, count / rounds[row], rounds)``."""
+        won = np.flatnonzero(counts)
+        rows = np.searchsorted(indptr, won, side="right") - 1
+        cols = won - indptr[rows] if cols is None else cols[won]
+        values = counts[won] / np.maximum(rounds, 1).astype(np.float64)[rows]
+        return np.searchsorted(won, indptr), cols, values, rounds
+
+    def _count_wins(self, Q: np.ndarray, planner, stop):
+        """Rounds in the stored order, win counts by candidate position.
+
+        Returns ``(indptr, cols, counts, rounds)``: the candidate CSR
+        (``cols=None`` without a planner, where every row's segment is
+        all ``n`` objects in order), each candidate pair's win count and
+        the rounds each row consumed.  ``stop = (tol, ln(3/delta),
+        min_rounds, check_every)`` turns on the empirical-Bernstein
+        stopping rule of :meth:`query_matrix`; without it every row runs
+        all ``s`` rounds.
+        """
+        m = Q.shape[0]
+        n = self._samples.shape[1]
+        if planner is None:
+            indptr = np.arange(m + 1, dtype=np.intp) * n
+            cols = None
+        else:
+            indptr, cols = planner.candidate_csr(Q, criterion="support")
+        nnz = int(indptr[-1])
+        counts = np.zeros(nnz, dtype=np.int64)
+        rounds = np.zeros(m, dtype=np.intp)
+        sx = self._samples[:, :, 0]
+        sy = self._samples[:, :, 1]
+        active = np.arange(m, dtype=np.intp)
+        t = 0
+        while t < self.s and active.size:
+            if stop is None:
+                t1 = self.s
+            else:
+                # First block runs straight to min_rounds (the first
+                # stopping check), then one check per check_every rounds.
+                t1 = min(self.s, stop[2] if t < stop[2] else t + stop[3])
+            if cols is None:
+                Qa = Q[active]
+                for j in range(t, t1):
+                    _resilience.checkpoint("mc.round", j)
+                    d2 = kernels.pairwise_sq_distances(Qa, self._samples[j])
+                    counts[indptr[active] + d2.argmin(axis=1)] += 1
+            else:
+                # The active rows' candidate pairs, by CSR position.
+                gather, lens = kernels.csr_segment_gather(indptr, active)
+                starts = np.zeros(active.size, dtype=np.intp)
+                np.cumsum(lens[:-1], out=starts[1:])
+                sub = cols[gather]
+                rows = np.repeat(np.arange(active.size, dtype=np.intp), lens)
+                qx = Q[active[rows], 0]
+                qy = Q[active[rows], 1]
+                block = _round_block(
+                    gather.size, planner, held=nnz * _HELD_PAIR_BYTES
+                )
+                for j0 in range(t, t1, block):
+                    _resilience.checkpoint("mc.round", j0)
+                    pos = _csr_round_positions(
+                        sx, sy, qx, qy, rows, starts, sub, j0, min(j0 + block, t1)
+                    )
+                    counts += np.bincount(gather[pos].ravel(), minlength=nnz)
+            rounds[active] += t1 - t
+            t = t1
+            if stop is not None and t >= stop[2]:
+                # Empirical-Bernstein half-width from the largest
+                # per-object Bernoulli variance c (t - c) / t^2; objects
+                # that never won contribute 0.
+                if cols is None:
+                    c = counts.reshape(m, n)[active]
+                    v = (c * (t - c)).max(axis=1) / float(t) ** 2
+                else:
+                    c = counts[gather]
+                    v = np.maximum.reduceat(c * (t - c), starts) / float(t) ** 2
+                hw = np.sqrt(2.0 * v * stop[1] / t) + 3.0 * stop[1] / t
+                active = active[hw >= stop[0]]
+        return indptr, cols, counts, rounds
 
     def estimate(self, q, i: int) -> float:
         """``pihat_i(q)`` for one point."""

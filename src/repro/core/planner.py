@@ -84,8 +84,13 @@ from . import evaluators as _evaluators
 from . import parallel as _parallel
 from .dual_tree import DualTreeCandidates, EnvelopeObjectTree, dual_tree_candidates
 from .nonzero import nonzero_from_matrices, support_report
-from .quantification import quantification_probabilities, sweep_quantification
+from .quantification import (
+    entries_for_query,
+    sweep_quantification,
+    sweep_quantification_csr,
+)
 from .reducers import (
+    csr_dicts,
     max_reduce_csr,
     min_reduce_csr,
     nonzero_csr,
@@ -772,12 +777,21 @@ class QueryPlanner:
         Only survivors can have ``pi_i(q) > 0`` and the realized NN is
         always a survivor, so the Eq. (2) sweep over the candidate
         subset returns the same probabilities as the full sweep.  The
-        ``approx`` tier answers certified rows from the quantized index
-        (settled cells report their certain winner with probability
-        exactly ``1.0``) and sweeps only the fallback rows: the answer
-        *sets* equal the pruned tier's, and the probabilities agree up
-        to the sweep's float accumulation (which can land a certain
-        winner at ``1.0 ± a few ulps``).
+        ``exact`` tier runs the scalar
+        :func:`~repro.core.quantification.sweep_quantification` per row
+        over every object.  The ``pruned`` tier gathers its discrete
+        survivors' locations as flat CSR entries and runs
+        :func:`~repro.core.quantification.sweep_quantification_csr` once
+        for the whole batch; it replays the scalar sweep's float
+        operations in order, with ``math.log`` / ``math.exp`` (``np.log``
+        and ``np.exp`` differ from them in the last bit), so the two
+        tiers agree bit for bit.  The ``approx`` tier answers certified
+        rows from the quantized index (settled cells report their
+        certain winner with probability exactly ``1.0``) and sweeps
+        only the fallback rows: the answer *sets* equal the pruned
+        tier's, and the probabilities agree up to the sweep's float
+        accumulation (which can land a certain winner at ``1.0 ± a few
+        ulps``).
         """
         if not 0.0 <= tau < 1.0:
             raise QueryError("tau must lie in [0, 1)")
@@ -801,41 +815,39 @@ class QueryPlanner:
                 return out, ans.fallback
             return out
         if tier == "exact":
-            out = []
-            for q in Q:
-                pi = quantification_probabilities(self.points, tuple(q))
-                out.append({i: v for i, v in enumerate(pi) if v > tau})
-            return out
+            every = range(len(self.points))
+            return [self._threshold_row(self.points, q, tau, every) for q in Q]
         indptr, cols = self.candidate_csr(Q, criterion="support")
-        if not (cols.size and np.any(self.columns.tags[cols] != TAG_DISCRETE)):
-            # All candidates are discrete-tagged: gather every sweep
-            # entry from the column store in one vectorized pass, then
-            # run the unchanged per-query Eq. (2) sweep.  Mixed sets
-            # (including duck-typed discrete models the column store
-            # tags "other") fall through to the per-object path, which
+        if cols.size and np.any(self.columns.tags[cols] != TAG_DISCRETE):
+            # Mixed sets (including duck-typed discrete models the
+            # column store tags "other") take the per-object path, which
             # preserves the historical validation / error semantics.
-            t0 = time.perf_counter()
-            entries = _evaluators.gather_sweep_entries(
-                self.columns, Q, indptr, cols
-            )
-            out: List[Dict[int, float]] = []
-            for r in range(indptr.shape[0] - 1):
-                idx = cols[indptr[r] : indptr[r + 1]]
-                pi = sweep_quantification(entries[r], idx.shape[0])
-                out.append(
-                    {int(idx[j]): v for j, v in enumerate(pi) if v > tau}
+            return [
+                self._threshold_row(
+                    [self.points[i] for i in cols[indptr[r] : indptr[r + 1]]],
+                    Q[r],
+                    tau,
+                    cols[indptr[r] : indptr[r + 1]],
                 )
-            self._note_eval(cols.shape[0], time.perf_counter() - t0)
-            return out
-        out: List[Dict[int, float]] = []
-        for r, q in enumerate(Q):
-            idx = cols[indptr[r] : indptr[r + 1]]
-            sub = [self.points[i] for i in idx]
-            pi = quantification_probabilities(sub, tuple(q))
-            out.append(
-                {int(idx[j]): v for j, v in enumerate(pi) if v > tau}
-            )
-        return out
+                for r in range(Q.shape[0])
+            ]
+        # All candidates are discrete-tagged: one vectorized Eq. (2)
+        # sweep over their flat CSR location entries, bit-identical to
+        # the per-row scalar sweep (the exact tier).
+        t0 = time.perf_counter()
+        lens, dist, weight = _evaluators.gather_sweep_entries(
+            self.eval_cache(), Q, indptr, cols
+        )
+        pi = sweep_quantification_csr(indptr, lens, dist, weight)
+        self._note_eval(cols.shape[0], time.perf_counter() - t0)
+        return csr_dicts(indptr, cols, pi, pi > tau)
+
+    @staticmethod
+    def _threshold_row(points, q, tau: float, idx) -> Dict[int, float]:
+        """One row by the scalar Eq. (2) sweep over ``points``, whose
+        entry ``j`` is object ``idx[j]``."""
+        pi = sweep_quantification(entries_for_query(points, q), len(points))
+        return {int(idx[j]): v for j, v in enumerate(pi) if v > tau}
 
     # -- introspection -------------------------------------------------------
     def prune_stats(

@@ -11,7 +11,9 @@ here turn those flat arrays into answers without densifying them into
 * :func:`min_reduce_csr` — the expected-NN winner and its value;
 * :func:`nonzero_csr` / :func:`support_report_csr` — Lemma 2.1's
   ``NN!=0`` sets and their shard-mergeable report;
-* :func:`topk_csr` — the expected-kNN ranking and its values.
+* :func:`topk_csr` — the expected-kNN ranking and its values;
+* :func:`csr_dicts` — the ``{index: probability}`` rows of the Eq. (2)
+  threshold answers and the Monte-Carlo estimates.
 
 Every tie resolves to the lowest column, exactly as the dense stable
 ``argmin`` / ``argsort`` over a ``+inf``-filled matrix did, so a pruned
@@ -24,7 +26,7 @@ those methods has one reducer.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from ..errors import QueryError
 from ..geometry import kernels
 
 __all__ = [
+    "csr_dicts",
     "full_csr",
     "min_reduce_csr",
     "max_reduce_csr",
@@ -47,6 +50,29 @@ def full_csr(m: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     ``n`` columns — the row-major flattening of an ``(m, n)`` matrix."""
     indptr = np.arange(m + 1, dtype=np.intp) * n
     return indptr, np.tile(np.arange(n, dtype=np.intp), m)
+
+
+def csr_dicts(
+    indptr: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    keep: Optional[np.ndarray] = None,
+) -> List[Dict[int, float]]:
+    """One ``{column: value}`` dict per CSR row over the entries where
+    ``keep`` holds (default: all), in the row's (ascending) column
+    order, with Python ``int`` keys and ``float`` values."""
+    if keep is None:
+        bounds = indptr.tolist()
+        keys = cols.tolist()
+        vals = values.tolist()
+    else:
+        sel = np.flatnonzero(keep)
+        bounds = np.searchsorted(sel, indptr).tolist()
+        keys = cols[sel].tolist()
+        vals = values[sel].tolist()
+    return [
+        dict(zip(keys[a:b], vals[a:b])) for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def _reduce_rows(

@@ -13,7 +13,8 @@ Exactness policy
 ----------------
 ``pairwise_distances``, ``rect_mindist_many``, ``rect_maxdist_many``,
 ``lens_area_many`` and ``rect_circle_area_many`` are closed-form and
-agree with their scalar counterparts to floating-point rounding.  The
+agree with their scalar counterparts to floating-point rounding;
+:func:`disk_expected_distance` is closed-form to a few ulps.  The
 fixed-node composite Gauss--Legendre quadrature
 (:func:`batched_tail_quadrature`) trades the scalar code's adaptive
 error control for data parallelism; its accuracy is set by the node
@@ -48,6 +49,7 @@ __all__ = [
     "rect_rect_mindist_many",
     "rect_rect_maxdist_many",
     "lens_area_many",
+    "disk_expected_distance",
     "disk_halfplane_corner_area",
     "rect_circle_area_many",
     "points_in_polygon_many",
@@ -314,6 +316,99 @@ def lens_area_many(d, r1, r2) -> np.ndarray:
         out[partial] = a * a * (alpha - np.sin(2.0 * alpha) / 2.0) + b * b * (
             beta - np.sin(2.0 * beta) / 2.0
         )
+    return out
+
+
+#: Fixed iteration counts of :func:`disk_expected_distance`: every pair
+#: runs the same float sequence whatever else is in the batch, so any
+#: grouping of the pairs returns the same doubles.  Ten AGM steps leave
+#: ~2e-15 relative error at ``d = R(1 - 1e-12)`` (six leave 2e-9); 48
+#: series terms reach 1e-17 at the series' largest ``(R/d)^2 = 4/9``.
+_AGM_STEPS = 10
+_SERIES_TERMS = 48
+#: Term ratios of 2F1(-1/2, -1/2; 2; z): t_{n+1} / t_n = c_n z.
+_SERIES_RATIOS = tuple(
+    (n - 0.5) ** 2 / ((n + 2.0) * (n + 1.0)) for n in range(_SERIES_TERMS)
+)
+
+
+def _ellipke(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Complete elliptic integrals ``(K(m), E(m))`` (parameter ``m``,
+    ``0 <= m < 1``) by the arithmetic-geometric mean.
+
+    ``c_{n+1}`` comes from ``c_n^2 / (4 a_{n+1})`` rather than the
+    difference ``(a_n - b_n) / 2``, which cancels once the means meet.
+    """
+    a = np.ones_like(m)
+    b = np.sqrt(1.0 - m)
+    c2 = m.copy()
+    s = 0.5 * c2
+    scale = 0.5
+    for _ in range(_AGM_STEPS):
+        a1 = 0.5 * (a + b)
+        c2 = (c2 / (4.0 * a1)) ** 2
+        b = np.sqrt(a * b)
+        a = a1
+        scale *= 2.0
+        s += scale * c2
+    K = (0.5 * np.pi) / a
+    return K, K * (1.0 - s)
+
+
+def disk_expected_distance(d, R) -> np.ndarray:
+    """``E|q - X|`` for ``X`` uniform on a disk of radius ``R`` whose
+    center lies at distance ``d`` from ``q``, elementwise.
+
+    With ``rho = d / R`` and ``K``, ``E`` the complete elliptic integrals
+    of parameter ``m``:
+
+    * ``d < R``: ``(4R / 9 pi) [(7 + m) E(m) - 4 (1 - m) K(m)]``,
+      ``m = rho^2`` (``2R/3`` at the center);
+    * ``d == R``: ``32 R / 9 pi`` exactly (the AGM diverges at ``m = 1``);
+    * ``R < d <= 1.5 R``: ``(4d / 9 pi m) [(1 + 7m) E(m) -
+      (1 - m)(1 + 3m) K(m)]``, ``m = (R/d)^2``;
+    * ``d > 1.5 R``: ``d * 2F1(-1/2, -1/2; 2; (R/d)^2)`` by 48 terms of
+      Horner.  Every term is positive, whereas the two elliptic terms
+      above cancel like ``rho^2`` (2.8e-6 relative error at
+      ``rho = 10^6``).
+
+    Within a few ulps of 40-digit references for every ``rho`` from 0
+    to 10^7.  The uniform-disk model's ``expected_distance(_many)`` and
+    the grouped evaluator's disk kernel both call this, so the exact,
+    pruned and approx tiers agree bit for bit.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    R = np.broadcast_to(np.asarray(R, dtype=np.float64), d.shape)
+    out = np.empty(d.shape)
+    inside = d < R
+    if np.any(inside):
+        Ri = R[inside]
+        rho = d[inside] / Ri
+        m = rho * rho
+        K, E = _ellipke(m)
+        out[inside] = (4.0 * Ri / (9.0 * np.pi)) * (
+            (7.0 + m) * E - 4.0 * (1.0 - m) * K
+        )
+    edge = d == R
+    out[edge] = (32.0 / (9.0 * np.pi)) * R[edge]
+    near = (d > R) & (d <= 1.5 * R)
+    if np.any(near):
+        dn = d[near]
+        u = R[near] / dn
+        m = u * u
+        K, E = _ellipke(m)
+        out[near] = (4.0 * dn / (9.0 * np.pi * m)) * (
+            (1.0 + 7.0 * m) * E - (1.0 - m) * (1.0 + 3.0 * m) * K
+        )
+    far = d > 1.5 * R
+    if np.any(far):
+        df = d[far]
+        u = R[far] / df
+        z = u * u
+        acc = np.ones_like(z)
+        for c in reversed(_SERIES_RATIOS):
+            acc = 1.0 + (c * z) * acc
+        out[far] = df * acc
     return out
 
 

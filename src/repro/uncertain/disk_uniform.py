@@ -1,8 +1,9 @@
 """Uniform distribution over a disk (the paper's canonical example).
 
 Figure 1 of the paper plots ``g_{q,i}(r)`` for ``P_i`` uniform on the
-disk of radius 5 at the origin with ``q = (6, 8)``; both the cdf and pdf
-here are closed-form (lens area / boundary arc length).
+disk of radius 5 at the origin with ``q = (6, 8)``; the cdf, the pdf and
+the expected distance here are all closed-form (lens area, boundary arc
+length, and :func:`repro.geometry.kernels.disk_expected_distance`).
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class UniformDiskPoint(UncertainPoint):
         half = math.acos(min(1.0, max(-1.0, cos_half)))
         return 2.0 * half * r / self.disk.area()
 
+    def expected_distance(self, q, tol: float = 1e-9) -> float:
+        """Closed-form ``E[d(q, P_i)]`` (``tol`` is unused); the same
+        double as the one-row :meth:`expected_distance_many`."""
+        return float(self.expected_distance_many(q)[0])
+
     def sample(self, rng: random.Random) -> Tuple[float, float]:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         rad = self.disk.radius * math.sqrt(rng.random())
@@ -90,6 +96,15 @@ class UniformDiskPoint(UncertainPoint):
         rr = np.broadcast_to(np.asarray(r, dtype=np.float64), d.shape)
         lens = kernels.lens_area_many(d, rr, self.disk.radius)
         return np.where(rr > 0.0, lens / self.disk.area(), 0.0)
+
+    def expected_distance_many(
+        self, qs, panels: int = 16, order: int = 16
+    ) -> np.ndarray:
+        """Closed-form ``E[d(q, P_i)]`` per query row (``panels`` /
+        ``order`` are unused: no quadrature runs)."""
+        return kernels.disk_expected_distance(
+            self._center_distances(qs), self.disk.radius
+        )
 
     def sample_many(self, rng: SeedLike, size: int) -> np.ndarray:
         g = default_rng(rng)

@@ -2,19 +2,31 @@
 
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import (
+    Engine,
     MonteCarloPNN,
     QueryError,
+    QuerySpec,
     UniformDiskPoint,
     discretize,
     quantification_probabilities,
     rounds_for_all_queries,
     rounds_for_fixed_query,
 )
-from repro.constructions import random_discrete_points, random_disk_points
+from repro.config import execution
+from repro.constructions import (
+    cluster_centers,
+    clustered_discrete_points,
+    clustered_disk_points,
+    clustered_queries,
+    random_discrete_points,
+    random_disk_points,
+)
 
 
 class TestRoundFormulas:
@@ -111,3 +123,58 @@ class TestContinuousAccuracy:
         points = random_disk_points(7, seed=1)
         mc = MonteCarloPNN(points, s=50, seed=0)
         assert mc.space_estimate() == 7 * 50
+
+
+class TestRoundsMemory:
+    """Pruned rounds count wins by CSR position: admission reserves the
+    counters and one round block over the survivors, never ``(m, n)``.
+    Unpruned rounds run in row tiles sized by ``tile_bytes``."""
+
+    def test_small_budget_answers_identically(self):
+        centers = cluster_centers(8, seed=2, box=200.0)
+        pts = clustered_discrete_points(2000, k=4, centers=centers, seed=3)
+        Q = np.asarray(clustered_queries(256, centers=centers, seed=4))
+        base = Engine(pts, result_cache_size=0)
+        for spec in (
+            QuerySpec("mc_pnn", s=64, seed=7),
+            QuerySpec("mc_pnn", s=64, seed=7, adaptive=True, tol=0.1),
+        ):
+            want = base.query(Q, spec).answers
+            # Both budgets lie below one (m, n) count matrix (4 MiB).
+            for budget in (1 << 20, 2 << 20):
+                with execution(memory_budget_bytes=budget):
+                    got = Engine(pts, result_cache_size=0).query(Q, spec)
+                assert got.answers == want
+
+    def test_peak_stays_far_below_a_dense_matrix(self):
+        centers = cluster_centers(20, seed=1, box=100.0)
+        pts = clustered_disk_points(20_000, centers=centers, seed=5)
+        Q = np.asarray(clustered_queries(512, centers=centers, seed=6))
+        eng = Engine(pts, result_cache_size=0)
+        spec = QuerySpec("mc_pnn", s=64, seed=7)
+        eng.query(Q[:8], spec)  # builds the samples, columns and trees
+        tracemalloc.start()
+        try:
+            eng.query(Q, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = Q.shape[0] * len(pts) * 8  # one (m, n) float64: 82 MB
+        assert peak < dense / 4
+
+    def test_unpruned_rounds_run_in_row_tiles(self):
+        centers = cluster_centers(8, seed=2, box=200.0)
+        pts = clustered_disk_points(2000, centers=centers, seed=3)
+        Q = np.asarray(clustered_queries(128, centers=centers, seed=4))
+        eng = Engine(pts, result_cache_size=0)
+        spec = QuerySpec("mc_pnn", s=16, seed=7, tier="exact")
+        want = eng.query(Q, spec).answers
+        with execution(tile_bytes=256 * 1024):
+            tracemalloc.start()
+            try:
+                got = eng.query(Q, spec).answers
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert got == want
+        assert peak < Q.shape[0] * len(pts) * 8 / 2  # half an (m, n) float64

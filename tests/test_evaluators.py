@@ -20,6 +20,7 @@ from repro import Engine, ModelColumns, QueryPlanner, QuerySpec, config
 from repro.constructions import (
     cluster_centers,
     clustered_disk_points,
+    clustered_gaussian_points,
     clustered_queries,
     random_discrete_points,
     random_disk_points,
@@ -309,8 +310,15 @@ class TestFloat32Certified:
         Q = np.asarray(clustered_queries(80, centers=centers, seed=43))
         return points, Q
 
+    def _quadrature_workload(self):
+        # Float32 covers the quadrature kernels only (disks run their
+        # float64 closed form), so the certificate tests use gaussians.
+        points = clustered_gaussian_points(300, seed=42, clusters=8, box=300.0)
+        _, Q = self._workload()
+        return points, Q
+
     def test_fallback_rows_within_certificate(self):
-        points, Q = self._workload()
+        points, Q = self._quadrature_workload()
         with config.execution(dtype="float32"):
             planner = QueryPlanner(points)
             wf, vf, fb = planner.expected_nn_many(
@@ -339,8 +347,31 @@ class TestFloat32Certified:
         assert np.array_equal(wg[rows], wo)
         assert np.array_equal(vg[rows], vo)
 
-    def test_engine_certificate_carries_bounds(self):
+    def test_disk_fallback_rows_stay_float64(self):
+        # Disk pairs run the float64 closed form under float32 too: the
+        # fallback rows equal the float64 tier bit for bit, with zero
+        # certificates.
         points, Q = self._workload()
+        with config.execution(dtype="float32"):
+            planner = QueryPlanner(points)
+            wf, vf, fb = planner.expected_nn_many(
+                Q, tier="approx", eps=1e-9, return_fallback=True
+            )
+            bounds = planner.last_fallback_bounds
+            res = Engine(points).query(
+                Q, method="expected_nn", tier="approx", eps=1e-9
+            )
+        rows = np.flatnonzero(fb)
+        assert rows.size
+        w64, v64 = QueryPlanner(points).expected_nn_many(Q[rows], tier="exact")
+        assert np.array_equal(wf[rows], w64)
+        assert np.array_equal(vf[rows], v64)
+        assert np.array_equal(bounds, np.zeros(rows.size))
+        assert np.array_equal(res.fallback, fb)
+        assert np.all(res.certificate[rows] == 0.0)
+
+    def test_engine_certificate_carries_bounds(self):
+        points, Q = self._quadrature_workload()
         with config.execution(dtype="float32"):
             eng = Engine(points)
             res = eng.query(Q, method="expected_nn", tier="approx", eps=1e-9)

@@ -14,6 +14,10 @@ return the exact tier's answers bit for bit:
 * a wire round trip;
 * a snapshot restore;
 * a write-ahead-log recovery.
+
+Extra disks put lattice rows on every branch of the closed-form disk
+expectation: at a center, exactly on a rim, inside, just outside, at
+``d = 1.5 R`` where the series takes over, and far away.
 """
 
 import json
@@ -22,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import Engine, QuerySpec, ShardedEngine
+from repro import Engine, QuerySpec, ShardedEngine, UniformDiskPoint
 from repro.methods import METHODS
 from repro.resilience.retry import RetryPolicy
 from repro.service import DatasetRegistry, RequestQueue, wire
@@ -40,8 +44,21 @@ PARAMS = {
 }
 
 
+#: Disks whose centers and rims sit on lattice query rows (the rows
+#: step by 0.5 over [-0.5, 6]).
+BRANCH_DISKS = [
+    UniformDiskPoint((4.5, 0.5), 1.0),
+    UniformDiskPoint((1.5, 4.5), 1.5),
+    UniformDiskPoint((5.5, 5.5), 0.5),
+]
+
+
+def _lattice():
+    return lattice_points() + BRANCH_DISKS
+
+
 def _points(name):
-    pts = lattice_points()
+    pts = _lattice()
     return [p for p in pts if p.is_discrete] if PARAMS[name][1] else pts
 
 
@@ -71,12 +88,42 @@ def _assert_same(got, want, rows=None, what=""):
 @pytest.fixture(scope="module")
 def cluster():
     retry = RetryPolicy(attempts=2, base_delay_s=0.01, max_delay_s=0.05)
-    with ShardedEngine(lattice_points(), shards=2, retry=retry) as ce:
+    with ShardedEngine(_lattice(), shards=2, retry=retry) as ce:
         yield ce
 
 
 def test_table_is_covered():
     assert set(PARAMS) == set(METHODS)
+
+
+def test_branch_disks_cover_every_kernel_branch():
+    Q = lattice_queries()
+    points = _points("expected_knn")
+    # The kNN pruned tier evaluates (row, disk) survivors on each
+    # branch: the disks' own pairs, with their center distances.
+    k = PARAMS["expected_knn"][0]["k"]
+    indptr, cols = Engine(points).planner().candidate_csr(
+        Q, k=k, criterion="expected"
+    )
+    rows = np.repeat(np.arange(Q.shape[0]), np.diff(indptr))
+    hit = set()
+    for i, disk in enumerate(BRANCH_DISKS, start=len(points) - len(BRANCH_DISKS)):
+        c, R = disk.disk.center, disk.disk.radius
+        sel = rows[cols == i]
+        d = np.hypot(Q[sel, 0] - c.x, Q[sel, 1] - c.y)
+        hit.update(
+            name
+            for name, on in (
+                ("center", d == 0.0),
+                ("inside", (d > 0.0) & (d < R)),
+                ("rim", d == R),
+                ("elliptic outside", (d > R) & (d < 1.5 * R)),
+                ("series edge", d == 1.5 * R),
+                ("series", d > 1.5 * R),
+            )
+            if np.any(on)
+        )
+    assert len(hit) == 6, hit
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
