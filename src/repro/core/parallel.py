@@ -31,11 +31,12 @@ from ..errors import QueryError, ResourceLimitError, WorkerCrashError
 from ..resilience import checkpoint
 from ..resilience import faults as _faults
 
-__all__ = ["map_ordered", "map_tiles", "resolve_workers", "tile_ranges"]
+__all__ = ["BACKENDS", "map_ordered", "map_tiles", "resolve_workers", "tile_ranges"]
 
 T = TypeVar("T")
 
-_BACKENDS = ("serial", "thread", "process")
+#: The ``parallel_backend`` values :func:`map_tiles` accepts.
+BACKENDS = ("serial", "thread", "process")
 
 TILE_SITE = "parallel.tile"
 
@@ -133,9 +134,9 @@ def _map_argtuples(
     picklable functions stay process-backend compatible."""
     if backend is None:
         backend = EXECUTION.parallel_backend
-    if backend not in _BACKENDS:
+    if backend not in BACKENDS:
         raise QueryError(
-            f"unknown parallel backend {backend!r}; expected one of {_BACKENDS}"
+            f"unknown parallel backend {backend!r}; expected one of {BACKENDS}"
         )
     n_workers = resolve_workers(workers)
     if backend == "serial" or n_workers == 1 or len(argtuples) <= 1:

@@ -3,73 +3,46 @@
 Every exact structure in this library admits the same pruning argument:
 an object ``P_i`` cannot be the (probable / expected / nonzero) nearest
 neighbor of ``q`` when ``dmin_i(q) > min_j dmax_j(q)``.  The planner
-evaluates that test **vectorized over the whole query matrix** using the
-precomputed envelope brackets of :class:`repro.uncertain.ModelColumns`
-(``lb <= dmin``, ``dmax <= ub`` ⇒ pruning on ``lb > min_j ub_j`` is
-always safe), shrinks each query's candidate set, and dispatches only
-the survivors to the existing batched evaluators.  Results are exactly
-identical to the unpruned paths:
+evaluates that test vectorized over the whole query matrix, on the
+envelope brackets of :class:`repro.uncertain.ModelColumns` (``lb <=
+dmin``, ``dmax <= ub``, so pruning on ``lb > min_j ub_j`` is safe).
+The answers equal the unpruned ones: the winner always survives, and
+every pruned object lies strictly beyond the per-query cutoff, so it
+can neither win nor tie any minimum (for Lemma 2.1, the minimum and the
+decisive second minimum of the ``dmax`` row are attained at candidates).
 
-* the realized / expected winner always survives (its own ``lb`` is at
-  most its ``dmax``, which bounds the cutoff);
-* every pruned object is *strictly* farther than the per-query cutoff,
-  so it can neither win nor tie any evaluator's minimum, and for
-  Lemma 2.1 the minimum (and decisive second minimum) of the ``dmax``
-  row is always attained at a candidate.
-
-Tiered execution
-----------------
-The answer-producing methods take ``tier=``:
+Every answer method prunes, evaluates the survivors and reduces each
+row.  What differs per method is one row of :data:`PASSES`: the prune
+criterion and ``k``, the pair kernel, the CSR reducer of
+:mod:`repro.core.reducers` and, where there is one, the quantized-index
+call.  :meth:`QueryPlanner._answer` runs any row on any tier:
 
 ``"pruned"`` (default)
-    Prune-then-evaluate, exactly identical to the unpruned answers.
+    The dual-tree traversal of :mod:`repro.core.dual_tree` emits the
+    survivors in CSR form (equal to the flat ``(rows, n)`` bound pass's
+    bit for bit, with bound work that follows the surviving frontier),
+    the tag-grouped kernels of :mod:`repro.core.evaluators` value them
+    in the same order, and the reducer answers.  Nothing of size
+    ``(rows, n)`` is allocated.
 ``"exact"``
-    Skip pruning; evaluate every object (the cross-check tier).
+    No prune: each row tile, sized from ``EXECUTION.tile_bytes``, is a
+    full CSR valued by each object's own ``*_many`` methods (and the
+    scalar Eq. (2) sweep) and fed to the same reducer.  Tiles fan out
+    under ``parallel_backend="thread"`` and join in tile order.  This
+    tier is the pruned tier's oracle.
 ``"approx"``
     Point location in a lazily built
-    :class:`repro.core.quant_index.QuantizedEnvelopeIndex` (pass
-    ``eps=``, optionally ``rel=``): certified ε-approximate answers in
-    O(log) per query, with the index's exact-fallback rows transparently
-    resolved by the pruned tier.
-
-Tiled execution
----------------
-No tier materializes ``(m, n)`` floating-point matrices for a whole
-batch.  The pruned tier is output-sensitive end to end: one dual-tree
-prune pass emits the batch's survivors in CSR form, one evaluator call
-fills their values in the same order, and one segmented reducer of
-:mod:`repro.core.reducers` turns them into answers — nothing of size
-``(rows, n)`` is allocated and nothing is row-tiled.  Under
-``parallel_backend="thread"`` the dual traversal fans out over query
-subtrees (:mod:`repro.core.dual_tree`, whose query tree packs
-``_QUERY_LEAF_SIZE`` rows per leaf).  Only the exact tier runs in row
-tiles, sized from ``config.EXECUTION.tile_bytes`` (so a tile's
-simultaneous ``(rows, n)`` float64 temporaries fit the configured
-budget); those tiles can be fanned out across cores by
-:func:`repro.core.parallel.map_tiles` (``parallel_backend="thread"``;
-results are assembled in tile order, so parallel answers are
-bit-identical to serial — the ``"process"`` backend serves picklable
-workloads through ``map_tiles`` directly, and the planner rejects it
-since its tile closures hold model objects).
-
-Candidate generation
---------------------
-The pruned tier has one candidate generator, the **dual-tree
-traversal** of :mod:`repro.core.dual_tree`: a query-block STR tree is
-walked against a cached object-envelope STR tree level by level, node
-pairs are pruned against per-block running best upper bounds, and the
-surviving members are refined with the exact column bounds of
-:class:`~repro.uncertain.ModelColumns`.  The emitted CSR survivor sets
-equal the flat ``(rows, n)`` bound pass's survivors bit for bit (the
-tests keep that flat pass as their oracle), but the bound work is
-proportional to the surviving frontier instead of ``m * n``.  Survivors
-are evaluated by the tag-grouped kernels of
-:mod:`repro.core.evaluators`; the exact tier, which calls each object's
-own ``*_many`` methods, is their oracle.
+    :class:`repro.core.quant_index.QuantizedEnvelopeIndex` (``eps=``,
+    optionally ``rel=``): certified ε-approximate answers in O(log) per
+    query, its fallback rows re-answered by the pruned pass — except
+    that under ``EXECUTION.dtype="float32"`` expected-NN fallback rows
+    run the grouped kernels in single precision with a certified bound
+    per row (:attr:`QueryPlanner.last_fallback_bounds`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -83,23 +56,15 @@ from ..uncertain.columns import TAG_DISCRETE, ModelColumns
 from . import evaluators as _evaluators
 from . import parallel as _parallel
 from .dual_tree import DualTreeCandidates, EnvelopeObjectTree, dual_tree_candidates
-from .nonzero import nonzero_from_matrices, support_report
 from .quantification import (
-    entries_for_query,
-    sweep_quantification,
-    sweep_quantification_csr,
+    entries_for_query, sweep_quantification, sweep_quantification_csr,
 )
 from .reducers import (
-    csr_dicts,
-    max_reduce_csr,
-    min_reduce_csr,
-    nonzero_csr,
-    support_report_csr,
-    topk_csr,
-    topk_dense,
+    csr_dicts, full_csr, max_reduce_csr, min_reduce_csr, nonzero_csr,
+    support_report_csr, topk_csr,
 )
 
-__all__ = ["QueryPlanner"]
+__all__ = ["PASSES", "Pass", "QueryPlanner"]
 
 #: Relative slack applied to every pruning cutoff so a bound computed a
 #: few ulps above its true value can never discard a genuine candidate.
@@ -117,8 +82,8 @@ _DUAL_FANOUT = 8
 _QUERY_LEAF_SIZE = 4
 
 #: Peak float64 working-set bytes per (query, object) pair in an
-#: exact-tier tile (the dmin/dmax or expectation matrices and the
-#: kernels' temporaries): 8 simultaneous arrays.
+#: exact-tier tile (the dmin/dmax or expectation matrices, the full
+#: CSR and the reducer's temporaries): 8 simultaneous arrays.
 _BYTES_PER_PAIR = 64
 
 #: Per-pair bytes of the pruned tier: no bound temporaries
@@ -130,6 +95,127 @@ _BYTES_PER_PAIR = 64
 _BYTES_PER_PAIR_DUAL = 24
 
 _TIERS = ("exact", "pruned", "approx")
+
+#: The dual-traversal counters summed into ``dual_totals``.
+_DUAL_COUNTERS = ("node_pairs_visited", "node_pairs_pruned",
+                  "point_node_pairs", "refined_pairs", "survivors")
+
+
+@dataclasses.dataclass(frozen=True)
+class Pass:
+    """One answer method, as :meth:`QueryPlanner._answer` runs it.
+
+    ``name`` is the planner entry point.  The prune keeps the objects
+    whose ``criterion`` bracket (``"support"`` or ``"expected"``) can
+    reach the ``k``-th smallest upper bound, ``k`` being the argument
+    when ``ranked`` and 1 otherwise.  ``kernel`` names the pair values
+    (``"support"``, ``"expected"`` or the Eq. (2) ``"sweep"``) that
+    ``reduce(indptr, cols, values, arg, n)`` turns into answers.
+    ``approx(index, Q, arg)`` returns the ``criterion`` quantized index's
+    ``(answers, fallback)``; ``check(arg, m, n)`` rejects a bad call.
+    """
+
+    name: str
+    criterion: str
+    kernel: str
+    reduce: Callable[..., object]
+    ranked: bool = False
+    approx: Optional[Callable[..., tuple]] = None
+    check: Optional[Callable[[object, int, int], None]] = None
+
+    def prune(self, arg=None) -> Tuple[str, int]:
+        """The pruned tier's ``(criterion, k)`` for argument ``arg``."""
+        return self.criterion, int(arg) if self.ranked else 1
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise QueryError(message)
+
+
+def _inf_scatter(indptr, cols, values, k, n: int) -> np.ndarray:
+    E = np.full((indptr.shape[0] - 1, n), np.inf)
+    E[kernels.csr_rows(indptr), cols] = values
+    return E
+
+
+def _approx_winners(index, Q, arg):
+    ans = index.expected_nn_many(Q)
+    return (ans.winners, ans.values), ans.fallback
+
+
+def _approx_sets(index, Q, arg):
+    ans = index.nonzero_nn_many(Q)
+    return ans.sets, ans.fallback
+
+
+def _approx_threshold(index, Q, tau):
+    ans = index.threshold_nn_many(Q, tau)
+    return ans.answers, ans.fallback
+
+
+#: The answer methods by planner entry point (the kNN row also serves
+#: ``expected_knn_report_many``).  Every reducer breaks ties towards the
+#: lowest column, as a dense argmin / stable argsort does.
+PASSES: Dict[str, Pass] = {p.name: p for p in (
+    Pass("nonzero_nn_many", "support", "support",
+         lambda indptr, cols, v, arg, n: nonzero_csr(indptr, cols, *v),
+         approx=_approx_sets),
+    Pass("nonzero_report_many", "support", "support",
+         lambda indptr, cols, v, arg, n: support_report_csr(indptr, cols, *v)),
+    Pass("expected_nn_many", "expected", "expected",
+         lambda indptr, cols, v, arg, n: min_reduce_csr(indptr, cols, v),
+         approx=_approx_winners),
+    Pass("expected_distance_matrix", "expected", "expected", _inf_scatter,
+         ranked=True, check=lambda k, m, n: _resilience.require_bytes(
+             m * n * 8, f"expected_distance_matrix output (m={m}, n={n})")),
+    Pass("expected_knn_many", "expected", "expected",
+         lambda indptr, cols, v, k, n: topk_csr(indptr, cols, v, k),
+         ranked=True, check=lambda k, m, n: _require(
+             1 <= k <= n, f"k must lie in [1, {n}]")),
+    Pass("threshold_nn_exact_many", "support", "sweep",
+         lambda indptr, cols, pi, tau, n: csr_dicts(indptr, cols, pi, pi > tau),
+         approx=_approx_threshold, check=lambda tau, m, n: _require(
+             0.0 <= tau < 1.0, "tau must lie in [0, 1)")),
+)}
+
+#: Expected-NN fallback rows under ``EXECUTION.dtype="float32"``:
+#: ``((winners, values), bounds)``, a row's bound being its worst pair
+#: bound (the min reduction is 1-Lipschitz in the sup norm).
+_FLOAT32_NN = Pass(
+    "expected_nn_many", "expected", "float32",
+    lambda indptr, cols, v, arg, n: (
+        min_reduce_csr(indptr, cols, v[0]), max_reduce_csr(indptr, v[1])
+    ),
+)
+
+
+def _join(blocks: List[object]) -> object:
+    """Row tiles' answers, joined in row order."""
+    head = blocks[0]
+    if len(blocks) == 1:
+        return head
+    if isinstance(head, list):
+        return [row for block in blocks for row in block]
+    if isinstance(head, tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    if isinstance(head, np.ndarray):
+        return np.concatenate(blocks)
+    # A support report: its member CSR is rebuilt from the row counts.
+    joined = {k: np.concatenate([b[k] for b in blocks]) for k in head if k != "indptr"}
+    counts = np.concatenate([np.diff(b["indptr"]) for b in blocks])
+    joined["indptr"] = np.concatenate([head["indptr"][:1], np.cumsum(counts)])
+    return joined
+
+
+def _put_rows(answers, rows: np.ndarray, resolved) -> None:
+    """Overwrite ``rows`` of a row list or a tuple of row arrays."""
+    if isinstance(answers, tuple):
+        for part, new in zip(answers, resolved):
+            part[rows] = new
+        return
+    for r, row in zip(rows.tolist(), resolved):
+        answers[r] = row
 
 
 class QueryPlanner:
@@ -188,23 +274,15 @@ class QueryPlanner:
         self._cache = cache if cache is not None else self._own_cache
         #: Cumulative dual-tree telemetry across this planner's prune
         #: passes (surfaced by :meth:`repro.Engine.stats`).
-        self.dual_totals: Dict[str, float] = {
-            "traversals": 0.0,
-            "node_pairs_visited": 0.0,
-            "node_pairs_pruned": 0.0,
-            "point_node_pairs": 0.0,
-            "refined_pairs": 0.0,
-            "survivors": 0.0,
-        }
+        self.dual_totals: Dict[str, float] = dict.fromkeys(
+            ("traversals",) + _DUAL_COUNTERS, 0.0
+        )
         #: Cumulative evaluation-phase telemetry: grouped kernel passes,
         #: pairs they evaluated, and the prune / evaluate wall-time
         #: split (prune seconds cover the dual traversal passes).
-        self.eval_totals: Dict[str, float] = {
-            "grouped_calls": 0.0,
-            "pairs": 0.0,
-            "prune_seconds": 0.0,
-            "eval_seconds": 0.0,
-        }
+        self.eval_totals: Dict[str, float] = dict.fromkeys(
+            ("grouped_calls", "pairs", "prune_seconds", "eval_seconds"), 0.0
+        )
         self.last_eval_stats: Optional[Dict[str, float]] = None
         self._last_prune_seconds = 0.0
         #: After an approx-tier ``expected_nn_many`` under
@@ -232,6 +310,11 @@ class QueryPlanner:
         return self._columns
 
     # -- tiled execution -----------------------------------------------------
+    def _backend(self) -> str:
+        if self.parallel_backend is not None:
+            return self.parallel_backend
+        return EXECUTION.parallel_backend
+
     def _tile_rows(self, tier: str) -> int:
         tb = self.tile_bytes if self.tile_bytes is not None else EXECUTION.tile_bytes
         # Pruned rows stage no bound matrices; exact-tier tiles stage
@@ -242,18 +325,13 @@ class QueryPlanner:
         # tile height is clamped so one tile's working set fits it (or
         # the request is rejected when even a single row cannot).
         return _resilience.clamp_tile_rows(
-            rows, len(self.points), per_pair,
-            what=f"{tier}-tier bound-pass tile",
+            rows, len(self.points), per_pair, what=f"{tier}-tier bound-pass tile"
         )
 
     def _run_tiles(self, m: int, fn) -> List:
         """The exact tier's ``fn(lo, hi)`` over cache-sized row tiles,
         optionally fanned out across workers; results in tile order."""
-        backend = (
-            self.parallel_backend
-            if self.parallel_backend is not None
-            else EXECUTION.parallel_backend
-        )
+        backend = self._backend()
         if backend == "process":
             # Planner tile functions close over the planner (model
             # objects, bound state) and are not picklable; a process
@@ -265,18 +343,17 @@ class QueryPlanner:
             )
         tiles = _parallel.tile_ranges(m, self._tile_rows("exact"))
         return _parallel.map_tiles(
-            fn,
-            tiles,
-            backend=backend,
-            workers=self.parallel_workers,
+            fn, tiles, backend=backend, workers=self.parallel_workers
         )
 
     @staticmethod
-    def _check_tier(tier: str, eps: Optional[float]) -> None:
+    def _check_tier(tier: str, eps: Optional[float], return_fallback: bool) -> None:
         if tier not in _TIERS:
             raise QueryError(f"unknown planner tier {tier!r}; expected {_TIERS}")
         if tier == "approx" and eps is None:
             raise QueryError("the approx tier requires eps")
+        if return_fallback and tier != "approx":
+            raise QueryError("return_fallback requires tier='approx'")
 
     def approx_index(self, eps: float, rel: float = 0.0, criterion: str = "expected"):
         """The lazily built (and cached)
@@ -287,10 +364,7 @@ class QueryPlanner:
         return self._cache(
             ("quant", float(eps), float(rel), criterion),
             lambda: QuantizedEnvelopeIndex(
-                self.points,
-                eps=eps,
-                rel=rel,
-                criterion=criterion,
+                self.points, eps=eps, rel=rel, criterion=criterion,
                 columns=self.columns,
             ),
         )
@@ -322,22 +396,13 @@ class QueryPlanner:
             )
         return self._eval_cache
 
-    @staticmethod
-    def _use_float32() -> bool:
-        dtype = EXECUTION.dtype
-        if dtype not in ("float64", "float32"):
-            raise QueryError(
-                f"unknown execution dtype {dtype!r}; expected 'float64' or "
-                "'float32'"
-            )
-        return dtype == "float32"
-
     def _begin_answer(self) -> None:
         """Clear the last-call telemetry at the start of an answer call,
         so a call that evaluates nothing (an approx query without
         fallback rows, the exact tier) never reports an earlier call's
-        ``last_eval_stats``."""
+        ``last_eval_stats`` or ``last_fallback_bounds``."""
         self.last_eval_stats = None
+        self.last_fallback_bounds = None
         self._last_prune_seconds = 0.0
 
     def _note_eval(self, pairs: int, seconds: float) -> None:
@@ -345,8 +410,7 @@ class QueryPlanner:
         self.eval_totals["pairs"] += float(pairs)
         self.eval_totals["eval_seconds"] += float(seconds)
         self.last_eval_stats = {
-            "pairs": float(pairs),
-            "eval_seconds": float(seconds),
+            "pairs": float(pairs), "eval_seconds": float(seconds),
             "prune_seconds": float(self._last_prune_seconds),
         }
 
@@ -369,48 +433,26 @@ class QueryPlanner:
         # worst case (every object surviving) already exceeds the
         # configured memory budget.
         _resilience.clamp_tile_rows(
-            Q.shape[0] if Q.shape[0] else 1,
-            n,
-            _BYTES_PER_PAIR_DUAL,
+            max(Q.shape[0], 1), n, _BYTES_PER_PAIR_DUAL,
             what="dual-tree refinement working set",
-        )
-        backend = (
-            self.parallel_backend
-            if self.parallel_backend is not None
-            else EXECUTION.parallel_backend
         )
         t0 = time.perf_counter()
         res = dual_tree_candidates(
-            Q,
-            self.columns,
-            object_tree=self.object_tree(),
-            k=k,
-            criterion=criterion,
-            leaf_size=_QUERY_LEAF_SIZE,
-            fanout=_DUAL_FANOUT,
-            slack=_CUTOFF_SLACK,
-            backend=backend,
-            workers=self.parallel_workers,
-            tile_bytes=self.tile_bytes,
+            Q, self.columns, object_tree=self.object_tree(), k=k,
+            criterion=criterion, leaf_size=_QUERY_LEAF_SIZE,
+            fanout=_DUAL_FANOUT, slack=_CUTOFF_SLACK, backend=self._backend(),
+            workers=self.parallel_workers, tile_bytes=self.tile_bytes,
         )
         if not record:
             return res
         self._last_prune_seconds = time.perf_counter() - t0
         self.eval_totals["prune_seconds"] += self._last_prune_seconds
         self.dual_totals["traversals"] += 1.0
-        for key in (
-            "node_pairs_visited",
-            "node_pairs_pruned",
-            "point_node_pairs",
-            "refined_pairs",
-            "survivors",
-        ):
+        for key in _DUAL_COUNTERS:
             self.dual_totals[key] += res.stats[key]
         return res
 
-    def candidate_mask(
-        self, qs, k: int = 1, criterion: str = "support"
-    ) -> np.ndarray:
+    def candidate_mask(self, qs, k: int = 1, criterion: str = "support") -> np.ndarray:
         """Boolean ``(m, n)`` mask of objects surviving the prune.
 
         Object ``i`` survives query ``q`` when its lower bound does not
@@ -427,8 +469,7 @@ class QueryPlanner:
         Q = kernels.as_query_array(qs)
         n = len(self.points)
         _resilience.require_bytes(
-            Q.shape[0] * n,
-            f"candidate mask output (m={Q.shape[0]}, n={n})",
+            Q.shape[0] * n, f"candidate mask output (m={Q.shape[0]}, n={n})"
         )
         return self._dual_csr(Q, k, criterion).mask(n)
 
@@ -446,65 +487,113 @@ class QueryPlanner:
         res = self._dual_csr(qs, k, criterion)
         return res.indptr, res.indices
 
-    # -- survivor evaluation -------------------------------------------------
-    def _expected_block(self, Q: np.ndarray) -> np.ndarray:
-        """The exact tier's ``(rows, n)`` expectation matrix of one tile:
-        one batched call per object."""
-        E = np.empty((Q.shape[0], len(self.points)))
-        for i, p in enumerate(self.points):
-            E[:, i] = p.expected_distance_many(Q)
-        return E
+    # -- the answer loop -----------------------------------------------------
+    def _answer(self, qs, tier: str, p: Pass, arg=None, eps=None, rel=0.0,
+                return_fallback: bool = False):
+        """Pass ``p``'s answers for every query row on ``tier``: the pruned
+        pass, the exact row tiles reduced the same way, or the quantized
+        index with its fallback rows re-answered by the pruned pass
+        (``return_fallback=True`` appends the fallback mask)."""
+        if tier == "approx" and p.approx is None:
+            raise QueryError(f"{p.name} has no approx tier")
+        self._check_tier(tier, eps, return_fallback)
+        Q = kernels.as_query_array(qs)
+        if p.check is not None:
+            p.check(arg, Q.shape[0], len(self.points))
+        self._begin_answer()
+        if tier == "pruned":
+            return self._pruned(Q, p, arg)
+        if tier == "exact":
+            tiles = self._run_tiles(
+                Q.shape[0], lambda lo, hi: self._exact(Q[lo:hi], p, arg)
+            )
+            return _join(tiles)
+        # The dtype shapes expected-NN fallback rows only; a bad value
+        # fails loudly even when no row needs the fallback.
+        dtype = EXECUTION.dtype if p.kernel == "expected" else "float64"
+        _require(dtype in ("float64", "float32"), f"unknown execution dtype "
+                 f"{dtype!r}; expected 'float64' or 'float32'")
+        float32 = dtype == "float32"
+        answers, fallback = p.approx(self.approx_index(eps, rel, p.criterion), Q, arg)
+        rows = np.flatnonzero(fallback)
+        if rows.size:
+            resolved = self._pruned(Q[rows], _FLOAT32_NN if float32 else p, arg)
+            if float32:
+                resolved, self.last_fallback_bounds = resolved
+            _put_rows(answers, rows, resolved)
+        if not return_fallback:
+            return answers
+        if isinstance(answers, tuple):
+            return (*answers, fallback)
+        return answers, fallback
 
-    def _support_matrices(self, Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The exact tier's ``(rows, n)`` dmin/dmax matrices of one tile."""
-        n = len(self.points)
-        dmins = np.empty((Q.shape[0], n))
-        dmaxs = np.empty((Q.shape[0], n))
-        for i, p in enumerate(self.points):
-            dmins[:, i] = p.dmin_many(Q)
-            dmaxs[:, i] = p.dmax_many(Q)
-        return dmins, dmaxs
+    def _pruned(self, Q: np.ndarray, p: Pass, arg):
+        """Pass ``p`` over the prune survivors: one dual-tree pass, the
+        survivors' grouped values in CSR order, one reducer call."""
+        criterion, k = p.prune(arg)
+        indptr, cols = self.candidate_csr(Q, k, criterion)
+        values = self._pair_values(p.kernel, Q, indptr, cols)
+        return p.reduce(indptr, cols, values, arg, len(self.points))
 
-    def _expected_values(
-        self, Q: np.ndarray, indptr: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Expected distances of the CSR survivor pairs, in CSR order."""
+    def _pair_values(self, kernel: str, Q: np.ndarray, indptr, cols):
+        """The CSR survivor pairs' ``kernel`` values, in CSR order, by
+        the tag-grouped kernels."""
+        if kernel == "sweep" and np.any(self.columns.tags[cols] != TAG_DISCRETE):
+            # Mixed sets (and duck-typed discrete models, tagged "other")
+            # keep the scalar sweep's per-object validation and errors.
+            return self._scalar_sweep(Q, indptr, cols)
         rows = kernels.csr_rows(indptr)
         t0 = time.perf_counter()
-        values, _ = _evaluators.expected_distance_pairs(
-            self.eval_cache(), Q, rows, cols
-        )
+        cache = self.eval_cache()
+        if kernel == "support":
+            values = _evaluators.support_bounds_pairs(cache, Q, rows, cols)
+        elif kernel == "sweep":
+            # Replays the scalar sweep's float operations in order, so
+            # it equals the exact tier's per-row sweep bit for bit.
+            entries = _evaluators.gather_sweep_entries(cache, Q, indptr, cols)
+            values = sweep_quantification_csr(indptr, *entries)
+        else:
+            values = _evaluators.expected_distance_pairs(
+                cache, Q, rows, cols, use_float32=kernel == "float32"
+            )
+            if kernel == "expected":
+                values = values[0]
         self._note_eval(cols.shape[0], time.perf_counter() - t0)
         return values
 
-    def _support_values(
-        self, Q: np.ndarray, indptr: np.ndarray, cols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(dmin, dmax)`` of the CSR survivor pairs, in CSR order."""
-        rows = kernels.csr_rows(indptr)
-        t0 = time.perf_counter()
-        dmin, dmax = _evaluators.support_bounds_pairs(
-            self.eval_cache(), Q, rows, cols
-        )
-        self._note_eval(cols.shape[0], time.perf_counter() - t0)
-        return dmin, dmax
+    def _exact(self, Q: np.ndarray, p: Pass, arg):
+        """Pass ``p`` over one row tile's full CSR, valued by each
+        object's own batched methods (or the scalar Eq. (2) sweep)."""
+        n = len(self.points)
+        indptr, cols = full_csr(Q.shape[0], n)
 
-    # -- dispatch ------------------------------------------------------------
-    @staticmethod
-    def _check_fallback_flag(return_fallback: bool, tier: str) -> None:
-        if return_fallback and tier != "approx":
-            raise QueryError("return_fallback requires tier='approx'")
+        def flat(name: str) -> np.ndarray:
+            return np.column_stack([getattr(o, name)(Q) for o in self.points]).ravel()
 
+        if p.kernel == "sweep":
+            values = self._scalar_sweep(Q, indptr, cols)
+        elif p.kernel == "expected":
+            values = flat("expected_distance_many")
+        else:
+            values = flat("dmin_many"), flat("dmax_many")
+        return p.reduce(indptr, cols, values, arg, n)
+
+    def _scalar_sweep(self, Q: np.ndarray, indptr, cols) -> np.ndarray:
+        """Eq. (2) by the scalar sweep, one row at a time, over each
+        row's CSR columns."""
+        pi = np.empty(cols.shape[0])
+        for r in range(Q.shape[0]):
+            lo, hi = indptr[r], indptr[r + 1]
+            points = [self.points[i] for i in cols[lo:hi]]
+            entries = entries_for_query(points, Q[r])
+            pi[lo:hi] = sweep_quantification(entries, len(points))
+        return pi
+
+    # -- answer methods ------------------------------------------------------
     def nonzero_nn_many(
-        self,
-        qs,
-        tier: str = "pruned",
-        eps: Optional[float] = None,
-        rel: float = 0.0,
-        return_fallback: bool = False,
-    ) -> Union[
-        List[FrozenSet[int]], Tuple[List[FrozenSet[int]], np.ndarray]
-    ]:
+        self, qs, tier: str = "pruned", eps: Optional[float] = None,
+        rel: float = 0.0, return_fallback: bool = False,
+    ) -> Union[List[FrozenSet[int]], Tuple[List[FrozenSet[int]], np.ndarray]]:
         """``NN!=0(q)`` (Lemma 2.1) per query row.
 
         ``exact`` and ``pruned`` are identical to
@@ -516,29 +605,9 @@ class QueryPlanner:
         callers can surface per-row certificates without re-running the
         point location.
         """
-        self._check_tier(tier, eps)
-        self._check_fallback_flag(return_fallback, tier)
-        self._begin_answer()
-        Q = kernels.as_query_array(qs)
-        if tier == "approx":
-            ans = self.approx_index(eps, rel, "support").nonzero_nn_many(Q)
-            out = list(ans.sets)
-            rows = np.flatnonzero(ans.fallback)
-            if rows.size:
-                resolved = self.nonzero_nn_many(Q[rows], tier="pruned")
-                for r, s in zip(rows, resolved):
-                    out[r] = s
-            if return_fallback:
-                return out, ans.fallback
-            return out
-        if tier == "pruned":
-            indptr, cols = self.candidate_csr(Q)
-            return nonzero_csr(indptr, cols, *self._support_values(Q, indptr, cols))
-        blocks = self._run_tiles(
-            Q.shape[0],
-            lambda lo, hi: nonzero_from_matrices(*self._support_matrices(Q[lo:hi])),
+        return self._answer(
+            qs, tier, PASSES["nonzero_nn_many"], None, eps, rel, return_fallback
         )
-        return [s for block in blocks for s in block]
 
     def nonzero_report_many(self, qs, tier: str = "pruned") -> dict:
         """The shard-mergeable ``NN!=0`` report (see
@@ -550,178 +619,45 @@ class QueryPlanner:
         :meth:`nonzero_nn_many`, so the floats in the report are the
         exact values the local sets were decided by — the cluster
         supervisor merges reports from contiguous shards into the
-        global sets bit-identically.
+        global sets bit-identically.  Exact and pruned tiers only.
         """
-        if tier not in ("exact", "pruned"):
-            raise QueryError(
-                f"nonzero_report_many supports exact/pruned, got {tier!r}")
-        self._check_tier(tier, None)
-        self._begin_answer()
-        Q = kernels.as_query_array(qs)
-        if tier == "pruned":
-            indptr, cols = self.candidate_csr(Q)
-            return support_report_csr(
-                indptr, cols, *self._support_values(Q, indptr, cols)
-            )
-        blocks = self._run_tiles(
-            Q.shape[0],
-            lambda lo, hi: support_report(*self._support_matrices(Q[lo:hi])),
-        )
-        if len(blocks) == 1:
-            return blocks[0]
-        indptr = blocks[0]["indptr"]
-        for b in blocks[1:]:
-            indptr = np.concatenate([indptr, indptr[-1] + b["indptr"][1:]])
-        return {
-            "best": np.concatenate([b["best"] for b in blocks]),
-            "best_idx": np.concatenate([b["best_idx"] for b in blocks]),
-            "second": np.concatenate([b["second"] for b in blocks]),
-            "indptr": indptr,
-            "members": np.concatenate([b["members"] for b in blocks]),
-            "member_dmins": np.concatenate(
-                [b["member_dmins"] for b in blocks]
-            ),
-        }
+        return self._answer(qs, tier, PASSES["nonzero_report_many"])
 
     def expected_nn_many(
-        self,
-        qs,
-        tier: str = "pruned",
-        eps: Optional[float] = None,
-        rel: float = 0.0,
-        return_fallback: bool = False,
-    ) -> Union[
-        Tuple[np.ndarray, np.ndarray],
-        Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ]:
+        self, qs, tier: str = "pruned", eps: Optional[float] = None,
+        rel: float = 0.0, return_fallback: bool = False,
+    ) -> Union[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]:
         """Expected-distance NN winners: ``(indices, values)``.
 
         ``exact`` and ``pruned`` return identical winners and values
         (the full ``expected_distance_matrix`` argmin); ``approx``
         returns ε-certified winners/values from the quantized envelope
-        (fallback rows resolved by the pruned tier;
-        ``return_fallback=True`` appends the resolved-row mask).
+        (fallback rows resolved by the pruned tier, or in certified
+        float32 under ``EXECUTION.dtype="float32"`` with the row bounds
+        in :attr:`last_fallback_bounds`; ``return_fallback=True``
+        appends the resolved-row mask).
         """
-        self._check_tier(tier, eps)
-        self._check_fallback_flag(return_fallback, tier)
-        self._begin_answer()
-        Q = kernels.as_query_array(qs)
-        if tier == "approx":
-            self.last_fallback_bounds = None
-            # Validate the execution dtype up front so a bad config
-            # fails loudly even when no row needs the fallback.
-            use_f32 = self._use_float32()
-            ans = self.approx_index(eps, rel, "expected").expected_nn_many(Q)
-            winners = ans.winners.copy()
-            values = ans.values.copy()
-            rows = np.flatnonzero(ans.fallback)
-            if rows.size:
-                if use_f32:
-                    # Certified float32 mode: fallback rows resolve
-                    # through the grouped kernels in single precision;
-                    # the per-row certificates land in
-                    # ``last_fallback_bounds`` for the session layer to
-                    # fold into the tier's eps budget.
-                    wi, vv, bounds = self._expected_nn_pairs_f32(Q[rows])
-                    self.last_fallback_bounds = bounds
-                else:
-                    wi, vv = self.expected_nn_many(Q[rows], tier="pruned")
-                winners[rows] = wi
-                values[rows] = vv
-            if return_fallback:
-                return winners, values, ans.fallback
-            return winners, values
-
-        if tier == "pruned":
-            # The CSR min reduction keeps the lowest column on ties,
-            # exactly as the exact tier's dense argmin does.
-            indptr, cols = self.candidate_csr(Q, criterion="expected")
-            return min_reduce_csr(
-                indptr, cols, self._expected_values(Q, indptr, cols)
-            )
-
-        def run(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-            E = self._expected_block(Q[lo:hi])
-            arg = E.argmin(axis=1) if E.shape[0] else np.zeros(0, dtype=np.intp)
-            return arg, E[np.arange(E.shape[0]), arg]
-
-        blocks = self._run_tiles(Q.shape[0], run)
-        if len(blocks) == 1:
-            return blocks[0]
-        return (
-            np.concatenate([b[0] for b in blocks]),
-            np.concatenate([b[1] for b in blocks]),
+        return self._answer(
+            qs, tier, PASSES["expected_nn_many"], None, eps, rel, return_fallback
         )
 
-    def _expected_nn_pairs_f32(
-        self, Q: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grouped expected-NN resolution in certified float32.
-
-        Same prune pass and CSR reduction as the float64 pruned path,
-        but the pair kernels run in single precision and return per-pair
-        error bounds; a row's certificate is its worst surviving pair
-        bound (the min reduction is 1-Lipschitz in the sup norm, so a
-        row value moves by at most the largest pair perturbation — and
-        the reported winner's true value is within bound + bound of the
-        true minimum).
-        """
-        indptr, cols = self.candidate_csr(Q, k=1, criterion="expected")
-        rows = kernels.csr_rows(indptr)
-        t0 = time.perf_counter()
-        values, pair_bounds = _evaluators.expected_distance_pairs(
-            self.eval_cache(), Q, rows, cols, use_float32=True
-        )
-        winners, best = min_reduce_csr(indptr, cols, values)
-        self._note_eval(cols.shape[0], time.perf_counter() - t0)
-        bounds = max_reduce_csr(indptr, pair_bounds)
-        return winners, best, bounds
-
-    def expected_distance_matrix(
-        self, qs, k: int = 1, tier: str = "pruned"
-    ) -> np.ndarray:
+    def expected_distance_matrix(self, qs, k: int = 1,
+                                 tier: str = "pruned") -> np.ndarray:
         """``E[d(q, P_i)]`` on survivors, ``+inf`` on pruned pairs.
 
         The ``(m, n)`` output is the requested product here; no
         *additional* full-size temporaries are staged (the pruned tier
         scatters its survivor values, the exact tier fills it tile by
-        tile).
+        tile).  Exact and pruned tiers only.
         """
-        if tier == "approx":
-            raise QueryError("expected_distance_matrix has no approx tier")
-        self._check_tier(tier, None)
-        self._begin_answer()
-        Q = kernels.as_query_array(qs)
-        _resilience.require_bytes(
-            Q.shape[0] * len(self.points) * 8,
-            f"expected_distance_matrix output "
-            f"(m={Q.shape[0]}, n={len(self.points)})",
-        )
-        if tier == "pruned":
-            indptr, cols = self.candidate_csr(Q, k=k, criterion="expected")
-            E = np.full((Q.shape[0], len(self.points)), np.inf)
-            E[kernels.csr_rows(indptr), cols] = self._expected_values(Q, indptr, cols)
-            return E
-        blocks = self._run_tiles(
-            Q.shape[0], lambda lo, hi: self._expected_block(Q[lo:hi])
-        )
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        return self._answer(qs, tier, PASSES["expected_distance_matrix"], k)
 
-    def expected_knn_many(
-        self, qs, k: int, tier: str = "pruned"
-    ) -> np.ndarray:
+    def expected_knn_many(self, qs, k: int, tier: str = "pruned") -> np.ndarray:
         """Expected-distance kNN ranking, ``(m, k)`` indices."""
-        n = len(self.points)
-        if not 1 <= k <= n:
-            raise QueryError(f"k must lie in [1, {n}]")
-        if tier == "approx":
-            raise QueryError("expected_knn_many has no approx tier")
-        self._check_tier(tier, None)
-        return self._knn(kernels.as_query_array(qs), k, tier)[0]
+        return self._answer(qs, tier, PASSES["expected_knn_many"], k)[0]
 
-    def expected_knn_report_many(
-        self, qs, k: int, tier: str = "pruned"
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def expected_knn_report_many(self, qs, k: int, tier: str = "pruned"
+                                 ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`expected_knn_many` plus the ranked expectations:
         ``(indices, values)``, each ``(m, k)``.
 
@@ -730,48 +666,12 @@ class QueryPlanner:
         ``(value, global index)`` and reproduce the single-process
         stable ranking exactly.
         """
-        n = len(self.points)
-        if not 1 <= k <= n:
-            raise QueryError(f"k must lie in [1, {n}]")
-        if tier not in ("exact", "pruned"):
-            raise QueryError(
-                f"expected_knn_report_many supports exact/pruned, "
-                f"got {tier!r}")
-        self._check_tier(tier, None)
-        return self._knn(kernels.as_query_array(qs), k, tier)
-
-    def _knn(
-        self, Q: np.ndarray, k: int, tier: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The stable top-``k`` of each row's expectations: over the
-        pruned tier's CSR survivors, or over the exact tier's dense row
-        tiles (both through the same reducer)."""
-        self._begin_answer()
-        if tier == "pruned":
-            indptr, cols = self.candidate_csr(Q, k=k, criterion="expected")
-            return topk_csr(indptr, cols, self._expected_values(Q, indptr, cols), k)
-        blocks = self._run_tiles(
-            Q.shape[0],
-            lambda lo, hi: topk_dense(self._expected_block(Q[lo:hi]), k),
-        )
-        if len(blocks) == 1:
-            return blocks[0]
-        return (
-            np.vstack([b[0] for b in blocks]),
-            np.vstack([b[1] for b in blocks]),
-        )
+        return self._answer(qs, tier, PASSES["expected_knn_many"], k)
 
     def threshold_nn_exact_many(
-        self,
-        qs,
-        tau: float,
-        tier: str = "pruned",
-        eps: Optional[float] = None,
-        rel: float = 0.0,
-        return_fallback: bool = False,
-    ) -> Union[
-        List[Dict[int, float]], Tuple[List[Dict[int, float]], np.ndarray]
-    ]:
+        self, qs, tau: float, tier: str = "pruned", eps: Optional[float] = None,
+        rel: float = 0.0, return_fallback: bool = False,
+    ) -> Union[List[Dict[int, float]], Tuple[List[Dict[int, float]], np.ndarray]]:
         """Exact threshold queries ([DYM+05] semantics).
 
         Only survivors can have ``pi_i(q) > 0`` and the realized NN is
@@ -793,66 +693,14 @@ class QueryPlanner:
         accumulation (which can land a certain winner at ``1.0 ± a few
         ulps``).
         """
-        if not 0.0 <= tau < 1.0:
-            raise QueryError("tau must lie in [0, 1)")
-        self._check_tier(tier, eps)
-        self._check_fallback_flag(return_fallback, tier)
-        self._begin_answer()
-        Q = kernels.as_query_array(qs)
-        if tier == "approx":
-            ans = self.approx_index(eps, rel, "support").threshold_nn_many(
-                Q, tau
-            )
-            out = list(ans.answers)
-            rows = np.flatnonzero(ans.fallback)
-            if rows.size:
-                resolved = self.threshold_nn_exact_many(
-                    Q[rows], tau, tier="pruned"
-                )
-                for r, d in zip(rows, resolved):
-                    out[r] = d
-            if return_fallback:
-                return out, ans.fallback
-            return out
-        if tier == "exact":
-            every = range(len(self.points))
-            return [self._threshold_row(self.points, q, tau, every) for q in Q]
-        indptr, cols = self.candidate_csr(Q, criterion="support")
-        if cols.size and np.any(self.columns.tags[cols] != TAG_DISCRETE):
-            # Mixed sets (including duck-typed discrete models the
-            # column store tags "other") take the per-object path, which
-            # preserves the historical validation / error semantics.
-            return [
-                self._threshold_row(
-                    [self.points[i] for i in cols[indptr[r] : indptr[r + 1]]],
-                    Q[r],
-                    tau,
-                    cols[indptr[r] : indptr[r + 1]],
-                )
-                for r in range(Q.shape[0])
-            ]
-        # All candidates are discrete-tagged: one vectorized Eq. (2)
-        # sweep over their flat CSR location entries, bit-identical to
-        # the per-row scalar sweep (the exact tier).
-        t0 = time.perf_counter()
-        lens, dist, weight = _evaluators.gather_sweep_entries(
-            self.eval_cache(), Q, indptr, cols
+        return self._answer(
+            qs, tier, PASSES["threshold_nn_exact_many"], tau, eps, rel,
+            return_fallback,
         )
-        pi = sweep_quantification_csr(indptr, lens, dist, weight)
-        self._note_eval(cols.shape[0], time.perf_counter() - t0)
-        return csr_dicts(indptr, cols, pi, pi > tau)
-
-    @staticmethod
-    def _threshold_row(points, q, tau: float, idx) -> Dict[int, float]:
-        """One row by the scalar Eq. (2) sweep over ``points``, whose
-        entry ``j`` is object ``idx[j]``."""
-        pi = sweep_quantification(entries_for_query(points, q), len(points))
-        return {int(idx[j]): v for j, v in enumerate(pi) if v > tau}
 
     # -- introspection -------------------------------------------------------
-    def prune_stats(
-        self, qs, criterion: str = "support", k: int = 1
-    ) -> Dict[str, float]:
+    def prune_stats(self, qs, criterion: str = "support",
+                    k: int = 1) -> Dict[str, float]:
         """Mean/max candidate counts for a query matrix (diagnostics).
 
         ``criterion`` / ``k`` must match the answer path being diagnosed

@@ -72,6 +72,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import time
 from collections import Counter, OrderedDict
@@ -87,10 +88,10 @@ from .config import (
     default_rng,
     execution as _execution_ctx,
 )
-from .core.expected_nn import ExpectedNNIndex
 from .core.knn import monte_carlo_knn_many as _monte_carlo_knn_many
 from .core.monte_carlo import MonteCarloPNN, rounds_for_fixed_query
 from .core.nonzero import UncertainSet
+from .core.parallel import BACKENDS
 from .core.planner import QueryPlanner
 from .core.spiral import SpiralSearchPNN
 from .core.threshold import ApproxThresholdIndex, ThresholdAnswer
@@ -129,6 +130,47 @@ def tier_of(exact: bool, eps: Optional[float]) -> str:
     if eps is not None:
         return "approx"
     return "exact" if exact else "pruned"
+
+
+#: QuerySpec fields checked by type before any method-specific check;
+#: ``None`` means "not given", except for ``rel`` and ``delta``.
+_INT_FIELDS = ("k", "s", "tile_bytes", "parallel_workers")
+_REAL_FIELDS = (
+    "eps", "tau", "epsilon", "tol", "deadline_s", "degrade_eps", "rel", "delta",
+)
+
+
+def _number(value, types: tuple) -> bool:
+    return isinstance(value, types) and not isinstance(value, (bool, np.bool_))
+
+
+def _check_field_types(spec: "QuerySpec") -> None:
+    """Reject a spec field of the wrong type or range: ints ``>= 1``
+    (NumPy ints too, never bools), finite reals, ``delta`` in ``(0, 1)``,
+    a known ``parallel_backend`` and bool flags."""
+    for name in _INT_FIELDS:
+        value = getattr(spec, name)
+        if value is not None and not (_number(value, (int, np.integer)) and value >= 1):
+            raise QueryError(f"{name} must be an integer >= 1, got {value!r}")
+    for name in _REAL_FIELDS:
+        value = getattr(spec, name)
+        if value is None and name not in ("rel", "delta"):
+            continue
+        if not (_number(value, (int, float, np.integer, np.floating))
+                and math.isfinite(value)):
+            raise QueryError(f"{name} must be a finite number, got {value!r}")
+    if not 0.0 < spec.delta < 1.0:
+        raise QueryError(f"delta must lie in (0, 1), got {spec.delta!r}")
+    if spec.parallel_backend is not None and spec.parallel_backend not in BACKENDS:
+        raise QueryError(
+            f"parallel_backend must be one of {BACKENDS}, "
+            f"got {spec.parallel_backend!r}"
+        )
+    for name in ("adaptive", "diagnostics"):
+        if not isinstance(getattr(spec, name), (bool, np.bool_)):
+            raise QueryError(
+                f"{name} must be a boolean, got {getattr(spec, name)!r}"
+            )
 
 
 def _seed_key(seed: SeedLike) -> Optional[int]:
@@ -194,6 +236,11 @@ class QuerySpec:
         Certification budget used for degraded rows (default: 1% of the
         dataset's bounding-box diagonal, or ``10 * eps`` when the query
         already runs on the approx tier).
+
+    Construction checks every field's type and range (ints ``>= 1``,
+    finite reals, ``delta`` in ``(0, 1)``, a known backend, bool flags)
+    and raises :class:`repro.errors.QueryError` on a bad one, which the
+    HTTP service answers with a 400.
     """
 
     method: str
@@ -229,6 +276,7 @@ class QuerySpec:
             raise QueryError(
                 f"unknown planner tier {self.tier!r}; expected {_TIERS}"
             )
+        _check_field_types(self)
         if self.tier == "approx":
             if not method.approx:
                 raise QueryError(
@@ -662,17 +710,6 @@ class Engine:
         reuses it)."""
         self._require_points()
         return self.planner().object_tree()
-
-    def expected_index(self) -> ExpectedNNIndex:
-        """The session's :class:`repro.ExpectedNNIndex`, sharing the
-        registry's uset (:meth:`expected_distance_matrix` reads it; the
-        answer paths go through :meth:`planner`)."""
-        self._require_points()
-        return self._registry.get(
-            ("expected_nn",),
-            self._generation,
-            lambda: ExpectedNNIndex(self._points, uset=self.uset()),
-        )
 
     def quantized_index(
         self, eps: float, criterion: str = "expected", rel: float = 0.0
@@ -1577,11 +1614,12 @@ class Engine:
         return self.uset().envelope_many(Q)
 
     def expected_distance_matrix(self, qs) -> np.ndarray:
-        """``E[d(q, P_i)]`` for every query/point pair, shape ``(m, n)``."""
+        """``E[d(q, P_i)]`` for every query/point pair, shape ``(m, n)``:
+        the planner's exact tier, row-tiled and admission-checked."""
         Q = as_query_array(qs)
         if not self._points:
             return np.zeros((Q.shape[0], 0))
-        return self.expected_index().expected_distance_matrix(Q)
+        return self.planner().expected_distance_matrix(Q, tier="exact")
 
     def instantiate_many(self, rng: SeedLike, s: int) -> np.ndarray:
         """``s`` instantiations of the whole set, shape ``(s, n, 2)`` —

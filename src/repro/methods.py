@@ -6,7 +6,9 @@ kNN) is one frozen :class:`Method` record in :data:`METHODS`.
 :class:`repro.QuerySpec`, :class:`repro.Engine`,
 :class:`repro.ShardedEngine`, :mod:`repro.service.wire` and the
 coalescing queue read the record instead of branching on the method
-name, so adding a method means adding one record here.
+name.  The planner runs each method from one row of its pass table
+(:data:`repro.core.planner.PASSES`), which the record names, so adding
+a method means adding one pass row and one record here.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .core.planner import PASSES, Pass
 from .errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -118,8 +121,8 @@ class Method:
     fields with :class:`repro.errors.QueryError` (given the dataset size
     ``n``, also those bounded by it).  ``answer(engine, spec, Q)``
     returns the :class:`repro.QueryResult` fields for any tier, from one
-    planner call.  ``prune(spec)`` is the pruned tier's
-    ``(criterion, k)``, which ``diagnostics=True`` re-runs.
+    planner call.  ``plan`` is the planner pass that answers it, called
+    with the spec field ``arg`` (if any) as its argument.
 
     ``approx``: the method has an approx tier, so deadline queries may
     degrade onto it.  ``values``: its answers carry expected distances.
@@ -137,12 +140,18 @@ class Method:
     shape: Shape
     check: Callable[..., None]
     answer: Callable[["Engine", "QuerySpec", np.ndarray], Dict[str, object]]
-    prune: Callable[["QuerySpec"], Tuple[str, int]]
+    plan: Pass
+    arg: Optional[str] = None
     approx: bool = False
     values: bool = False
     seeded: bool = False
     report: Optional[Callable[..., dict]] = None
     merge: Optional[Callable[..., Dict[str, object]]] = None
+
+    def prune(self, spec: "QuerySpec") -> Tuple[str, int]:
+        """The pruned tier's ``(criterion, k)`` for ``spec``, read from
+        the pass (``diagnostics=True`` re-runs it)."""
+        return self.plan.prune(getattr(spec, self.arg) if self.arg else None)
 
 
 # -- spec checks ---------------------------------------------------------------
@@ -178,25 +187,22 @@ def _plan(spec: "QuerySpec", *indexes: str) -> Dict[str, object]:
     return {"route": f"{spec.method}/{spec.tier}", "indexes": list(indexes)}
 
 
-def _planner_answer(name: str, *fields: str) -> Callable:
-    """``answer`` through the planner method ``name``, called as
-    ``name(Q, *spec fields, tier=...)``; its approx tier also returns
+def _planner_answer(engine: "Engine", spec: "QuerySpec", Q: np.ndarray):
+    """``answer`` through the planner entry point of the method's pass,
+    called as ``name(Q, [arg,] tier=...)``; its approx tier also returns
     the fallback mask."""
-
-    def answer(engine: "Engine", spec: "QuerySpec", Q: np.ndarray):
-        call = getattr(engine.planner(), name)
-        args = [getattr(spec, f) for f in fields]
-        if spec.tier != "approx":
-            return {"answers": call(Q, *args, tier=spec.tier),
-                    "plan": _plan(spec, "planner")}
-        answers, fallback = call(
-            Q, *args, tier="approx", eps=spec.eps, rel=spec.rel,
-            return_fallback=True,
-        )
-        return {"answers": answers, "fallback": fallback,
-                "plan": _plan(spec, "quant", "planner")}
-
-    return answer
+    method = METHODS[spec.method]
+    call = getattr(engine.planner(), method.plan.name)
+    args = [getattr(spec, method.arg)] if method.arg else []
+    if spec.tier != "approx":
+        return {"answers": call(Q, *args, tier=spec.tier),
+                "plan": _plan(spec, "planner")}
+    answers, fallback = call(
+        Q, *args, tier="approx", eps=spec.eps, rel=spec.rel,
+        return_fallback=True,
+    )
+    return {"answers": answers, "fallback": fallback,
+            "plan": _plan(spec, "quant", "planner")}
 
 
 def _answer_expected_nn(engine: "Engine", spec: "QuerySpec", Q: np.ndarray):
@@ -315,41 +321,39 @@ def _merge_winners(parts: List[dict], spec: "QuerySpec", n: int) -> dict:
 # -- the table -----------------------------------------------------------------
 
 
-def _support(spec: "QuerySpec") -> Tuple[str, int]:
-    return "support", 1
-
-
 METHODS: Dict[str, Method] = {m.name: m for m in (
     Method(
         "expected_nn", WINNERS, _no_fields, _answer_expected_nn,
-        lambda spec: ("expected", 1),
+        PASSES["expected_nn_many"],
         approx=True, values=True,
         report=_report_expected_nn, merge=_merge_winners,
     ),
     Method(
-        "nonzero", SETS, _no_fields, _planner_answer("nonzero_nn_many"),
-        _support,
+        "nonzero", SETS, _no_fields, _planner_answer,
+        PASSES["nonzero_nn_many"],
         approx=True,
         report=_report_nonzero,
         merge=lambda parts, spec, n: {"answers": _merge_nonzero(parts, n)},
     ),
     Method(
-        "threshold", PROBABILITIES, _check_tau,
-        _planner_answer("threshold_nn_exact_many", "tau"), _support,
+        "threshold", PROBABILITIES, _check_tau, _planner_answer,
+        PASSES["threshold_nn_exact_many"], "tau",
         approx=True,
     ),
     Method(
-        "expected_knn", RANKING, _check_k,
-        _planner_answer("expected_knn_many", "k"),
-        # The answer path's k, so diagnostics count its survivor sets.
-        lambda spec: ("expected", int(spec.k)),
+        "expected_knn", RANKING, _check_k, _planner_answer,
+        PASSES["expected_knn_many"], "k",
         report=_report_expected_knn,
         merge=lambda parts, spec, n: {
             "answers": _merge_expected_knn(parts, int(spec.k))
         },
     ),
+    # The Monte-Carlo rounds sample among the NN!=0 survivors (a
+    # realized nearest neighbor is always one), so they prune as the
+    # nonzero pass does.
     Method(
-        "mc_pnn", PROBABILITIES, _check_rounds, _answer_mc_pnn, _support,
+        "mc_pnn", PROBABILITIES, _check_rounds, _answer_mc_pnn,
+        PASSES["nonzero_nn_many"],
         seeded=True,
     ),
 )}

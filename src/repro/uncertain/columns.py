@@ -16,8 +16,10 @@ Columns
 ``centers (n, 2)`` / ``radii (n,)``
     An enclosing disk per object: the support of ``P_i`` is contained in
     ``disk(centers[i], radii[i])``.  Exact for disk/Gaussian models
-    (their own disk), the smallest enclosing circle for discrete
-    supports, and a circumscribing disk of the bbox otherwise.
+    (their own disk), the smallest enclosing circle for discrete and
+    polygon supports, and a circumscribing disk of the bbox otherwise;
+    those last two radii are inflated by ``1e-12`` relative, so no
+    support point rounds outside its disk.
 ``means (n, 2)`` / ``mean_reach (n,)`` / ``has_mean (n,)``
     First moment ``E[P_i]`` (exact per model) and the maximum distance
     from the mean to the support.  By convexity of ``d(q, .)`` these
@@ -80,6 +82,14 @@ TAG_GAUSSIAN = 3
 TAG_HISTOGRAM = 4
 TAG_POLYGON = 5
 TAG_OTHER = 6
+
+#: Relative inflation of every enclosing radius that is not a model
+#: parameter (smallest enclosing circles, circumscribed bbox disks).
+#: Support points lie on those circles, where ``d - r`` can round a few
+#: ulps above its true value 0; a pruning cutoff of exactly 0 (a
+#: certain point at ``q``) has no relative slack to absorb that, and
+#: would drop an object whose support holds ``q``.
+_RADIUS_GUARD = 1.0 + 1e-12
 
 TAG_NAMES = {
     TAG_DISCRETE: "discrete",
@@ -149,6 +159,7 @@ def _summarise(p: UncertainPoint):
     bbox = p.support_bbox()
     bx = (0.5 * (bbox[0] + bbox[2]), 0.5 * (bbox[1] + bbox[3]))
     half_diag = 0.5 * float(np.hypot(bbox[2] - bbox[0], bbox[3] - bbox[1]))
+    half_diag *= _RADIUS_GUARD
     tag = model_tag(p)
     if tag == TAG_DISK:
         c = (p.disk.center.x, p.disk.center.y)
@@ -168,7 +179,7 @@ def _summarise(p: UncertainPoint):
         return (
             tag,
             (sec.center.x, sec.center.y),
-            sec.radius,
+            sec.radius * _RADIUS_GUARD,
             mean,
             True,
             p.locations,
@@ -198,7 +209,7 @@ def _summarise(p: UncertainPoint):
         return (
             tag,
             (sec.center.x, sec.center.y),
-            sec.radius,
+            sec.radius * _RADIUS_GUARD,
             mean,
             True,
             [mean],

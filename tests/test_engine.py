@@ -467,7 +467,48 @@ class TestEmptyEngine:
         assert np.array_equal(ei, fi) and np.array_equal(ev, fv)
 
 
+#: Malformed spec field values as a client may send them, each with the
+#: field it must be rejected for.  ``tests/test_service_http.py`` posts
+#: the same specs over HTTP.
+MALFORMED_SPECS = [
+    ({"method": "expected_knn", "k": "3"}, "k"),
+    ({"method": "expected_knn", "k": 2.5}, "k"),
+    ({"method": "expected_knn", "k": True}, "k"),
+    ({"method": "threshold", "tau": "0.2"}, "tau"),
+    ({"method": "expected_nn", "tier": "approx", "eps": 0.1, "rel": "x"}, "rel"),
+    ({"method": "expected_nn", "rel": float("nan")}, "rel"),
+    ({"method": "expected_nn", "tier": "approx", "eps": float("inf")}, "eps"),
+    ({"method": "expected_nn", "degrade_eps": "a"}, "degrade_eps"),
+    ({"method": "expected_nn", "deadline_s": float("inf")}, "deadline_s"),
+    ({"method": "mc_pnn", "s": -5}, "s"),
+    ({"method": "mc_pnn", "s": "64"}, "s"),
+    ({"method": "mc_pnn", "s": 8, "delta": 1.5}, "delta"),
+    ({"method": "mc_pnn", "s": 8, "adaptive": 1, "tol": 0.5}, "adaptive"),
+    ({"method": "mc_pnn", "epsilon": "0.1"}, "epsilon"),
+    ({"method": "expected_nn", "tile_bytes": -1}, "tile_bytes"),
+    ({"method": "expected_nn", "parallel_workers": 0}, "parallel_workers"),
+    ({"method": "expected_nn", "parallel_backend": "bogus"}, "parallel_backend"),
+    ({"method": "expected_nn", "diagnostics": "yes"}, "diagnostics"),
+]
+MALFORMED_IDS = [f"{field}={spec[field]!r}" for spec, field in MALFORMED_SPECS]
+
+
 class TestQuerySpecValidation:
+    @pytest.mark.parametrize("fields, field", MALFORMED_SPECS, ids=MALFORMED_IDS)
+    def test_malformed_field_rejected(self, fields, field):
+        with pytest.raises(QueryError) as err:
+            QuerySpec(**fields)
+        assert str(err.value).startswith(f"{field} must"), err.value
+
+    def test_numpy_scalars_accepted(self):
+        spec = QuerySpec(
+            "mc_pnn", s=np.int64(8), delta=np.float32(0.1),
+            tile_bytes=np.int32(1 << 20), adaptive=np.bool_(True),
+            tol=np.float64(0.5),
+        )
+        assert spec.to_dict()["s"] == 8
+        assert QuerySpec("expected_knn", k=np.intp(3)).k == 3
+
     def test_unknown_method_and_tier(self):
         with pytest.raises(QueryError):
             QuerySpec("nearest")

@@ -170,6 +170,23 @@ def test_pruned_threshold_equals_exact(data, tau):
     assert repr(pruned) == repr(exact)
 
 
+def test_zero_cutoff_keeps_a_support_holding_the_query():
+    # A certain point at the query makes the prune cutoff exactly 0.  The
+    # other object has a location there too, on its enclosing circle,
+    # where the disk bound d - r can round above 0; it must survive,
+    # because Eq. (2) counts its tie with the certain point.
+    pts = [
+        DiscreteUncertainPoint([(3.5, 1.0), (0.0, 1.5), (1.0, 4.0)], [1 / 3] * 3),
+        DiscreteUncertainPoint([(3.5, 1.0)], [1.0]),
+    ]
+    Q = np.array([[3.5, 1.0]])
+    planner = QueryPlanner(pts)
+    assert planner.candidate_csr(Q)[1].tolist() == [0, 1]
+    exact = planner.threshold_nn_exact_many(Q, 0.0, tier="exact")
+    assert exact == [{1: 1.0 - 1.0 / 3.0}]
+    assert repr(planner.threshold_nn_exact_many(Q, 0.0)) == repr(exact)
+
+
 def test_threshold_telemetry_reaches_the_eval_cache():
     # Threshold pairs go through the grouped evaluator's cache like every
     # other pruned method: the per-tag histogram sums to the pair total

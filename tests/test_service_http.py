@@ -32,6 +32,8 @@ from repro.constructions import random_discrete_points, random_queries
 from repro.service import DatasetRegistry, ServiceServer, wire
 from repro.service import server as server_mod
 
+from test_engine import MALFORMED_IDS, MALFORMED_SPECS
+
 BBOX = (0, 0, 100, 100)
 
 
@@ -191,6 +193,16 @@ def test_status_mapping(server):
         {"query": Q, "spec": {"method": "expected_nn", "deadline_s": 1e-9}},
     )
     assert code == 504 and body["error"] == "QueryTimeoutError"
+
+
+@pytest.mark.parametrize("spec_obj, field", MALFORMED_SPECS, ids=MALFORMED_IDS)
+def test_malformed_spec_field_is_400(server, spec_obj, field):
+    code, body = _error(
+        server, "POST", "/v1/datasets/demo/query",
+        {"query": [[1.0, 2.0]], "spec": spec_obj},
+    )
+    assert code == 400 and body["error"] == "QueryError"
+    assert body["message"].startswith(f"{field} must"), body["message"]
 
 
 def test_oversized_body_rejected_413_before_buffering(server):

@@ -12,6 +12,7 @@ return the exact tier's answers bit for bit:
 * a 2-shard :class:`repro.ShardedEngine` (methods with a shard protocol);
 * a coalesced :class:`repro.service.RequestQueue` batch;
 * a wire round trip;
+* a POST to a loopback :class:`repro.service.ServiceServer`;
 * a snapshot restore;
 * a write-ahead-log recovery.
 
@@ -21,6 +22,7 @@ expectation: at a center, exactly on a rim, inside, just outside, at
 """
 
 import json
+import urllib.request
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +31,7 @@ import pytest
 from repro import Engine, QuerySpec, ShardedEngine, UniformDiskPoint
 from repro.methods import METHODS
 from repro.resilience.retry import RetryPolicy
-from repro.service import DatasetRegistry, RequestQueue, wire
+from repro.service import DatasetRegistry, RequestQueue, ServiceServer, wire
 
 from test_csr_reducers import lattice_points, lattice_queries
 
@@ -92,6 +94,28 @@ def cluster():
         yield ce
 
 
+@pytest.fixture(scope="module")
+def http():
+    """A loopback HTTP server holding both lattice datasets."""
+    registry = DatasetRegistry()
+    registry.create("lattice", points=_lattice())
+    registry.create("discrete", points=_points("threshold"))
+    server = ServiceServer(registry, port=0).start()
+    yield server
+    server.drain(10)
+
+
+def _post(server, name, Q):
+    dataset = "discrete" if PARAMS[name][1] else "lattice"
+    body = json.dumps({"query": Q.tolist(), "spec": _spec(name).to_dict()})
+    req = urllib.request.Request(
+        f"{server.url}/v1/datasets/{dataset}/query",
+        data=body.encode(), method="POST",
+    )
+    with urllib.request.urlopen(req, timeout=60) as resp:
+        return wire.decode_result(json.loads(resp.read()))
+
+
 def test_table_is_covered():
     assert set(PARAMS) == set(METHODS)
 
@@ -127,7 +151,7 @@ def test_branch_disks_cover_every_kernel_branch():
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
-def test_every_serving_path_matches_exact(name, cluster, tmp_path):
+def test_every_serving_path_matches_exact(name, cluster, http, tmp_path):
     method = METHODS[name]
     points = _points(name)
     Q = lattice_queries()
@@ -184,6 +208,7 @@ def test_every_serving_path_matches_exact(name, cluster, tmp_path):
         json.loads(json.dumps(wire.encode_result(pruned)))
     )
     _assert_same(restored, exact, what="wire round trip")
+    _assert_same(_post(http, name, Q), exact, what="HTTP")
 
     path = str(tmp_path / "snap.npz")
     engine.save(path)
