@@ -11,6 +11,19 @@ str_hierarchy` — no node objects, no recursion), processed one level at
 a time so every step is a handful of vectorized kernels over the
 surviving node-pair frontier.
 
+Before the walk, every query row is **seeded**: it descends the object
+tree to one leaf (per level, the child whose member-centre bbox lies
+nearest — one segmented argmin), and its seeded cutoff ``c'(q)`` is the
+``k``-th smallest exact member upper bound there (``+inf`` when that
+leaf holds fewer than ``k`` members).  A ``k``-th smallest over a subset
+of the objects is never below the one over all of them, so ``c'(q)``
+bounds the flat pass's cutoff from above and every pruning test below
+may use it.  This is the best-first dual-tree kNN's tightened query
+threshold (Curtin et al., "Tree-Independent Dual-Tree Algorithms",
+ICML 2013).  A query tree that is a single leaf (at most ``leaf_size``
+rows) skips the seed: there the descent costs more than it saves (it
+added ~20% to a one-row pass at n = 2·10^4 on a 2-CPU Xeon).
+
 Per level the traversal
 
 1. brackets every frontier pair ``(query block B, object group G)`` with
@@ -21,22 +34,31 @@ Per level the traversal
    block's pairs by ``pair_ub`` and scanning until the covered member
    count reaches ``k`` yields ``block_best_ub >= k``-th smallest
    ``ub_j(q)`` for *every* query in the block, cascaded down the query
-   tree (children inherit ``min`` with their parent's bound);
+   tree (children inherit ``min`` with their parent's bound), and
+   started from the largest seeded cutoff of the block's rows;
 3. prunes pairs with ``pair_lb > block_best_ub * slack`` and expands the
    survivors into the children cross product.
 
-At the leaf level each query block refines its reachable members with
-the **exact column bounds** (the same
-:meth:`~repro.uncertain.ModelColumns.envelope_bounds_many` /
-:meth:`~repro.uncertain.ModelColumns.expected_bounds_many` floats) and
-the same ``k``-th-smallest-ub cutoff.  Because every object among the
-``k`` smallest upper bounds of a query provably survives node pruning,
-the member-level cutoff equals the flat pass's cutoff *bit for bit*,
-and the emitted survivor sets are **exactly the flat pass's survivor
-sets** (the tests keep that flat pass as the oracle) — a CSR layout
-feeding the evaluators, so answers stay bit-identical to the exact tier
-while the bound work becomes proportional to the surviving frontier
-instead of ``m·n``.
+At the leaf level each (query block, object leaf) pair is refined:
+
+* **R1** expands it into (query row, object leaf) pairs and prunes them
+  against each row's own coverage bound, capped by its seeded cutoff;
+* **R2** computes the **exact column bounds** (the same
+  :meth:`~repro.uncertain.ModelColumns.envelope_bounds_many` /
+  :meth:`~repro.uncertain.ModelColumns.expected_bounds_many` floats)
+  best first: the members of each row's coverage leaves (its leaves up
+  to the one whose pair ub covers ``k`` members) lower the row's cutoff
+  to a ``k``-th smallest exact member ub, and only the row's other
+  leaves whose ``pair_lb`` is still within that cutoff follow.
+
+Every object among the ``k`` smallest upper bounds of a query provably
+survives each of these tests, so the ``k``-th smallest exact ub over
+the refined members equals the flat pass's cutoff *bit for bit*, and
+the emitted survivor sets are **exactly the flat pass's survivor sets**
+(the tests keep that flat pass as the oracle) — a CSR layout feeding
+the evaluators, so answers stay bit-identical to the exact tier while
+the bound work becomes proportional to the surviving frontier instead
+of ``m·n``.
 
 Parallelism fans out over **query subtrees** (each root child's
 traversal is independent) via :func:`repro.core.parallel.map_ordered`;
@@ -47,7 +69,7 @@ returns identical CSR bytes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -333,27 +355,162 @@ def _pair_bounds(
 _kth_smallest = kernels.kth_smallest_rowwise
 
 
+def _segment_kth(
+    values: np.ndarray, starts: np.ndarray, lens: np.ndarray, k: int
+) -> np.ndarray:
+    """The ``k``-th smallest of each contiguous non-empty segment of
+    ``values`` (``+inf`` where a segment holds fewer than ``k``)."""
+    if k == 1:
+        return np.minimum.reduceat(values, starts)
+    width = int(lens.max())
+    if k > width:
+        return np.full(lens.shape[0], np.inf)
+    # Pad the ragged segments into one (segments, width) matrix; +inf
+    # padding reaches the k-th slot only of segments shorter than k.
+    seg = np.repeat(np.arange(lens.shape[0], dtype=np.intp), lens)
+    dense = np.full((lens.shape[0], width), np.inf)
+    dense[seg, np.arange(values.shape[0]) - np.repeat(starts, lens)] = values
+    return _kth_smallest(dense, k)
+
+
+def _row_segments(
+    rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row ids, segment starts, segment lengths)`` of a non-empty
+    pair array grouped by row."""
+    edge = np.empty(rows.shape[0] + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    starts = bounds[:-1]
+    return rows[starts], starts, bounds[1:] - starts
+
+
+def _grouped_order(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The permutation sorting pairs by ``rows``, then by ascending
+    ``values``.  Past a few hundred pairs this is two one-key sorts, the
+    second on an exact integer key (row, rank of value), ~3x faster
+    than ``np.lexsort`` at 4k pairs (2-CPU Xeon, NumPy 2.4); below
+    that ``np.lexsort`` costs less.  Ties may order differently, which no caller depends on."""
+    if values.shape[0] <= 512:
+        return np.lexsort((values, rows))
+    rank = np.empty(values.shape[0], dtype=np.intp)
+    rank[np.argsort(values)] = np.arange(values.shape[0], dtype=np.intp)
+    return np.argsort(rows * values.shape[0] + rank)
+
+
+def _chunks(weights: np.ndarray, budget: int) -> List[Tuple[int, int]]:
+    """Greedy runs ``[lo, hi)`` of consecutive items whose weights sum
+    to at most ``budget`` (an item heavier than the budget runs alone)."""
+    cum = np.cumsum(weights)
+    if cum[-1] <= budget:
+        return [(0, weights.shape[0])]
+    out: List[Tuple[int, int]] = []
+    lo, base = 0, 0
+    while lo < weights.shape[0]:
+        hi = int(np.searchsorted(cum, base + budget, side="right"))
+        hi = max(hi, lo + 1)
+        out.append((lo, hi))
+        base = int(cum[hi - 1])
+        lo = hi
+    return out
+
+
 def _coverage_best(
     blocks_sorted: np.ndarray,
     ub_sorted: np.ndarray,
     sizes_sorted: np.ndarray,
     k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+    covering: bool = False,
+):
     """Per-block best upper bound by the coverage scan.
 
     Inputs are pair arrays sorted by ``(block id, pair_ub)``: scanning
     each block's pairs in ascending ``pair_ub`` until the covered member
     count (``sizes``) reaches ``k`` yields a bound that dominates the
     ``k``-th smallest member ub for every query in the block.  Returns
-    ``(unique block ids, per-block best)`` — the single implementation
-    behind both the node-level traversal and the R1 per-query stage.
+    ``(unique block ids, per-block best)``, plus with ``covering`` the
+    per-pair mask of each block's pairs up to the covering one — the
+    single implementation behind both the node-level traversal and the
+    R1 per-query stage.
     """
-    uniq, seg_starts = np.unique(blocks_sorted, return_index=True)
-    seg_ends = np.append(seg_starts[1:], blocks_sorted.shape[0])
+    uniq, seg_starts, seg_lens = _row_segments(blocks_sorted)
     cs = np.cumsum(sizes_sorted)
-    base = np.where(seg_starts > 0, cs[seg_starts - 1], 0)
-    pos = np.minimum(np.searchsorted(cs, base + k, side="left"), seg_ends - 1)
-    return uniq, ub_sorted[pos]
+    base = cs[seg_starts] - sizes_sorted[seg_starts]
+    pos = np.minimum(
+        np.searchsorted(cs, base + k, side="left"), seg_starts + seg_lens - 1
+    )
+    if not covering:
+        return uniq, ub_sorted[pos]
+    mask = np.arange(cs.shape[0]) <= np.repeat(pos, seg_lens)
+    return uniq, ub_sorted[pos], mask
+
+
+def _seed_cutoffs(
+    Q: np.ndarray,
+    otree: EnvelopeObjectTree,
+    columns,
+    k: int,
+    criterion: str,
+    pair_budget: int,
+    stats: Dict[str, float],
+) -> np.ndarray:
+    """Every row's seeded cutoff ``c'(q)``, shape ``(m,)``.
+
+    Each row descends the object tree to one leaf, taking per level the
+    child whose member-centre bbox lies nearest (one segmented argmin),
+    and ``c'(q)`` is the ``k``-th smallest exact member upper bound of
+    that leaf (``+inf`` when it holds fewer than ``k`` members).  A
+    ``k``-th smallest over a subset of the objects is never below the
+    ``k``-th smallest over all of them, so ``c'(q)`` bounds the flat
+    pass's cutoff from above and pruning against it is sound.  Rows run
+    in blocks of at most ``pair_budget`` (row, node) or (row, member)
+    pairs.
+    """
+    step = max(1, pair_budget // max(otree.leaf_size, otree.fanout))
+    return np.concatenate([
+        _seed_block(Q[lo : lo + step], otree, columns, k, criterion, stats)
+        for lo in range(0, Q.shape[0], step)
+    ])
+
+
+def _seed_block(Q, otree, columns, k, criterion, stats) -> np.ndarray:
+    m = Q.shape[0]
+    rows = np.arange(m, dtype=np.intp)
+    node = np.zeros(m, dtype=np.intp)
+    for lvl in range(otree.depth - 1):
+        gather, lens = kernels.csr_segment_gather(otree.child_ptr[lvl], node)
+        child = otree.child_idx[lvl][gather]
+        row = np.repeat(rows, lens)
+        cbb = otree.centers_bbox[lvl + 1][child]
+        qx, qy = Q[row, 0], Q[row, 1]
+        dx = np.maximum(np.maximum(cbb[:, 0] - qx, qx - cbb[:, 2]), 0.0)
+        dy = np.maximum(np.maximum(cbb[:, 1] - qy, qy - cbb[:, 3]), 0.0)
+        key = dx * dx + dy * dy
+        stats["point_node_pairs"] += child.shape[0]
+        # Segmented argmin: the first position of each row's minimum.
+        starts = np.cumsum(lens) - lens
+        low = np.repeat(np.minimum.reduceat(key, starts), lens)
+        hit = np.flatnonzero(key == low)
+        node = child[hit[np.searchsorted(row[hit], rows)]]
+    gather, lens = kernels.csr_segment_gather(otree.leaf_ptr, node)
+    cols = otree.leaf_flat[gather]
+    row = np.repeat(rows, lens)
+    _, ub = columns.member_pair_bounds(Q[row, 0], Q[row, 1], cols, criterion)
+    stats["refined_pairs"] += cols.shape[0]
+    return _segment_kth(ub, np.cumsum(lens) - lens, lens, k)
+
+
+def _node_seeds(qtree: QueryBlockTree, seed: np.ndarray) -> List[np.ndarray]:
+    """Per query-tree level, the largest seeded cutoff under each node —
+    a bound every row of the node satisfies."""
+    out: List[Optional[np.ndarray]] = [None] * qtree.depth
+    out[-1] = np.maximum.reduceat(seed[qtree.leaf_flat], qtree.leaf_ptr[:-1])
+    for lvl in range(qtree.depth - 2, -1, -1):
+        out[lvl] = np.maximum.reduceat(
+            out[lvl + 1][qtree.child_idx[lvl]], qtree.child_ptr[lvl][:-1]
+        )
+    return out  # type: ignore[return-value]
 
 
 def _traverse(
@@ -364,6 +521,8 @@ def _traverse(
     k: int,
     criterion: str,
     slack: float,
+    seed: np.ndarray,
+    node_seed: List[np.ndarray],
     qn: np.ndarray,
     ql: int,
     pair_budget: int,
@@ -380,7 +539,7 @@ def _traverse(
     }
     on = np.zeros(qn.shape[0], dtype=np.intp)  # object root per pair
     ol = 0
-    inherited = np.full(qtree.n_nodes(ql), np.inf)
+    inherited = node_seed[ql]
     while True:
         _resilience.checkpoint("dual_tree.level")
         q_leaf = ql == qtree.depth - 1
@@ -391,9 +550,10 @@ def _traverse(
         # Running best upper bound per query block: scan each block's
         # pairs by ascending pair_ub until >= k members are covered —
         # every query in the block then has k objects at distance
-        # <= that pair_ub, so it dominates the k-th smallest ub.
+        # <= that pair_ub, so it dominates the k-th smallest ub.  The
+        # block starts from its rows' largest seeded cutoff.
         sizes = otree.sizes[ol][on]
-        order = np.lexsort((ub, qn))
+        order = _grouped_order(qn, ub)
         uniq, best = _coverage_best(qn[order], ub[order], sizes[order], k)
         best = np.minimum(best, inherited[uniq])
         best_full = np.full(qtree.n_nodes(ql), np.inf)
@@ -428,46 +588,35 @@ def _traverse(
         if q_leaf:
             inherited = best_full
         else:
-            inherited = np.full(qtree.n_nodes(ql + 1), np.inf)
-            inherited[new_qn] = best_full[qn[pid]]
+            inherited = node_seed[ql + 1].copy()
+            inherited[new_qn] = np.minimum(
+                best_full[qn[pid]], inherited[new_qn]
+            )
             ql += 1
         if not o_leaf:
             ol += 1
         qn, on = new_qn, new_on
     stats["leaf_pairs"] = int(qn.shape[0])
-    # Group the surviving leaf pairs by query leaf and refine them in
-    # chunks of whole query-leaf segments whose estimated member-pair
-    # count stays under the budget — the refinement's per-pair
-    # temporaries are the traversal's only batch-sized allocations, so
-    # this keeps peak memory O(budget) exactly like the planner's row
-    # tiles (a query's cutoff needs all of its reachable members, hence
-    # the whole-segment granularity).
+    # Refine the surviving leaf pairs in chunks of whole query-leaf
+    # segments, each expanding to at most the budget's (query row,
+    # object leaf) pairs; the refinement's temporaries are the
+    # traversal's only batch-sized allocations, so this keeps peak
+    # memory O(budget) like the planner's row tiles (a query's cutoff
+    # needs all of its reachable members, hence whole segments).
     order = np.argsort(qn, kind="stable")
     qn_s = qn[order]
     on_s = on[order]
-    leaf_lvl = otree.depth - 1
-    q_sizes = qtree.sizes[qtree.depth - 1]
-    est = q_sizes[qn_s] * otree.sizes[leaf_lvl][on_s]
-    uniq, seg_starts = np.unique(qn_s, return_index=True)
-    seg_ends = np.append(seg_starts[1:], qn_s.shape[0])
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    acc = 0
-    for gi in range(uniq.shape[0]):
-        seg_est = int(est[seg_starts[gi] : seg_ends[gi]].sum())
-        if acc and acc + seg_est > pair_budget:
-            chunks.append((start, int(seg_starts[gi])))
-            start = int(seg_starts[gi])
-            acc = 0
-        acc += seg_est
-    chunks.append((start, qn_s.shape[0]))
+    uniq, seg_starts, seg_lens = _row_segments(qn_s)
+    weights = qtree.sizes[qtree.depth - 1][uniq] * seg_lens
+    bounds = np.append(seg_starts, qn_s.shape[0])
     parts = []
-    for ci, (lo, hi) in enumerate(chunks):
+    for ci, (lo, hi) in enumerate(_chunks(weights, pair_budget)):
         _resilience.checkpoint("dual_tree.refine", ci)
         parts.append(
             _refine(
-                Q, qtree, otree, columns, k, criterion, slack,
-                qn_s[lo:hi], on_s[lo:hi], stats,
+                Q, qtree, otree, columns, k, criterion, slack, seed,
+                qn_s[bounds[lo] : bounds[hi]], on_s[bounds[lo] : bounds[hi]],
+                pair_budget, stats,
             )
         )
     return (
@@ -480,6 +629,60 @@ def _traverse(
     )
 
 
+def _members(
+    Q: np.ndarray,
+    otree: EnvelopeObjectTree,
+    columns,
+    k: int,
+    criterion: str,
+    slack: float,
+    rows: np.ndarray,
+    leaves: np.ndarray,
+    cut: np.ndarray,
+    pair_budget: int,
+    stats: Dict[str, int],
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact member bounds of the ``(row, object leaf)`` pairs ``rows`` /
+    ``leaves`` (grouped by ascending row), in whole-row chunks of at most
+    ``pair_budget`` member pairs.
+
+    Lowers each row's ``cut`` in place to the ``k``-th smallest member
+    upper bound seen when that is tighter, and returns per chunk the
+    ``(row, column, lb, ub)`` of the members that can still matter:
+    ``lb <= cut * slack`` (a possible survivor) or ``ub <= cut`` (a
+    possible holder of the final cutoff).  The flat cutoff never
+    exceeds ``cut``, so a member failing both neither survives nor
+    holds it.
+    """
+    out: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    if rows.shape[0] == 0:
+        return out
+    sizes = otree.sizes[otree.depth - 1][leaves]
+    if int(sizes.sum()) <= pair_budget:
+        bounds = np.array([0, rows.shape[0]])
+        runs = [(0, 1)]
+    else:
+        _, starts, _ = _row_segments(rows)
+        bounds = np.append(starts, rows.shape[0])
+        runs = _chunks(np.add.reduceat(sizes, starts), pair_budget)
+    for lo, hi in runs:
+        gather, reps = kernels.csr_segment_gather(
+            otree.leaf_ptr, leaves[bounds[lo] : bounds[hi]]
+        )
+        col = otree.leaf_flat[gather]
+        row = np.repeat(rows[bounds[lo] : bounds[hi]], reps)
+        stats["refined_pairs"] += int(row.shape[0])
+        lb, ub = columns.member_pair_bounds(
+            Q[row, 0], Q[row, 1], col, criterion
+        )
+        ru, rs, rl = _row_segments(row)
+        cut[ru] = np.minimum(cut[ru], _segment_kth(ub, rs, rl, k))
+        c = cut[row]
+        keep = (lb <= c * slack) | (ub <= c)
+        out.append((row[keep], col[keep], lb[keep], ub[keep]))
+    return out
+
+
 def _refine(
     Q: np.ndarray,
     qtree: QueryBlockTree,
@@ -488,8 +691,10 @@ def _refine(
     k: int,
     criterion: str,
     slack: float,
+    seed: np.ndarray,
     qn: np.ndarray,
     on: np.ndarray,
+    pair_budget: int,
     stats: Dict[str, int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Member-level refinement of one chunk of (query leaf, object leaf)
@@ -498,62 +703,56 @@ def _refine(
     leaf_lvl = otree.depth - 1
     # Stage R1 — expand each (query leaf, object leaf) pair into
     # individual (query row, object leaf) pairs and prune them with the
-    # per-*query* node bounds: the block-level best upper bound is
-    # replaced by each query's own coverage cutoff, so whole leaves die
-    # per query before any member is touched.
+    # per-*query* node bounds: each query's own coverage cutoff, capped
+    # by its seeded cutoff, so whole leaves die per query before any
+    # member is touched.
     gather, reps = kernels.csr_segment_gather(qtree.leaf_ptr, qn)
     pair_row = qtree.leaf_flat[gather]
     pair_on = np.repeat(on, reps)
     qp = Q[pair_row]
-    qb = np.concatenate([qp, qp], axis=1)
-    lb1, ub1 = _pair_bounds(qb, otree, leaf_lvl, pair_on, criterion)
+    lb1, ub1 = _pair_bounds(
+        np.concatenate([qp, qp], axis=1), otree, leaf_lvl, pair_on, criterion
+    )
     stats["point_node_pairs"] += int(pair_row.shape[0])
-    sizes = otree.sizes[leaf_lvl][pair_on]
-    order = np.lexsort((ub1, pair_row))
-    uniq, best = _coverage_best(
-        pair_row[order], ub1[order], sizes[order], k
+    order = _grouped_order(pair_row, ub1)
+    row_s = pair_row[order]
+    on_s = pair_on[order]
+    lb1 = lb1[order]
+    uniq, best, covered = _coverage_best(
+        row_s, ub1[order], otree.sizes[leaf_lvl][on_s], k, covering=True
     )
-    best_full = np.empty(Q.shape[0], dtype=np.float64)
-    best_full[uniq] = best
-    keep1 = lb1 <= best_full[pair_row] * slack
-    # Stage R2 — member refinement of the surviving (row, leaf) pairs
-    # with the exact column bounds and the flat pass's cutoff, one pair
-    # batch for all queries at once.
-    srt = np.argsort(pair_row[keep1], kind="stable")
-    kept_row = pair_row[keep1][srt]
-    kept_on = pair_on[keep1][srt]
-    gather2, lens2 = kernels.csr_segment_gather(otree.leaf_ptr, kept_on)
-    mem_col = otree.leaf_flat[gather2]
-    mem_row = np.repeat(kept_row, lens2)
-    stats["refined_pairs"] += int(mem_row.shape[0])
-    lb2, ub2 = columns.member_pair_bounds(
-        Q[mem_row, 0], Q[mem_row, 1], mem_col, criterion
+    cut = np.full(Q.shape[0], np.inf)
+    cut[uniq] = np.minimum(best, seed[uniq])
+    keep = lb1 <= cut[row_s] * slack
+    # Stage R2 — member refinement, best first: the coverage leaves
+    # (each row's pairs up to the covering one, by ascending pair ub)
+    # tighten the row's cutoff to a k-th smallest exact member ub, and
+    # only the other leaves still within that cutoff follow.
+    first = keep & covered
+    kept = _members(
+        Q, otree, columns, k, criterion, slack, row_s[first], on_s[first],
+        cut, pair_budget, stats,
     )
-    row_uniq, row_starts = np.unique(mem_row, return_index=True)
-    if k == 1:
-        kth = np.minimum.reduceat(ub2, row_starts)
-    else:
-        # Pad the ragged per-row segments into one (rows, maxlen)
-        # matrix (every row has >= k real members, so +inf padding
-        # never reaches the k-th slot) and reuse the flat selector.
-        seg_lens = np.append(row_starts[1:], mem_row.shape[0]) - row_starts
-        seg_ids = np.repeat(
-            np.arange(row_uniq.shape[0], dtype=np.intp), seg_lens
-        )
-        in_seg = np.arange(mem_row.shape[0], dtype=np.intp) - np.repeat(
-            row_starts, seg_lens
-        )
-        dense = np.full((row_uniq.shape[0], int(seg_lens.max())), np.inf)
-        dense[seg_ids, in_seg] = ub2
-        kth = _kth_smallest(dense, min(k, dense.shape[1]))
+    rest = ~covered & (lb1 <= cut[row_s] * slack)
+    kept += _members(
+        Q, otree, columns, k, criterion, slack, row_s[rest], on_s[rest],
+        cut, pair_budget, stats,
+    )
+    # Every row's k smallest member ubs are among the kept members, so
+    # their k-th smallest is the flat pass's cutoff bit for bit.
+    mem_row = np.concatenate([p[0] for p in kept])
+    mem_col = np.concatenate([p[1] for p in kept])
+    fin = np.argsort(mem_row * otree.n + mem_col)
+    mem_row = mem_row[fin]
+    mem_col = mem_col[fin]
+    lb2 = np.concatenate([p[2] for p in kept])[fin]
+    ub2 = np.concatenate([p[3] for p in kept])[fin]
+    row_uniq, row_starts, row_lens = _row_segments(mem_row)
     cut_full = np.empty(Q.shape[0], dtype=np.float64)
-    cut_full[row_uniq] = kth * slack
+    cut_full[row_uniq] = _segment_kth(ub2, row_starts, row_lens, k) * slack
     keep2 = lb2 <= cut_full[mem_row]
     counts = np.add.reduceat(keep2.astype(np.intp), row_starts)
-    # Ascending columns per row: rows are already grouped in ascending
-    # order; sort the surviving columns within each row.
-    fin = np.lexsort((mem_col[keep2], mem_row[keep2]))
-    return row_uniq, counts, mem_col[keep2][fin]
+    return row_uniq, counts, mem_col[keep2]
 
 
 def dual_tree_candidates(
@@ -586,6 +785,7 @@ def dual_tree_candidates(
         planner packs 4 query rows per leaf against 16-object leaves:
         small query blocks keep each block's running best bound tight,
         so fewer (query row, object leaf) pairs reach the refinement.
+        A batch that fits one query leaf skips the seeded cutoffs.
     k / criterion:
         The prune test — survivors of query ``q`` are exactly the flat
         pass's ``lb_i(q) <= k``-th smallest ``ub_j(q)`` set, with
@@ -593,14 +793,18 @@ def dual_tree_candidates(
         bracket.
     backend / workers:
         ``"serial"`` or ``"thread"`` — threads fan out over query
-        subtrees (the traversal's closures are not picklable, so the
-        process backend is rejected exactly like the planner's tiles).
+        subtrees after one seeding pass over the whole batch (the
+        traversal's closures are not picklable, so the process backend
+        is rejected exactly like the planner's tiles).
     tile_bytes:
         Peak-memory budget for the leaf refinement's per-pair
         temporaries (defaults to :data:`repro.config.EXECUTION`'s
-        ``tile_bytes``): refinement runs in chunks of whole query-leaf
-        segments sized to the budget, mirroring the planner's row
-        tiles.
+        ``tile_bytes``), at ~256 bytes per pair.  Each stage is sized
+        from the pairs that actually reach it: R1 runs in chunks of
+        whole query-leaf segments holding at most the budget's
+        (query row, object leaf) pairs, and each R2 stage in chunks of
+        whole rows holding at most the budget's member pairs (a single
+        segment or row above the budget runs alone).
     """
     Q = kernels.as_query_array(qs)
     m = Q.shape[0]
@@ -637,12 +841,19 @@ def dual_tree_candidates(
     base_stats["query_tree_depth"] = float(qtree.depth)
     if tile_bytes is None:
         tile_bytes = EXECUTION.tile_bytes
-    # ~256 simultaneous bytes per (query, member) refinement pair across
-    # the bound kernels' float temporaries and the CSR index arrays
-    # (tracemalloc reads 180-240 bytes per refined pair for either
-    # criterion).  Small query leaves make the chunk estimate tight, so
-    # a chunk really holds about that many pairs.
+    # ~256 simultaneous bytes per refinement pair across the bound
+    # kernels' float temporaries and the CSR index arrays (tracemalloc
+    # read 180-240 bytes per refined pair for either criterion).  The
+    # chunks count the pairs each stage really evaluates.
     pair_budget = max(1024, int(tile_bytes) // 256)
+    # The seed is one pass over the whole batch, shared by every task.
+    if qtree.depth > 1:
+        seed = _seed_cutoffs(
+            Q, object_tree, columns, k, criterion, pair_budget, base_stats
+        )
+    else:
+        seed = np.full(m, np.inf)
+    node_seed = _node_seeds(qtree, seed)
     n_workers = _parallel.resolve_workers(workers)
     if backend == "thread" and qtree.depth > 1 and n_workers > 1:
         # Parallelize over query subtrees: each level-1 node descends
@@ -652,8 +863,8 @@ def dual_tree_candidates(
         chunks = np.array_split(nodes, min(n_workers, nodes.shape[0]))
         task_results = _parallel.map_ordered(
             lambda chunk: _traverse(
-                Q, qtree, object_tree, columns, k, criterion, slack,
-                chunk, 1, pair_budget,
+                Q, qtree, object_tree, columns, k, criterion, slack, seed,
+                node_seed, chunk, 1, pair_budget,
             ),
             chunks,
             backend=backend,
@@ -669,6 +880,8 @@ def dual_tree_candidates(
                 k,
                 criterion,
                 slack,
+                seed,
+                node_seed,
                 np.zeros(1, dtype=np.intp),
                 0,
                 pair_budget,

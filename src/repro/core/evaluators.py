@@ -73,6 +73,7 @@ from ..uncertain.columns import (
     TAG_RECT,
     ModelColumns,
 )
+from .quantification import sweep_reach_sq
 
 __all__ = [
     "EvalCache",
@@ -703,9 +704,13 @@ def gather_sweep_entries(
     :func:`repro.core.quantification.sweep_quantification_csr` reads:
     ``lens[j]`` locations of candidate ``cols[j]``, then every
     location's distance to its query row and its weight, row by row and
-    candidate by candidate.  The distances are the scalar
-    ``math.hypot`` of :func:`repro.core.quantification.entries_for_query`
-    (``np.hypot`` differs from it in the last ulp on some inputs).  All
+    candidate by candidate.  Up to each row's
+    :func:`~repro.core.quantification.sweep_reach_sq`, the distances are
+    the scalar ``math.hypot`` of
+    :func:`repro.core.quantification.entries_for_query` (``np.hypot``
+    differs from it in the last ulp on some inputs); past it, where the
+    sweep skips every entry (~70% of them in planner batches), they are
+    ``sqrt(dx * dx + dy * dy)``, which saves the scalar map there.  All
     candidates must be discrete-tagged; the planner falls back to the
     per-object path otherwise (preserving the duck-typed / error
     semantics).
@@ -722,7 +727,14 @@ def gather_sweep_entries(
     qrow = np.repeat(kernels.csr_rows(indptr), lens)
     dx = columns.locations[gather, 0] - Q[qrow, 0]
     dy = columns.locations[gather, 1] - Q[qrow, 1]
-    dist = np.fromiter(
-        map(math.hypot, dx.tolist(), dy.tolist()), np.float64, dx.shape[0]
+    weight = columns.location_weights[gather]
+    # Exact distances only within each row's sweep reach; the sweep
+    # skips the entries past it, whatever distance past it they hold.
+    sq = dx * dx + dy * dy
+    near = np.flatnonzero(sq <= sweep_reach_sq(indptr, lens, sq, weight)[qrow])
+    dist = np.sqrt(sq)
+    dist[near] = np.fromiter(
+        map(math.hypot, dx[near].tolist(), dy[near].tolist()),
+        np.float64, near.shape[0],
     )
-    return lens, dist, columns.location_weights[gather]
+    return lens, dist, weight

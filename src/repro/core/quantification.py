@@ -265,6 +265,51 @@ def sweep_quantification_csr(
     return pi
 
 
+#: Relative and absolute slack between a squared distance computed as
+#: ``dx * dx + dy * dy`` and the square of the ``math.hypot`` distance
+#: the sweep reads: the two differ by a few unit roundoffs relative,
+#: plus subnormal rounding (below 1e-320) where the squares underflow.
+_SQ_MARGIN = 1.0 + 3e-12
+_SQ_FLOOR = 1e-300
+
+
+def sweep_reach_sq(
+    indptr: np.ndarray,
+    lens: np.ndarray,
+    sq: np.ndarray,
+    weight: np.ndarray,
+) -> np.ndarray:
+    """Per query row, a squared distance past which
+    :func:`sweep_quantification_csr` skips every entry, shape ``(m,)``.
+
+    ``sq`` holds the entries' squared distances as ``dx * dx + dy * dy``
+    computes them, in the layout of :func:`sweep_quantification_csr`.
+    An owner whose weights sum to 1 in every summation order (within
+    ``2 (len - 1)`` unit roundoffs of the sum) reaches a zero factor by
+    its farthest entry, so the second smallest such distance in a row
+    (with multiplicity; ``+inf`` for owners that may keep mass) bounds
+    the row's skip cutoff from above.  An entry whose ``sq`` lies past
+    the returned reach is farther than that bound, and the sweep's
+    result does not depend on its distance as long as it stays past
+    the bound: every entry up to the cutoff, so the cutoff itself, the
+    factors before it and every credit, stays the same.
+    """
+    m = indptr.shape[0] - 1
+    if sq.shape[0] == 0 or not np.all(lens > 0):
+        return np.full(m, np.inf)
+    starts = _offsets(lens)[:-1]
+    total = np.add.reduceat(weight, starts)
+    dies = (1.0 - total) + (lens - 1) * 2.3e-16 * total <= _ZERO
+    far = np.maximum.reduceat(sq, starts) * _SQ_MARGIN + _SQ_FLOOR
+    bound = np.where(dies, far, np.inf)
+    row_of = kernels.csr_rows(indptr)
+    first = _segment_min(bound, indptr)
+    at_first = bound == first[row_of]
+    tied = np.bincount(row_of[at_first], minlength=m) >= 2
+    second = _segment_min(np.where(at_first, np.inf, bound), indptr)
+    return np.where(tied, first, second) * _SQ_MARGIN + _SQ_FLOOR
+
+
 def entries_for_query(points: Sequence, q) -> List[Entry]:
     """Flatten discrete uncertain points into sweep entries for ``q``."""
     qx, qy = q[0], q[1]

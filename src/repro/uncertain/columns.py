@@ -91,6 +91,12 @@ TAG_OTHER = 6
 #: would drop an object whose support holds ``q``.
 _RADIUS_GUARD = 1.0 + 1e-12
 
+#: Pairs per block of :meth:`ModelColumns.member_pair_bounds`: its
+#: two dozen float temporaries stay cache-resident at this size, which
+#: measured ~1.5x faster per pair than one pass over 4e4-1.2e5 pairs
+#: (2-CPU Xeon container, NumPy 2.4).
+_PAIR_BLOCK = 8192
+
 TAG_NAMES = {
     TAG_DISCRETE: "discrete",
     TAG_RECT: "rect",
@@ -588,9 +594,25 @@ class ModelColumns:
         (``sqrt(dx*dx + dy*dy)`` center/mean distances), so the
         dual-tree leaf refinement reproduces the matrix bounds — and
         therefore the flat bound pass's survivor sets — bit for bit.
+        Long inputs run in cache-sized blocks of :data:`_PAIR_BLOCK`
+        pairs; every operation is elementwise, so the floats do not
+        depend on the blocking.
         """
         if criterion not in ("support", "expected"):
             raise ValueError(f"unknown pruning criterion {criterion!r}")
+        size = cols.shape[0]
+        if size <= _PAIR_BLOCK:
+            return self._member_pair_bounds(qx, qy, cols, criterion)
+        lb = np.empty(size)
+        ub = np.empty(size)
+        for lo in range(0, size, _PAIR_BLOCK):
+            hi = lo + _PAIR_BLOCK
+            lb[lo:hi], ub[lo:hi] = self._member_pair_bounds(
+                qx[lo:hi], qy[lo:hi], cols[lo:hi], criterion
+            )
+        return lb, ub
+
+    def _member_pair_bounds(self, qx, qy, cols, criterion):
         b = self.bboxes[cols]
         dxm = np.maximum(np.maximum(b[:, 0] - qx, 0.0), qx - b[:, 2])
         dym = np.maximum(np.maximum(b[:, 1] - qy, 0.0), qy - b[:, 3])

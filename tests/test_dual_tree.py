@@ -15,8 +15,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    DiscreteUncertainPoint,
     Engine,
     EnvelopeObjectTree,
     HistogramPoint,
@@ -38,6 +41,7 @@ from repro.constructions import (
     random_disk_points,
     random_queries,
 )
+from repro.core import dual_tree as dual_tree_module
 from repro.core import planner as planner_module
 from repro.errors import QueryError
 from repro.geometry import kernels
@@ -333,6 +337,179 @@ class TestEngineIntegration:
         ):
             assert key in res.diagnostics
         assert res.diagnostics["node_pairs_visited"] < Q.shape[0] * len(points)
+
+
+# ---------------------------------------------------------------------------
+# The seeded cutoffs at the planner's packing
+# ---------------------------------------------------------------------------
+
+
+def tie_heavy_lattice(n, seed):
+    """``n`` objects in the pattern of ``test_csr_reducers.lattice_points``
+    at any size: disks and discrete points on the nodes of a unit
+    lattice, discrete points with coincident locations and locations
+    shared with disk centres, and exact duplicates (the same model
+    twice), so distances and bounds tie everywhere."""
+    rng = random.Random(seed)
+    side = max(3, math.isqrt(n))
+
+    def model(x, y):
+        kind = int(x + y) % 3
+        if kind == 0:
+            return UniformDiskPoint((x, y), 0.5)
+        if kind == 1:
+            return DiscreteUncertainPoint(
+                [(x, y), (x + 1.0, y), (x, y)], [0.25, 0.5, 0.25]
+            )
+        return DiscreteUncertainPoint([(x, y + 1.0), (x + 1.0, y)], [0.5, 0.5])
+
+    pts = []
+    while len(pts) < n:
+        x, y = float(rng.randrange(side)), float(rng.randrange(side))
+        pts.append(model(x, y))
+        if rng.random() < 0.25:
+            pts.append(model(x, y))
+    return pts[:n]
+
+
+def seeded_inputs(kind, n, seed, m):
+    """Objects and query rows for the seeded-cutoff cases."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        points = tie_heavy_lattice(n, seed)
+        side = max(3, math.isqrt(n))
+        Q = rng.integers(-2, 2 * side + 2, size=(m, 2)) / 2.0
+        return points, Q
+    centers = cluster_centers(10, seed=seed, box=250.0)
+    points = clustered_disk_points(n, centers=centers, seed=seed + 1)
+    Q = np.asarray(clustered_queries(m, centers=centers, seed=seed + 2))
+    return points, Q
+
+
+def planner_packed(Q, cols, k, criterion, **kw):
+    """The dual pass at the planner's packing: 16-object leaves, fanout
+    8 and 4-row query leaves."""
+    tree = EnvelopeObjectTree(
+        cols, planner_module._DUAL_LEAF_SIZE, planner_module._DUAL_FANOUT
+    )
+    return dual_tree_candidates(
+        Q, cols, object_tree=tree, k=k, criterion=criterion,
+        leaf_size=planner_module._QUERY_LEAF_SIZE,
+        fanout=planner_module._DUAL_FANOUT,
+        slack=planner_module._CUTOFF_SLACK, **kw,
+    )
+
+
+@st.composite
+def seeded_cases(draw):
+    return (
+        draw(st.sampled_from(["clustered", "lattice"])),
+        draw(st.integers(50, 3000)),
+        draw(st.integers(0, 10**6)),
+        draw(st.integers(1, 96)),
+        draw(st.sampled_from([1, 2, 8, 16, 17, 40, "n"])),
+        draw(st.sampled_from(["support", "expected"])),
+        draw(st.sampled_from([4096, None])),
+        draw(st.sampled_from(["serial", "thread"])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_cases())
+def test_seeded_survivors_equal_flat(case):
+    # Multi-level object and query trees, so every row's seeded cutoff
+    # tightens the walk: k up to and above the 16-object leaf size, tie
+    # heavy sets, 4 KiB refinement chunks and the thread fan-out.
+    kind, n, seed, m, k, criterion, tile_bytes, backend = case
+    points, Q = seeded_inputs(kind, n, seed, m)
+    cols = ModelColumns(points)
+    k = n if k == "n" else min(k, n)
+    res = planner_packed(
+        Q, cols, k, criterion, backend=backend, workers=3,
+        tile_bytes=tile_bytes,
+    )
+    _, indptr, indices = flat_survivors(cols, Q, k, criterion)
+    assert res.indptr.tobytes() == indptr.tobytes()
+    assert res.indices.tobytes() == indices.tobytes()
+
+
+@pytest.mark.parametrize("criterion", ["support", "expected"])
+def test_full_size_survivors_equal_flat(criterion):
+    # The benchmark's scale: 2*10^4 clustered disks, 256 rows; the flat
+    # oracle runs in 32-row tiles.
+    centers = cluster_centers(20, seed=1, box=100.0)
+    points = clustered_disk_points(20_000, centers=centers, seed=5)
+    Q = np.asarray(clustered_queries(256, centers=centers, seed=6))
+    cols = ModelColumns(points)
+    for k in (1, 8):
+        res = planner_packed(Q, cols, k, criterion)
+        counts, indices = [], []
+        for lo in range(0, Q.shape[0], 32):
+            _, ptr, idx = flat_survivors(cols, Q[lo : lo + 32], k, criterion)
+            counts.append(np.diff(ptr))
+            indices.append(idx)
+        indptr = np.zeros(Q.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        assert res.indptr.tobytes() == indptr.tobytes(), k
+        assert res.indices.tobytes() == np.concatenate(indices).tobytes(), k
+
+
+class TestSeededCounters:
+    @pytest.mark.parametrize(
+        "criterion,k,bound",
+        [("support", 1, 10.0), ("expected", 1, 20.0), ("expected", 8, 8.0)],
+    )
+    def test_refined_pairs_per_survivor(self, criterion, k, bound):
+        # Without the seed, refinement evaluated 17 (support), 39
+        # (expected, k=1) and 11 (expected, k=8) member pairs per
+        # survivor here; with it, 6.5, 12 and 5.7.
+        points, Q = clustered_workload(n=2000, m=200)
+        planner = QueryPlanner(points)
+        planner.candidate_csr(Q, k=k, criterion=criterion)
+        totals = planner.dual_totals
+        assert totals["refined_pairs"] / totals["survivors"] < bound
+
+    @pytest.mark.parametrize("criterion", ["support", "expected"])
+    def test_seed_bounds_are_counted(self, criterion, monkeypatch):
+        # Every exact member bound, the seed's included, is a refined
+        # pair; every point-node bound, the seed descent's included, is
+        # a point-node pair.
+        points, Q = clustered_workload(n=600, m=80)
+        cols = ModelColumns(points)
+        members = []
+        real = cols.member_pair_bounds
+
+        def counted(qx, qy, c, crit):
+            members.append(c.shape[0])
+            return real(qx, qy, c, crit)
+
+        monkeypatch.setattr(cols, "member_pair_bounds", counted)
+        bounded = []
+        pair_bounds = dual_tree_module._pair_bounds
+
+        def counted_bounds(qb, otree, lvl, on, crit):
+            bounded.append(on.shape[0])
+            return pair_bounds(qb, otree, lvl, on, crit)
+
+        monkeypatch.setattr(dual_tree_module, "_pair_bounds", counted_bounds)
+        res = planner_packed(Q, cols, 1, criterion)
+        seed_stats = {"point_node_pairs": 0, "refined_pairs": 0}
+        tree = EnvelopeObjectTree(cols, 16, 8)
+        members.clear()
+        dual_tree_module._seed_cutoffs(
+            Q, tree, cols, 1, criterion, 1 << 16, seed_stats
+        )
+        seeded = seed_stats["refined_pairs"]
+        assert 0 < seeded == sum(members) <= Q.shape[0] * 16
+        members.clear()
+        bounded.clear()
+        res = planner_packed(Q, cols, 1, criterion)
+        assert res.stats["refined_pairs"] == sum(members)
+        assert (
+            res.stats["node_pairs_visited"] + res.stats["point_node_pairs"]
+            == sum(bounded) + seed_stats["point_node_pairs"]
+        )
+        assert seed_stats["point_node_pairs"] >= Q.shape[0] * (tree.depth - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,17 @@ hundreds of survivors.  The planner's pruned threshold tier, which runs
 this sweep, is then held to the exact tier on tie-heavy discrete sets.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, QueryPlanner, QuerySpec
+from repro.core.evaluators import gather_sweep_entries
 from repro.core.quantification import (
+    entries_for_query,
     sweep_quantification,
     sweep_quantification_csr,
 )
@@ -184,6 +189,61 @@ def test_zero_cutoff_keeps_a_support_holding_the_query():
     assert planner.candidate_csr(Q)[1].tolist() == [0, 1]
     exact = planner.threshold_nn_exact_many(Q, 0.0, tier="exact")
     assert exact == [{1: 1.0 - 1.0 / 3.0}]
+    assert repr(planner.threshold_nn_exact_many(Q, 0.0)) == repr(exact)
+
+
+def _rim_offsets(count=8, seed=2024):
+    """Offsets ``(dx, dy)`` whose vectorized distances, ``np.hypot`` and
+    ``sqrt(dx * dx + dy * dy)``, both differ from ``math.hypot``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        dx, dy = (float(v) for v in rng.uniform(1.0, 40.0, 2))
+        d = math.hypot(dx, dy)
+        if math.sqrt(dx * dx + dy * dy) != d and float(np.hypot(dx, dy)) != d:
+            out.append((dx, dy))
+    return out
+
+
+def _nudged(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@pytest.mark.parametrize("dx,dy", _rim_offsets())
+def test_entries_within_ulps_of_the_cutoff(dx, dy):
+    # Every owner keeps a location next to the query (so all survive the
+    # prune) and one on a rim of radius ~math.hypot(dx, dy): nudging dx
+    # or dy by up to 3 ulps moves the scalar distance by 0-2 ulps, so
+    # the row's skip cutoff (the second owner's zero factor) sits among
+    # entries 1-2 ulps inside and outside it, where the vectorized
+    # distances round to the other side of math.hypot's.
+    pts = [
+        DiscreteUncertainPoint([(0.01, 0.0), (dx, dy)], [0.5, 0.5]),
+        DiscreteUncertainPoint([(0.0, 0.02), (dx, dy)], [0.25, 0.75]),
+    ]
+    for j, steps in enumerate((-3, -2, -1, 1, 2, 3)):
+        near = (0.03 + 0.01 * j, 0.0)
+        pts.append(
+            DiscreteUncertainPoint(
+                [near, (_nudged(dx, steps), dy), (dx, _nudged(dy, -steps))],
+                [0.5, 0.25, 0.25],
+            )
+        )
+    Q = np.array([[0.0, 0.0], [dx * 1e-3, -dy * 1e-3]])
+    planner = QueryPlanner(pts)
+    indptr, cols = planner.candidate_csr(Q)
+    assert np.diff(indptr).tolist() == [len(pts)] * Q.shape[0]
+    got = sweep_quantification_csr(
+        indptr, *gather_sweep_entries(planner.eval_cache(), Q, indptr, cols)
+    )
+    for r, q in enumerate(Q):
+        want = sweep_quantification(entries_for_query(pts, q), len(pts))
+        assert got[indptr[r] : indptr[r + 1]].tobytes() == (
+            np.asarray(want).tobytes()
+        )
+    exact = planner.threshold_nn_exact_many(Q, 0.0, tier="exact")
     assert repr(planner.threshold_nn_exact_many(Q, 0.0)) == repr(exact)
 
 

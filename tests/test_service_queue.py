@@ -193,7 +193,9 @@ def test_batch_caps_respected(registry):
 def test_concurrent_mixed_tenant_storm_bit_identical(registry):
     """64 threads, two tenants, four methods, tiny batches — every
     answer equals the serial engine's, and coalescing demonstrably
-    kicked in."""
+    kicked in.  The threads submit together behind a barrier to a
+    queue whose worker starts only once every ticket is in, so the
+    coalescing does not depend on how the host schedules them."""
     specs = [
         QuerySpec(method="expected_nn"),
         QuerySpec(method="nonzero"),
@@ -211,14 +213,16 @@ def test_concurrent_mixed_tenant_storm_bit_identical(registry):
             )
         )
 
-    queue = RequestQueue(registry)
-    out = [None] * len(jobs)
+    queue = RequestQueue(registry, start=False)
+    tickets = [None] * len(jobs)
     errors = []
+    barrier = threading.Barrier(len(jobs))
 
     def worker(i):
         name, spec, Q = jobs[i]
         try:
-            out[i] = queue.query(name, spec, Q, timeout=120)
+            barrier.wait(60)
+            tickets[i] = queue.submit(name, spec, Q)
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append((i, exc))
 
@@ -228,10 +232,13 @@ def test_concurrent_mixed_tenant_storm_bit_identical(registry):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(120)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    queue.start()
+    out = [t.wait(120) for t in tickets]
     queue.close()
 
-    assert not errors, errors
     serial = {
         "alpha": Engine(_points(40, seed=1)),
         "beta": Engine(_points(25, seed=2)),
