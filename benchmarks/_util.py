@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def print_table(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -49,10 +49,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:
     if denom == 0:
         return float("nan")
     return (n * sxy - sx * sy) / denom
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))

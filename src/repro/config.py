@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import random
-from typing import Iterator, Optional, Union
+from typing import ContextManager, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -50,9 +50,28 @@ class Tolerances:
 #: manager, which does exactly that and restores the previous values.
 TOLERANCES = Tolerances()
 
+_K = TypeVar("_K")
+
 
 @contextlib.contextmanager
-def tolerances(**overrides: Union[float, int]) -> Iterator[Tolerances]:
+def _overridden(knobs: _K, what: str, overrides: dict) -> Iterator[_K]:
+    """Set ``overrides`` on the live ``knobs`` object in place and
+    restore the previous values on exit, even on exception.  Unknown
+    field names raise ``TypeError("unknown <what> fields: [...]")``."""
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(knobs)}
+    if unknown:
+        raise TypeError(f"unknown {what} fields: {sorted(unknown)}")
+    saved = {name: getattr(knobs, name) for name in overrides}
+    try:
+        for name, value in overrides.items():
+            setattr(knobs, name, value)
+        yield knobs
+    finally:
+        for name, value in saved.items():
+            setattr(knobs, name, value)
+
+
+def tolerances(**overrides: Union[float, int]) -> ContextManager[Tolerances]:
     """Temporarily override fields of the global :data:`TOLERANCES`.
 
     Usage::
@@ -64,18 +83,7 @@ def tolerances(**overrides: Union[float, int]) -> Iterator[Tolerances]:
     imported the ``TOLERANCES`` object see them) and restored on exit,
     even on exception.  Yields the live :class:`Tolerances` object.
     """
-    valid = {f.name for f in dataclasses.fields(Tolerances)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise TypeError(f"unknown tolerance fields: {sorted(unknown)}")
-    saved = {name: getattr(TOLERANCES, name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            setattr(TOLERANCES, name, value)
-        yield TOLERANCES
-    finally:
-        for name, value in saved.items():
-            setattr(TOLERANCES, name, value)
+    return _overridden(TOLERANCES, "tolerance", overrides)
 
 
 def almost_equal(a: float, b: float, tol: Tolerances = None) -> bool:
@@ -106,14 +114,12 @@ class Execution:
         row-tiled: it sizes its refinement chunks and its evaluator pair
         batches from the same budget.
     parallel_backend:
-        ``"serial"`` (default), ``"thread"``, or ``"process"`` — how
-        query tiles are fanned out by :func:`repro.core.parallel.map_tiles`.
-        Results are always assembled in tile order, so every backend
-        returns identical answers.  The planner, and with it every
-        planner-backed :class:`repro.Engine` query on any tier, accepts
-        ``"thread"`` only (its tile closures hold model objects and
-        cannot be pickled); ``"process"`` serves picklable workloads
-        driven through ``map_tiles`` directly.
+        ``"serial"`` (default) or ``"thread"`` — how query tiles and
+        dual-tree query subtrees are fanned out
+        (:func:`repro.core.parallel.map_tiles`).  Results are always
+        assembled in tile order, so both backends return identical
+        answers; any other value is rejected with
+        :class:`repro.errors.QueryError`.
     parallel_workers:
         Worker count for the parallel backends (``None`` = CPU count).
     dtype:
@@ -152,8 +158,7 @@ class Execution:
 EXECUTION = Execution()
 
 
-@contextlib.contextmanager
-def execution(**overrides: Union[int, str, None]) -> Iterator[Execution]:
+def execution(**overrides: Union[int, str, None]) -> ContextManager[Execution]:
     """Temporarily override fields of the global :data:`EXECUTION`.
 
     Usage::
@@ -163,18 +168,7 @@ def execution(**overrides: Union[int, str, None]) -> Iterator[Execution]:
 
     Mirrors :func:`tolerances`: in-place mutation, restored on exit.
     """
-    valid = {f.name for f in dataclasses.fields(Execution)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise TypeError(f"unknown execution fields: {sorted(unknown)}")
-    saved = {name: getattr(EXECUTION, name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            setattr(EXECUTION, name, value)
-        yield EXECUTION
-    finally:
-        for name, value in saved.items():
-            setattr(EXECUTION, name, value)
+    return _overridden(EXECUTION, "execution", overrides)
 
 
 # -- cluster (sharded multi-process engine) ----------------------------------
@@ -227,24 +221,12 @@ class Cluster:
 CLUSTER = Cluster()
 
 
-@contextlib.contextmanager
-def cluster(**overrides: Union[int, float, bool, None]) -> Iterator[Cluster]:
+def cluster(**overrides: Union[int, float, bool, None]) -> ContextManager[Cluster]:
     """Temporarily override fields of the global :data:`CLUSTER`.
 
     Mirrors :func:`execution`: in-place mutation, restored on exit.
     """
-    valid = {f.name for f in dataclasses.fields(Cluster)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise TypeError(f"unknown cluster fields: {sorted(unknown)}")
-    saved = {name: getattr(CLUSTER, name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            setattr(CLUSTER, name, value)
-        yield CLUSTER
-    finally:
-        for name, value in saved.items():
-            setattr(CLUSTER, name, value)
+    return _overridden(CLUSTER, "cluster", overrides)
 
 
 # -- durability (write-ahead logging) -----------------------------------------
@@ -289,29 +271,17 @@ class Durability:
 DURABILITY = Durability()
 
 
-@contextlib.contextmanager
-def durability(**overrides: Union[int, float, str]) -> Iterator[Durability]:
+def durability(**overrides: Union[int, float, str]) -> ContextManager[Durability]:
     """Temporarily override fields of the global :data:`DURABILITY`.
 
     Mirrors :func:`execution`: in-place mutation, restored on exit.
     """
-    valid = {f.name for f in dataclasses.fields(Durability)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise TypeError(f"unknown durability fields: {sorted(unknown)}")
     fsync = overrides.get("fsync")
     if fsync is not None and fsync not in ("always", "interval", "off"):
         raise TypeError(
             f"fsync must be 'always', 'interval', or 'off', got {fsync!r}"
         )
-    saved = {name: getattr(DURABILITY, name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            setattr(DURABILITY, name, value)
-        yield DURABILITY
-    finally:
-        for name, value in saved.items():
-            setattr(DURABILITY, name, value)
+    return _overridden(DURABILITY, "durability", overrides)
 
 
 # -- service (multi-tenant query daemon) --------------------------------------
@@ -377,24 +347,12 @@ class Service:
 SERVICE = Service()
 
 
-@contextlib.contextmanager
-def service(**overrides: Union[int, float, bool, None]) -> Iterator[Service]:
+def service(**overrides: Union[int, float, bool, None]) -> ContextManager[Service]:
     """Temporarily override fields of the global :data:`SERVICE`.
 
     Mirrors :func:`execution`: in-place mutation, restored on exit.
     """
-    valid = {f.name for f in dataclasses.fields(Service)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise TypeError(f"unknown service fields: {sorted(unknown)}")
-    saved = {name: getattr(SERVICE, name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            setattr(SERVICE, name, value)
-        yield SERVICE
-    finally:
-        for name, value in saved.items():
-            setattr(SERVICE, name, value)
+    return _overridden(SERVICE, "service", overrides)
 
 
 # -- random sources ----------------------------------------------------------

@@ -793,9 +793,7 @@ def dual_tree_candidates(
         bracket.
     backend / workers:
         ``"serial"`` or ``"thread"`` — threads fan out over query
-        subtrees after one seeding pass over the whole batch (the
-        traversal's closures are not picklable, so the process backend
-        is rejected exactly like the planner's tiles).
+        subtrees after one seeding pass over the whole batch.
     tile_bytes:
         Peak-memory budget for the leaf refinement's per-pair
         temporaries (defaults to :data:`repro.config.EXECUTION`'s
@@ -812,12 +810,7 @@ def dual_tree_candidates(
     k = min(max(int(k), 1), n)
     if criterion not in ("support", "expected"):
         raise QueryError(f"unknown pruning criterion {criterion!r}")
-    if backend == "process":
-        raise QueryError(
-            "the dual-tree traversal's closures are not picklable; use "
-            "parallel_backend='thread' (the process backend serves "
-            "picklable workloads via repro.core.parallel.map_tiles)"
-        )
+    backend = _parallel.check_backend(backend)
     if object_tree is None:
         object_tree = EnvelopeObjectTree(columns, leaf_size, fanout)
     if object_tree.n != n:

@@ -2,9 +2,8 @@
 
 The tiled execution engine (:mod:`repro.core.planner`) splits a query
 batch into independent row tiles; this module runs the per-tile work
-either serially, across a thread pool (NumPy kernels release the GIL,
-so bound passes overlap), or across a process pool (requires the tile
-function to be picklable).  Whatever the backend, results are assembled
+either serially or across a thread pool (NumPy kernels release the GIL,
+so bound passes overlap).  Whatever the backend, results are assembled
 **by tile index**, so answers are bit-identical to the serial order —
 parallelism never changes an answer, only the wall clock.
 
@@ -12,17 +11,16 @@ Every work unit passes through a resilience checkpoint (site
 ``"parallel.tile"``): injected faults fire there, and the active
 cooperative deadline is charged one unit.  Worker failures are
 recovered, not propagated: a tile that dies with
-:class:`repro.errors.WorkerCrashError`, and every tile stranded by a
-``BrokenProcessPool``, is retried serially in the parent (with fault
-injection suppressed — the harness models transient faults).  Because
-results are keyed by tile index, recovered runs return bit-identical
-answers; the recovery counters surface in ``Engine.stats()["faults"]``.
+:class:`repro.errors.WorkerCrashError` is retried serially in the
+calling thread (with fault injection suppressed — the harness models
+transient faults).  Because results are keyed by tile index, recovered
+runs return bit-identical answers; the recovery counters surface in
+``Engine.stats()["faults"]``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
 import os
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -31,14 +29,30 @@ from ..errors import QueryError, ResourceLimitError, WorkerCrashError
 from ..resilience import checkpoint
 from ..resilience import faults as _faults
 
-__all__ = ["BACKENDS", "map_ordered", "map_tiles", "resolve_workers", "tile_ranges"]
+__all__ = [
+    "BACKENDS", "check_backend", "map_ordered", "map_tiles", "resolve_workers",
+    "tile_ranges",
+]
 
 T = TypeVar("T")
 
 #: The ``parallel_backend`` values :func:`map_tiles` accepts.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 TILE_SITE = "parallel.tile"
+
+
+def check_backend(backend: Optional[str]) -> str:
+    """The backend to run on: ``backend``, else
+    :data:`repro.config.EXECUTION`'s, rejected with
+    :class:`repro.errors.QueryError` unless it is one of :data:`BACKENDS`."""
+    if backend is None:
+        backend = EXECUTION.parallel_backend
+    if backend not in BACKENDS:
+        raise QueryError(
+            f"unknown parallel backend {backend!r}; expected one of {BACKENDS}"
+        )
+    return backend
 
 
 def resolve_workers(
@@ -102,11 +116,7 @@ def tile_ranges(m: int, rows_per_tile: int) -> List[Tuple[int, int]]:
 
 
 def _checked_call(fn: Callable[..., T], index: int, args: Tuple) -> T:
-    """One work unit behind its resilience checkpoint.
-
-    Module-level (not a closure) so the process backend can pickle it;
-    ``fn`` travels as an ordinary argument.
-    """
+    """One work unit behind its resilience checkpoint."""
     checkpoint(TILE_SITE, index)
     return fn(*args)
 
@@ -129,63 +139,40 @@ def _map_argtuples(
 ) -> List[T]:
     """Shared runner behind :func:`map_tiles` / :func:`map_ordered`:
     ``[fn(*args) for args in argtuples]`` under the chosen backend, with
-    results ordered by position regardless of completion order.  ``fn``
-    is submitted through the picklable :func:`_checked_call` shim, so
-    picklable functions stay process-backend compatible."""
-    if backend is None:
-        backend = EXECUTION.parallel_backend
-    if backend not in BACKENDS:
-        raise QueryError(
-            f"unknown parallel backend {backend!r}; expected one of {BACKENDS}"
-        )
+    results ordered by position regardless of completion order."""
+    backend = check_backend(backend)
     n_workers = resolve_workers(workers)
     if backend == "serial" or n_workers == 1 or len(argtuples) <= 1:
         return [_checked_call(fn, i, args) for i, args in enumerate(argtuples)]
-    pool_cls = (
-        concurrent.futures.ThreadPoolExecutor
-        if backend == "thread"
-        else concurrent.futures.ProcessPoolExecutor
-    )
     results: List[T] = [None] * len(argtuples)  # type: ignore[list-item]
     done = [False] * len(argtuples)
     crashes = 0
-    pool_broke = False
-    # Thread-pool workers adopt this thread's per-engine fault-stats
-    # collectors; process children keep their own (their counters are
-    # process-local and unreachable from the parent either way).
-    collectors = (
-        _faults.current_collectors() if backend == "thread" else ()
-    )
-    try:
-        with pool_cls(max_workers=min(n_workers, len(argtuples))) as pool:
-            futures = {
-                pool.submit(_collected_call, collectors, fn, i, args): i
-                for i, args in enumerate(argtuples)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                    done[i] = True
-                except WorkerCrashError:
-                    # A single tile died inside its worker; the pool is
-                    # still healthy.  Leave the tile for serial retry.
-                    crashes += 1
-                except BrokenProcessPool:
-                    # A worker process died hard; every not-yet-done
-                    # tile is stranded.  Fall through to serial retry.
-                    pool_broke = True
-    except BrokenProcessPool:
-        pool_broke = True
+    # Pool workers adopt this thread's per-engine fault-stats collectors.
+    collectors = _faults.current_collectors()
+    with concurrent.futures.ThreadPoolExecutor(
+        max_workers=min(n_workers, len(argtuples))
+    ) as pool:
+        futures = {
+            pool.submit(_collected_call, collectors, fn, i, args): i
+            for i, args in enumerate(argtuples)
+        }
+        for fut in concurrent.futures.as_completed(futures):
+            i = futures[fut]
+            try:
+                results[i] = fut.result()
+                done[i] = True
+            except WorkerCrashError:
+                # A single tile died inside its worker; the pool is
+                # still healthy.  Leave the tile for serial retry.
+                crashes += 1
     missing = [i for i, ok in enumerate(done) if not ok]
     if crashes:
         _faults._record("worker_crashes", crashes)
-    if pool_broke:
-        _faults._record("pools_broken")
     if missing:
         _faults._record("tiles_retried", len(missing))
-        # Serial retry in the parent, with fault injection suppressed
-        # (transient-fault model).  Deadline checkpoints stay live.
+        # Serial retry in the calling thread, with fault injection
+        # suppressed (transient-fault model).  Deadline checkpoints
+        # stay live.
         with _faults.suppressed():
             for i in missing:
                 results[i] = _checked_call(fn, i, argtuples[i])
@@ -221,10 +208,7 @@ def map_tiles(
 
     ``backend=None`` reads :data:`repro.config.EXECUTION`.  The output
     list is ordered by tile position regardless of completion order, so
-    all backends are interchangeable.  The process backend requires
-    ``fn`` (and everything it closes over) to be picklable; the planner
-    therefore defaults to threads for its model-object workloads.
-    Failed tiles (worker crashes, broken process pools) are retried
-    serially in the parent — see the module docstring.
+    all backends are interchangeable.  Tiles whose worker crashed are
+    retried serially — see the module docstring.
     """
     return _map_argtuples(fn, list(tiles), backend, workers)

@@ -331,19 +331,9 @@ class QueryPlanner:
     def _run_tiles(self, m: int, fn) -> List:
         """The exact tier's ``fn(lo, hi)`` over cache-sized row tiles,
         optionally fanned out across workers; results in tile order."""
-        backend = self._backend()
-        if backend == "process":
-            # Planner tile functions close over the planner (model
-            # objects, bound state) and are not picklable; a process
-            # pool would die inside the workers with an opaque error.
-            raise QueryError(
-                "the planner's tile functions are not picklable; use "
-                "parallel_backend='thread' (the process backend serves "
-                "picklable workloads via repro.core.parallel.map_tiles)"
-            )
         tiles = _parallel.tile_ranges(m, self._tile_rows("exact"))
         return _parallel.map_tiles(
-            fn, tiles, backend=backend, workers=self.parallel_workers
+            fn, tiles, backend=self._backend(), workers=self.parallel_workers
         )
 
     @staticmethod

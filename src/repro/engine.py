@@ -46,8 +46,7 @@ every tier with one planner call and returns a structured
 :class:`QueryResult` — answers, values, per-row certificate / fallback
 masks, timing, and (opt-in) candidates-pruned diagnostics.  The exact
 tier runs in the planner's row tiles, so it honours ``tile_bytes`` and
-``memory_budget_bytes`` like the other tiers; every planner-backed
-query rejects ``parallel_backend="process"``.
+``memory_budget_bytes`` like the other tiers.
 
 Dynamic updates are **generation-tagged**: every registry entry is
 stamped with the generation it was built at, and :meth:`Engine.insert`

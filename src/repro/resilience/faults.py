@@ -7,17 +7,19 @@ meaningful, a unit index.  Matching specs trigger their fault:
 
 * ``"crash"`` — raise :class:`repro.errors.WorkerCrashError` (a
   recoverable in-worker failure; ``map_tiles`` retries the tile).
-* ``"kill"``  — hard-exit the current process (``os._exit``), which in a
-  process-pool worker surfaces as ``BrokenProcessPool`` in the parent.
+* ``"kill"``  — hard-exit the current process (``os._exit(17)``): a
+  shard worker dies mid-request, a durable child dies mid-write.
 * ``"slow"``  — sleep ``delay_s`` (used to trip deadlines on demand).
 * ``"alloc"`` — raise :class:`repro.errors.ResourceLimitError`,
   simulating an allocation failure.
 
 Injection is deterministic: a spec fires at explicit unit ``indices``
 and/or for its first ``times`` matching calls — never randomly.  The
-plan is exported through the ``REPRO_FAULT_PLAN`` environment variable
-so process-pool workers see it under any start method (fork inherits
-the globals anyway; spawn re-reads the env).
+plan is exported through the ``REPRO_FAULT_PLAN`` environment variable,
+which the module reads once, at import: spawned shard workers and child
+processes started under an :func:`inject` scope (or with the variable
+set) load the plan there, while a checkpoint with no plan loaded costs
+one truthiness test and never touches the environment.
 
 Recovery paths run under :func:`suppressed` so a retried tile does not
 re-fire its fault — the harness models transient faults, which is what
@@ -80,7 +82,7 @@ class FaultSpec:
     times:
         Maximum number of firings (``None`` = unlimited).  Counted per
         process; with explicit ``indices`` the behaviour is fully
-        deterministic across process pools too.
+        deterministic across worker processes too.
     delay_s:
         Sleep duration for ``kind="slow"``.
     """
@@ -119,14 +121,24 @@ class FaultSpec:
                    times=data.get("times"), delay_s=float(data.get("delay_s", 0.0)))
 
 
-_PLAN: List[FaultSpec] = []
+def _plan_from_env() -> List[FaultSpec]:
+    """The plan a parent exported through ``REPRO_FAULT_PLAN``."""
+    raw = os.environ.get(_ENV_KEY)
+    if not raw:
+        return []
+    try:
+        return [FaultSpec.from_dict(d) for d in json.loads(raw)]
+    except (ValueError, KeyError, TypeError):
+        return []
+
+
+_PLAN: List[FaultSpec] = _plan_from_env()
 _SUPPRESS = 0
 
 #: Counter keys tracked by every :class:`FaultStats` bundle.
 _STAT_KEYS = (
     "injected",          # faults actually fired in this process
     "worker_crashes",    # WorkerCrashError caught by map_tiles
-    "pools_broken",      # BrokenProcessPool events recovered from
     "tiles_retried",     # tiles re-run serially after a failure
 )
 
@@ -224,22 +236,6 @@ def _record(key: str, count: int = 1) -> None:
         collector.record(key, count)
 
 
-def _active_plan() -> List[FaultSpec]:
-    if _PLAN:
-        return _PLAN
-    raw = os.environ.get(_ENV_KEY)
-    if not raw:
-        return _PLAN
-    # A process-pool child (spawn start method) inherits the plan via the
-    # environment; hydrate it once into the module global.
-    try:
-        specs = [FaultSpec.from_dict(d) for d in json.loads(raw)]
-    except (ValueError, KeyError, TypeError):
-        return _PLAN
-    _PLAN.extend(specs)
-    return _PLAN
-
-
 @contextlib.contextmanager
 def suppressed() -> Iterator[None]:
     """Disable fault firing for the enclosed block (used by recovery)."""
@@ -256,23 +252,21 @@ def active() -> bool:
     or inherited via ``REPRO_FAULT_PLAN``).  Checkpoints that must do
     extra work *before* a fault can land — e.g. the WAL flushing a
     half-written frame so a kill produces a genuinely torn record —
-    gate that work on this, keeping the happy path at one env lookup."""
-    if _SUPPRESS:
-        return False
-    return bool(_PLAN) or _ENV_KEY in os.environ
+    gate that work on this, keeping the happy path at one truthiness
+    test."""
+    return bool(_PLAN) and not _SUPPRESS
 
 
 def fire(site: str, index: Optional[int] = None) -> None:
     """Fire any matching injected fault at ``site`` / ``index``.
 
-    No-op unless an :func:`inject` scope is active (checked first, so
-    production checkpoints cost one truthiness test).
+    No-op unless a plan is loaded — by an :func:`inject` scope or from
+    ``REPRO_FAULT_PLAN`` at import — checked first, so production
+    checkpoints cost one truthiness test.
     """
-    if not _PLAN and _ENV_KEY not in os.environ:
+    if not _PLAN or _SUPPRESS:
         return
-    if _SUPPRESS:
-        return
-    for spec in _active_plan():
+    for spec in _PLAN:
         if spec.site != site:
             continue
         if spec.indices is not None and (index is None or int(index) not in spec.indices):
@@ -300,8 +294,8 @@ def inject(*specs: FaultSpec) -> Iterator[List[FaultSpec]]:
     """Activate deterministic fault specs for the enclosed block.
 
     Nestable; each scope removes exactly the specs it added.  The plan
-    is mirrored into ``REPRO_FAULT_PLAN`` so process-pool workers
-    observe it regardless of start method.
+    is mirrored into ``REPRO_FAULT_PLAN`` so worker processes spawned
+    inside the scope load it when they import the module.
     """
     for spec in specs:
         if not isinstance(spec, FaultSpec):

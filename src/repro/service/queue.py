@@ -16,8 +16,9 @@ prune emits per-row survivor sets provably equal to the flat prune's,
 tiled execution is asserted bit-identical to one tile, and seeded
 Monte-Carlo blocks depend only on ``(s, seed)``, never on the query
 matrix).  Splitting a coalesced batch therefore returns **bit-identical
-answers** to running each request serially — the service tests and
-BENCH_pr9 hard-assert this.  Specs that break row independence or
+answers** to running each request serially — asserted by
+``tests/test_service_queue.py`` and the coalesced path of
+``tests/test_serving_paths.py``.  Specs that break row independence or
 determinism are never coalesced and execute solo:
 
 * ``deadline_s`` set — what finishes under a wall clock depends on

@@ -11,7 +11,8 @@ The daemon speaks a small, versioned JSON protocol:
 
 Python's ``json`` round-trips IEEE doubles exactly (``repr`` shortest
 form), so a decoded result carries bit-identical floats to the engine's
-answer — the service tests and BENCH_pr9 hard-assert on that.
+answer — ``tests/test_service_wire.py`` and the wire path of
+``tests/test_serving_paths.py`` assert it.
 
 Malformed input never reaches the engine half-parsed: every decoder
 validates shape and types and raises the library's existing error

@@ -97,6 +97,14 @@ class TestBitIdentity:
         assert _same(method, r1, r2)
         assert r2.m == len(Q) and r2.n == len(serial)
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_exact_tier_identical_at_every_shard_count(self, serial, shards):
+        Q = _queries(m=12, seed=13)
+        base = serial.query(Q, method="expected_nn", tier="exact")
+        with ShardedEngine(_points(), shards=shards, retry=FAST_RETRY) as ce:
+            res = ce.query(Q, method="expected_nn", tier="exact")
+        assert _same("expected_nn", base, res)
+
     def test_uneven_shard_count(self, serial):
         # 5 shards over 48 rows: uneven ranges, same answers.
         Q = _queries(m=11, seed=9)

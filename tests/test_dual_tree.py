@@ -275,11 +275,13 @@ class TestBackends:
         assert np.array_equal(serial.indices, threaded.indices)
 
     def test_process_backend_rejected(self):
+        # "process" is no backend: rejected as unknown, like any other.
         points, Q = clustered_workload(n=40, m=10)
-        with pytest.raises(QueryError, match="thread"):
-            dual_tree_candidates(Q, ModelColumns(points), backend="process")
+        for backend in ("process", "bogus"):
+            with pytest.raises(QueryError, match="unknown parallel backend"):
+                dual_tree_candidates(Q, ModelColumns(points), backend=backend)
         planner = QueryPlanner(points, parallel_backend="process")
-        with pytest.raises(QueryError, match="thread"):
+        with pytest.raises(QueryError, match="unknown parallel backend"):
             planner.candidate_mask(Q)
 
     def test_planner_thread_backend_identical(self):

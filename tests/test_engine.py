@@ -18,6 +18,7 @@ Acceptance properties of the PR 4 redesign:
 """
 
 import random
+import timeit
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ from repro import (
     batch,
 )
 from repro.constructions import (
+    cluster_centers,
+    clustered_disk_points,
+    clustered_queries,
     random_discrete_points,
     random_disk_points,
     random_queries,
@@ -93,6 +97,15 @@ def queries_for(seed, m=40, box=60.0):
 
 
 MODEL_KINDS = ["discrete", "disk", "rect", "gaussian", "polygon", "histogram"]
+
+
+def clustered_session():
+    """400 clustered disks and a 200-row clustered batch: the serving
+    workload the result cache is built for."""
+    centers = cluster_centers(12, seed=171, box=250.0)
+    points = clustered_disk_points(400, centers=centers, seed=172)
+    Q = np.asarray(clustered_queries(200, centers=centers, seed=173))
+    return points, Q, centers
 
 
 def assert_same_answers(a, b):
@@ -293,6 +306,35 @@ class TestRegistryCaching:
         assert np.array_equal(r1.answers, r3.answers)
         assert engine.stats()["result_cache_hits"] == 2
 
+    def test_repeated_and_distinct_batches_match_facade(self):
+        points, Q, centers = clustered_session()
+        engine = Engine(points)
+        want = batch.expected_nn_many(points, Q)
+        for _ in range(3):  # one miss, then cache hits
+            got = engine.expected_nn_many(Q)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert engine.stats()["result_cache_hits"] == 2
+        for seed in (180, 181, 182):
+            Qj = np.asarray(clustered_queries(len(Q), centers=centers, seed=seed))
+            got = engine.expected_nn_many(Qj)
+            want = batch.expected_nn_many(points, Qj)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_hot_batch_cache_hit_5x_faster_than_facade(self):
+        points, Q, _ = clustered_session()
+        engine = Engine(points)
+        engine.expected_nn_many(Q)  # the miss that fills the cache
+        t_facade = min(timeit.repeat(
+            lambda: batch.expected_nn_many(points, Q), number=1, repeat=3
+        ))
+        t_hit = min(timeit.repeat(
+            lambda: engine.expected_nn_many(Q), number=1, repeat=3
+        ))
+        assert engine.stats()["result_cache_hits"] == 3
+        assert t_facade >= 5.0 * t_hit, (t_facade, t_hit)
+
     def test_unseeded_monte_carlo_never_cached(self):
         engine = Engine(model_points("disk", seed=113))
         Q = queries_for(127)
@@ -488,6 +530,7 @@ MALFORMED_SPECS = [
     ({"method": "expected_nn", "tile_bytes": -1}, "tile_bytes"),
     ({"method": "expected_nn", "parallel_workers": 0}, "parallel_workers"),
     ({"method": "expected_nn", "parallel_backend": "bogus"}, "parallel_backend"),
+    ({"method": "expected_nn", "parallel_backend": "process"}, "parallel_backend"),
     ({"method": "expected_nn", "diagnostics": "yes"}, "diagnostics"),
 ]
 MALFORMED_IDS = [f"{field}={spec[field]!r}" for spec, field in MALFORMED_SPECS]

@@ -29,17 +29,11 @@ class TestTileRanges:
         assert tile_ranges(3, 100) == [(0, 3)]
 
     def test_map_tiles_backends_agree(self):
-        import operator
-
         tiles = tile_ranges(37, 5)
         fn = lambda lo, hi: list(range(lo, hi))
         serial = map_tiles(fn, tiles, backend="serial")
         threaded = map_tiles(fn, tiles, backend="thread", workers=4)
         assert serial == threaded
-        # The process backend serves picklable functions.
-        assert map_tiles(
-            operator.add, tiles, backend="process", workers=2
-        ) == [lo + hi for lo, hi in tiles]
         with pytest.raises(QueryError):
             map_tiles(fn, tiles, backend="bogus")
 
@@ -143,15 +137,17 @@ class TestTiledMemory:
 
 class TestBackendAndTierGuards:
     def test_planner_rejects_process_backend(self):
+        # There is no process backend: every tier rejects it as unknown.
         points, Q = _workload(n=30, m=4)
         planner = QueryPlanner(points, parallel_backend="process")
-        with pytest.raises(QueryError, match="thread"):
-            planner.expected_nn_many(Q)
+        for tier in ("pruned", "exact"):
+            with pytest.raises(QueryError, match="unknown parallel backend"):
+                planner.expected_nn_many(Q, tier=tier)
         with config.execution(parallel_backend="process"):
-            with pytest.raises(QueryError, match="thread"):
+            with pytest.raises(QueryError, match="unknown parallel backend"):
                 QueryPlanner(points).candidate_mask(Q)
-        # The engine's exact tier runs on the planner's tiles, too.
-        with pytest.raises(QueryError, match="thread"):
+        # An engine spec naming it is rejected at construction.
+        with pytest.raises(QueryError, match="parallel_backend must be one of"):
             Engine(points).query(
                 Q, method="expected_nn", tier="exact",
                 parallel_backend="process",

@@ -11,10 +11,10 @@
   requests whose single-row working set cannot fit
   (:class:`ResourceLimitError` instead of an OOM) and auto-tiles the
   rest; tighter budgets never change answers.
-* **Fault injection & recovery** — deterministic crashes / process
-  kills at checkpoint sites; ``map_tiles`` retries failed tiles
-  serially and the final results are identical, with the recovery
-  surfaced in ``Engine.stats()["faults"]``.
+* **Fault injection & recovery** — deterministic crashes at checkpoint
+  sites; ``map_tiles`` retries failed tiles serially and the final
+  results are identical, with the recovery surfaced in
+  ``Engine.stats()["faults"]``.
 * **Worker-count validation** — explicit non-positive worker requests
   raise :class:`QueryError`; ``EXECUTION.max_workers`` caps resolution.
 """
@@ -245,6 +245,32 @@ class TestFaultInjection:
     def test_fire_is_noop_without_plan(self):
         faults.fire("parallel.tile", 0)  # must not raise
 
+    def test_noop_fire_reads_no_environment(self, monkeypatch):
+        # The plan is read from REPRO_FAULT_PLAN once, at import; a
+        # checkpoint with no plan loaded never looks at the environment.
+        import os
+
+        lookups = []
+
+        class CountingEnviron(dict):
+            def __contains__(self, key):
+                lookups.append(key)
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                lookups.append(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(os, "environ", CountingEnviron(os.environ))
+        for i in range(100):
+            faults.fire("parallel.tile", i)
+            assert not faults.active()
+        assert lookups == []
+
     def test_crash_fires_at_exact_index(self):
         with faults.inject(
             FaultSpec("parallel.tile", "crash", indices=(1,))
@@ -285,19 +311,6 @@ class TestFaultInjection:
         assert stats["worker_crashes"] == 1
         assert stats["tiles_retried"] == 1
 
-    def test_process_kill_recovered_serially(self):
-        tiles = [(0, 5), (5, 10), (10, 15)]
-        expected = [_square(lo, hi) for lo, hi in tiles]
-        with execution(parallel_backend="process", parallel_workers=2):
-            with faults.inject(
-                FaultSpec("parallel.tile", "kill", indices=(1,))
-            ):
-                got = parallel.map_tiles(_square, tiles)
-        assert got == expected
-        stats = faults.fault_stats()
-        assert stats["pools_broken"] >= 1
-        assert stats["tiles_retried"] >= 1
-
     def test_planner_tiles_survive_injected_crash(self):
         # The exact tier fans out through map_tiles, so its tiles hit
         # the parallel.tile checkpoint (the pruned tier streams through
@@ -325,7 +338,7 @@ class TestFaultInjection:
         eng = _engine()
         stats = eng.stats()
         assert set(stats["faults"]) >= {
-            "injected", "worker_crashes", "pools_broken", "tiles_retried",
+            "injected", "worker_crashes", "tiles_retried",
         }
 
 
@@ -387,12 +400,10 @@ class TestPerEngineFaultStats:
 
 class TestDegradeComposesWithProcessRecovery:
     def test_degraded_mask_and_recovered_tiles_compose(self):
-        # One query combines ``on_deadline="degrade"`` with a pool
-        # backend and an injected ``parallel.tile`` crash — the crash is
+        # One query combines ``on_deadline="degrade"`` with the thread
+        # pool and an injected ``parallel.tile`` crash — the crash is
         # recovered inside a finished chunk (those rows stay
-        # bit-identical) while the deadline degrades the tail.  Engine
-        # queries reject the process backend, so the pool is threads;
-        # process-pool recovery is test_process_kill_recovered_serially.
+        # bit-identical) while the deadline degrades the tail.
         eng = _engine(n=24)
         Q = _queries(30)
         base = eng.query(Q, method="expected_nn", tier="exact")
