@@ -148,8 +148,79 @@ class _PackedTree:
         return int(total)
 
 
-def _leaf_reduce(ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return ufunc.reduceat(values, starts)
+#: The per-node aggregates of :class:`EnvelopeObjectTree` (one array per
+#: level each), in the order :func:`_member_aggregates` and
+#: :func:`_node_aggregates` return them.
+_AGGREGATES = (
+    "bboxes", "centers_bbox", "means_bbox", "max_radius", "max_reach", "all_mean",
+)
+
+#: Refit limits of :meth:`EnvelopeObjectTree.refit`: a write that
+#: changes more than this share of the objects, or that would leave a
+#: leaf empty or holding more than this multiple of the leaf size, gets
+#: no refit (the next read packs a fresh tree).
+_REFIT_MAX_SHARE = 0.125
+_REFIT_MAX_GROWTH = 4
+
+#: Rank of a leaf that cannot be an item's best (see ``_choose_leaves``).
+_NO_RANK = np.iinfo(np.intp).max
+
+
+def _pair_budget(tile_bytes: int) -> int:
+    """Pairs per refinement (or leaf-choice) chunk for a byte budget:
+    ~256 simultaneous bytes per pair across the bound kernels' float
+    temporaries and the CSR index arrays (tracemalloc read 180-240 bytes
+    per refined pair for either criterion)."""
+    return max(1024, int(tile_bytes) // 256)
+
+
+def _reduce_aggregates(parts, starts: np.ndarray):
+    """The :data:`_AGGREGATES` of non-empty segments of ``parts``: per
+    member (or child), three ``(p, 4)`` boxes, two values to take the
+    maximum of and one flag to require of all."""
+    boxes = tuple(
+        np.concatenate(
+            [np.minimum.reduceat(b[:, :2], starts), np.maximum.reduceat(b[:, 2:], starts)],
+            axis=1,
+        )
+        for b in parts[:3]
+    )
+    maxima = tuple(np.maximum.reduceat(v, starts) for v in parts[3:5])
+    return boxes + maxima + (np.logical_and.reduceat(parts[5], starts),)
+
+
+def _member_aggregates(columns, members: np.ndarray, starts: np.ndarray):
+    """The :data:`_AGGREGATES` of non-empty segments of object rows."""
+    c = columns.centers[members]
+    mu = columns.means[members]
+    return _reduce_aggregates(
+        (
+            columns.bboxes[members],
+            np.concatenate([c, c], axis=1),
+            np.concatenate([mu, mu], axis=1),
+            columns.radii[members],
+            columns.mean_reach[members],
+            columns.has_mean[members],
+        ),
+        starts,
+    )
+
+
+def _node_aggregates(tree, lvl: int, children: np.ndarray, starts: np.ndarray):
+    """The :data:`_AGGREGATES` of level-``lvl`` nodes, from non-empty
+    segments of their children at level ``lvl + 1``."""
+    return _reduce_aggregates(
+        [getattr(tree, name)[lvl + 1][children] for name in _AGGREGATES], starts
+    )
+
+
+def _enlargement(nodes: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """How much each node bbox's area grows to take in an item's bbox
+    (exactly 0 when the node already covers the item); the two box
+    arrays broadcast against each other on all but their last axis."""
+    w = np.maximum(nodes[..., 2], items[..., 2]) - np.minimum(nodes[..., 0], items[..., 0])
+    h = np.maximum(nodes[..., 3], items[..., 3]) - np.minimum(nodes[..., 1], items[..., 1])
+    return w * h - (nodes[..., 2] - nodes[..., 0]) * (nodes[..., 3] - nodes[..., 1])
 
 
 class EnvelopeObjectTree(_PackedTree):
@@ -164,7 +235,7 @@ class EnvelopeObjectTree(_PackedTree):
     member has a known mean).  The tree depends only on the column
     store — one build serves every criterion, ``k``, and query batch,
     which is why the :class:`repro.Engine` registry caches it per
-    generation.
+    generation, and a small write carries it forward by :meth:`refit`.
     """
 
     def __init__(self, columns, leaf_size: int = 32, fanout: int = 8):
@@ -172,78 +243,129 @@ class EnvelopeObjectTree(_PackedTree):
         self.n = int(columns.n)
         self.leaf_size = int(leaf_size)
         self.fanout = int(fanout)
-        depth = self.depth
-        order = self.leaf_flat
-        starts = self.leaf_ptr[:-1]
-        cx, cy = columns.centers[order, 0], columns.centers[order, 1]
-        mx, my = columns.means[order, 0], columns.means[order, 1]
-        cb = [None] * depth
-        mb = [None] * depth
-        mr = [None] * depth
-        rc = [None] * depth
-        am = [None] * depth
-        cb[-1] = np.column_stack(
-            [
-                _leaf_reduce(np.minimum, cx, starts),
-                _leaf_reduce(np.minimum, cy, starts),
-                _leaf_reduce(np.maximum, cx, starts),
-                _leaf_reduce(np.maximum, cy, starts),
-            ]
-        )
-        mb[-1] = np.column_stack(
-            [
-                _leaf_reduce(np.minimum, mx, starts),
-                _leaf_reduce(np.minimum, my, starts),
-                _leaf_reduce(np.maximum, mx, starts),
-                _leaf_reduce(np.maximum, my, starts),
-            ]
-        )
-        mr[-1] = _leaf_reduce(np.maximum, columns.radii[order], starts)
-        rc[-1] = _leaf_reduce(np.maximum, columns.mean_reach[order], starts)
-        am[-1] = _leaf_reduce(
-            np.minimum, columns.has_mean[order].astype(np.uint8), starts
-        ).astype(bool)
-        for l in range(depth - 2, -1, -1):
-            idx = self.child_idx[l]
-            ptr = self.child_ptr[l][:-1]
-            cb[l] = np.column_stack(
-                [
-                    np.minimum.reduceat(cb[l + 1][idx, 0], ptr),
-                    np.minimum.reduceat(cb[l + 1][idx, 1], ptr),
-                    np.maximum.reduceat(cb[l + 1][idx, 2], ptr),
-                    np.maximum.reduceat(cb[l + 1][idx, 3], ptr),
-                ]
+        for name in _AGGREGATES[1:]:
+            setattr(self, name, [None] * self.depth)
+        leaf = _member_aggregates(columns, self.leaf_flat, self.leaf_ptr[:-1])
+        for name, values in zip(_AGGREGATES, leaf):
+            getattr(self, name)[-1] = values
+        for lvl in range(self.depth - 2, -1, -1):
+            nodes = _node_aggregates(
+                self, lvl, self.child_idx[lvl], self.child_ptr[lvl][:-1]
             )
-            mb[l] = np.column_stack(
-                [
-                    np.minimum.reduceat(mb[l + 1][idx, 0], ptr),
-                    np.minimum.reduceat(mb[l + 1][idx, 1], ptr),
-                    np.maximum.reduceat(mb[l + 1][idx, 2], ptr),
-                    np.maximum.reduceat(mb[l + 1][idx, 3], ptr),
-                ]
-            )
-            mr[l] = np.maximum.reduceat(mr[l + 1][idx], ptr)
-            rc[l] = np.maximum.reduceat(rc[l + 1][idx], ptr)
-            am[l] = np.minimum.reduceat(
-                am[l + 1][idx].astype(np.uint8), ptr
-            ).astype(bool)
-        self.centers_bbox: List[np.ndarray] = cb  # type: ignore[assignment]
-        self.means_bbox: List[np.ndarray] = mb  # type: ignore[assignment]
-        self.max_radius: List[np.ndarray] = mr  # type: ignore[assignment]
-        self.max_reach: List[np.ndarray] = rc  # type: ignore[assignment]
-        self.all_mean: List[np.ndarray] = am  # type: ignore[assignment]
+            for name, values in zip(_AGGREGATES, nodes):
+                getattr(self, name)[lvl] = values
+
+    def refit(self, columns, removed=None) -> Optional["EnvelopeObjectTree"]:
+        """This tree carried across a small write, as a new tree over
+        ``columns``; ``None`` when the write is too large for a refit.
+
+        ``columns`` is this tree's store with the rows ``removed`` (sorted
+        unique old ids) dropped and re-indexed as
+        :meth:`~repro.uncertain.ModelColumns.shrink` re-indexes them,
+        then any new rows appended.  Removed objects leave their leaves,
+        and every survivor ``i`` becomes ``i`` minus the removed ids
+        below it.  Each new object joins the leaf whose bbox area grows
+        least, a tie going to the leaf with fewer members, then to the
+        lower leaf id (Guttman's ChooseLeaf, SIGMOD 1984, scanned over
+        every leaf).  Only the touched leaves and their ancestors
+        recompute their aggregates and ``sizes``, from their current
+        members.
+
+        Returns ``None`` (the caller packs a fresh tree) when the write
+        changes more than :data:`_REFIT_MAX_SHARE` of the objects, or
+        would leave a leaf empty or above :data:`_REFIT_MAX_GROWTH`
+        times the leaf size.  This tree's arrays are never written: a
+        reader of the previous generation may still hold it.
+        """
+        removed = np.asarray([] if removed is None else removed, dtype=np.intp)
+        kept = self.n - removed.shape[0]
+        new_ids = np.arange(kept, int(columns.n), dtype=np.intp)
+        if new_ids.shape[0] + removed.shape[0] > _REFIT_MAX_SHARE * self.n:
+            return None
+        n_leaves = self.n_nodes(self.depth - 1)
+        flat = self.leaf_flat
+        lens = np.diff(self.leaf_ptr)
+        touched = []
+        if removed.shape[0]:
+            gone = np.zeros(self.n, dtype=bool)
+            gone[removed] = True
+            at = np.flatnonzero(gone[flat])
+            lost = np.searchsorted(self.leaf_ptr, at, side="right") - 1
+            touched.append(lost)
+            lens = lens - np.bincount(lost, minlength=n_leaves)
+            flat = np.delete(flat, at)
+            flat = flat - np.searchsorted(removed, flat)
+        chosen = self._choose_leaves(columns.bboxes[new_ids], lens)
+        touched.append(chosen)
+        total = lens + np.bincount(chosen, minlength=n_leaves)
+        if total.min() == 0 or total.max() > _REFIT_MAX_GROWTH * self.leaf_size:
+            return None
+        if new_ids.shape[0]:
+            # Each leaf's new members follow its survivors in id order;
+            # new ids exceed every survivor's, so leaves stay ascending.
+            order = np.argsort(chosen, kind="stable")
+            flat = np.insert(flat, np.cumsum(lens)[chosen[order]], new_ids[order])
+        ptr = np.zeros(n_leaves + 1, dtype=np.intp)
+        np.cumsum(total, out=ptr[1:])
+        mark = np.zeros(n_leaves, dtype=bool)
+        for leaves in touched:
+            mark[leaves] = True
+        return self._refitted(columns, flat, ptr, mark)
+
+    def _choose_leaves(self, items: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The leaf each item bbox joins: the least area enlargement over
+        all leaves, then the fewest ``sizes`` members, then the lowest
+        leaf id.  Items run in chunks whose (item, leaf) pairs fit the
+        tile budget."""
+        leaves = self.bboxes[-1]
+        width = leaves.shape[0]
+        rank = sizes * width + np.arange(width)
+        step = max(1, _pair_budget(EXECUTION.tile_bytes) // width)
+        out = [np.zeros(0, dtype=np.intp)]
+        for lo in range(0, items.shape[0], step):
+            grow = _enlargement(leaves, items[lo : lo + step, None, :])
+            best = grow == grow.min(axis=1, keepdims=True)
+            out.append(np.where(best, rank, _NO_RANK).min(axis=1) % width)
+        return np.concatenate(out)
+
+    def _refitted(self, columns, leaf_flat, leaf_ptr, touched) -> "EnvelopeObjectTree":
+        """A copy of this tree with the leaf partition ``leaf_flat`` /
+        ``leaf_ptr`` over ``columns``: the leaves flagged in ``touched``
+        and their ancestors get fresh aggregates and sizes, every other
+        node keeps its own, and the child lists are shared (never
+        written)."""
+        tree = object.__new__(type(self))
+        tree.__dict__.update(self.__dict__)
+        tree.n = int(columns.n)
+        tree.leaf_flat = leaf_flat
+        tree.leaf_ptr = leaf_ptr
+        for name in _AGGREGATES + ("sizes",):
+            setattr(tree, name, [a.copy() for a in getattr(self, name)])
+        leaf = self.depth - 1
+        tree.sizes[leaf] = np.diff(leaf_ptr)
+        nodes = np.flatnonzero(touched)
+        gather, lens = kernels.csr_segment_gather(leaf_ptr, nodes)
+        fresh = _member_aggregates(columns, leaf_flat[gather], np.cumsum(lens) - lens)
+        for name, values in zip(_AGGREGATES, fresh):
+            getattr(tree, name)[leaf][nodes] = values
+        for lvl in range(leaf - 1, -1, -1):
+            # A node is touched when any of its children is.
+            ptr, idx = self.child_ptr[lvl], self.child_idx[lvl]
+            touched = np.logical_or.reduceat(touched[idx], ptr[:-1])
+            nodes = np.flatnonzero(touched)
+            gather, lens = kernels.csr_segment_gather(ptr, nodes)
+            children, starts = idx[gather], np.cumsum(lens) - lens
+            fresh = _node_aggregates(tree, lvl, children, starts)
+            for name, values in zip(_AGGREGATES, fresh):
+                getattr(tree, name)[lvl][nodes] = values
+            tree.sizes[lvl][nodes] = np.add.reduceat(tree.sizes[lvl + 1][children], starts)
+        return tree
 
     @property
     def nbytes(self) -> int:
         total = _PackedTree.nbytes.fget(self)  # type: ignore[attr-defined]
-        for arrs in (
-            self.centers_bbox,
-            self.means_bbox,
-            self.max_radius,
-            self.max_reach,
-            self.all_mean,
-        ):
-            total += sum(a.nbytes for a in arrs)
+        for name in _AGGREGATES[1:]:
+            total += sum(a.nbytes for a in getattr(self, name))
         return int(total)
 
     def stats(self) -> Dict[str, int]:
@@ -465,9 +587,10 @@ def _seed_cutoffs(
     ``k``-th smallest over all of them, so ``c'(q)`` bounds the flat
     pass's cutoff from above and pruning against it is sound.  Rows run
     in blocks of at most ``pair_budget`` (row, node) or (row, member)
-    pairs.
+    pairs, sized by the largest leaf (a refit leaf may hold more than
+    ``leaf_size`` members).
     """
-    step = max(1, pair_budget // max(otree.leaf_size, otree.fanout))
+    step = max(1, pair_budget // max(int(otree.sizes[-1].max()), otree.fanout))
     return np.concatenate([
         _seed_block(Q[lo : lo + step], otree, columns, k, criterion, stats)
         for lo in range(0, Q.shape[0], step)
@@ -834,11 +957,8 @@ def dual_tree_candidates(
     base_stats["query_tree_depth"] = float(qtree.depth)
     if tile_bytes is None:
         tile_bytes = EXECUTION.tile_bytes
-    # ~256 simultaneous bytes per refinement pair across the bound
-    # kernels' float temporaries and the CSR index arrays (tracemalloc
-    # read 180-240 bytes per refined pair for either criterion).  The
-    # chunks count the pairs each stage really evaluates.
-    pair_budget = max(1024, int(tile_bytes) // 256)
+    # The chunks count the pairs each stage really evaluates.
+    pair_budget = _pair_budget(tile_bytes)
     # The seed is one pass over the whole batch, shared by every task.
     if qtree.depth > 1:
         seed = _seed_cutoffs(

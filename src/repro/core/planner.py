@@ -230,7 +230,9 @@ class QueryPlanner:
         (otherwise built on first use: the exact tier never needs it).
     tile_bytes / parallel_backend / parallel_workers:
         Per-planner overrides of :data:`repro.config.EXECUTION` (``None``
-        reads the live config at call time).
+        reads the live config at call time).  A ``parallel_backend``
+        outside :data:`repro.core.parallel.BACKENDS` raises
+        :class:`~repro.errors.QueryError` here.
     object_tree:
         Optional prebuilt
         :class:`~repro.core.dual_tree.EnvelopeObjectTree` over the same
@@ -264,6 +266,10 @@ class QueryPlanner:
             raise QueryError("columns were built over a different point set")
         if object_tree is not None and object_tree.n != len(self.points):
             raise QueryError("object tree was built over a different point set")
+        if parallel_backend is not None:
+            # Checked here, not when a pass first fans out: an approx
+            # batch with no fallback rows never reaches a tile.
+            _parallel.check_backend(parallel_backend)
         self.tile_bytes = tile_bytes
         self.parallel_backend = parallel_backend
         self.parallel_workers = parallel_workers

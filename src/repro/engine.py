@@ -52,10 +52,14 @@ Dynamic updates are **generation-tagged**: every registry entry is
 stamped with the generation it was built at, and :meth:`Engine.insert`
 / :meth:`Engine.remove` bump the generation so stale indexes miss
 lazily (rebuilt on the next query of that key, never eagerly).  The
-column store follows an incremental policy instead: inserts append
-freshly summarised columns in place (:meth:`repro.ModelColumns.extend`)
-and removals shrink them (:meth:`~repro.ModelColumns.shrink`), so the
-objects already summarised are never reprocessed.
+pruned tier's per-generation structures follow an incremental policy
+instead: inserts append freshly summarised columns in place
+(:meth:`repro.ModelColumns.extend`) and removals shrink them
+(:meth:`~repro.ModelColumns.shrink`), so the objects already summarised
+are never reprocessed, and the dual tree is refit
+(:meth:`~repro.core.dual_tree.EnvelopeObjectTree.refit`, repacked on the
+next read when the write is too large), so a small write leaves the
+next read only its planner and the eval cache to build.
 
 Repeated identical batches (the hot-query serving pattern) are served
 from a bounded, generation-tagged **result cache** keyed by the spec
@@ -106,6 +110,9 @@ from .uncertain.columns import ModelColumns, TAG_NAMES, model_tag
 __all__ = ["Engine", "IndexRegistry", "QueryResult", "QuerySpec", "tier_of"]
 
 _TIERS = ("exact", "pruned", "approx")
+#: The registry keys a write carries forward to the next generation (a
+#: patched copy each) instead of leaving them to rebuild on the next read.
+_CARRIED = (("columns",), ("dual_tree",))
 #: Per-family LRU caps on registry entries whose keys embed
 #: user-supplied values — without a bound, a long-lived serving session
 #: issuing per-request seeds / eps values / candidate masks would grow
@@ -499,13 +506,16 @@ class IndexRegistry:
     insert/remove invalidation is lazy — stale structures are simply
     never returned again and are rebuilt on the next query of their
     key.  ``builds`` / ``hits`` count real constructions vs cache
-    returns (the instrumentation the engine tests assert on).
+    returns (the instrumentation the engine tests assert on), and
+    ``carried`` the structures writes patched forward to the next
+    generation instead (:meth:`carry`).
     """
 
     def __init__(self):
         self._entries: Dict[tuple, Tuple[int, object]] = {}
         self.builds = 0
         self.hits = 0
+        self.carried = 0
 
     def get(self, key: tuple, generation: int, builder):
         entry = self._entries.get(key)
@@ -527,6 +537,12 @@ class IndexRegistry:
 
     def put(self, key: tuple, generation: int, value) -> None:
         self._entries[key] = (generation, value)
+
+    def carry(self, key: tuple, generation: int, value) -> None:
+        """:meth:`put` a structure a write patched forward from the
+        previous generation (counted in ``carried``, not ``builds``)."""
+        self.put(key, generation, value)
+        self.carried += 1
 
     def drop(self, key: tuple) -> None:
         self._entries.pop(key, None)
@@ -597,8 +613,9 @@ class Engine:
 
     All structures are built lazily on first use and cached in the
     :class:`IndexRegistry`; :meth:`insert` / :meth:`remove` bump the
-    generation counter, append/shrink the column store in place, and
-    leave every other index to rebuild lazily on its next query.
+    generation counter, carry the column store and the dual tree
+    forward as patched copies, and leave every other index to rebuild
+    lazily on its next query.
     """
 
     def __init__(
@@ -804,9 +821,11 @@ class Engine:
         """Append uncertain points to the session.
 
         The column store is extended **in place** (only the new points
-        are summarised); every other cached index goes stale via the
-        generation bump and is rebuilt lazily on its next query.  The
-        new points take the indices ``n .. n + len(points) - 1``.
+        are summarised), and the dual tree, when built, is carried
+        forward as a refit copy (:meth:`_carry`); every other cached
+        index goes stale via the generation bump and is rebuilt lazily
+        on its next query.  The new points take the indices
+        ``n .. n + len(points) - 1``.
         """
         new = list(points)
         if not new:
@@ -820,7 +839,7 @@ class Engine:
                 {"points": _io.points_to_wire(new)},
                 generation=self._generation + 1,
             )
-        cols = self._registry.peek(("columns",), self._generation)
+        cols, tree = (self._registry.peek(key, self._generation) for key in _CARRIED)
         self._points = self._points + new  # rebind: shared views stay valid
         self._generation += 1
         if cols is not None:
@@ -828,9 +847,8 @@ class Engine:
             # column arrays (it never mutates them), so cloning the shell
             # keeps any previously handed-out planner/index consistent
             # while still summarising only the new points.
-            self._registry.put(
-                ("columns",), self._generation, copy.copy(cols).extend(new)
-            )
+            cols = copy.copy(cols).extend(new)
+            self._carry(cols, tree.refit(cols) if tree is not None else None)
         self._registry.sweep(self._generation)  # free superseded indexes
         self._result_cache.clear()
         self._family_lru.clear()
@@ -843,7 +861,8 @@ class Engine:
 
         Remaining points are re-indexed compactly in order, exactly as
         if the engine had been rebuilt from the surviving points.  The
-        column store is shrunk in place; other indexes rebuild lazily.
+        column store is shrunk in place, the dual tree is carried forward
+        as :meth:`insert` carries it, and other indexes rebuild lazily.
         Removing down to an empty dataset is allowed — subsequent
         queries return well-shaped empty results.
         """
@@ -874,25 +893,28 @@ class Engine:
         kept = np.ones(n, dtype=bool)
         kept[ids_arr] = False
         keep = np.flatnonzero(kept)
-        cols = self._registry.peek(("columns",), self._generation)
+        cols, tree = (self._registry.peek(key, self._generation) for key in _CARRIED)
         self._points = list(itertools.compress(self._points, kept.tolist()))
         self._generation += 1
-        if cols is not None:
-            if keep.size:
-                # Clone-then-shrink for the same reason insert clones:
-                # stale holders of the old columns keep their old arrays.
-                self._registry.put(
-                    ("columns",),
-                    self._generation,
-                    copy.copy(cols).shrink(keep),
-                )
-            else:
-                self._registry.drop(("columns",))
+        if cols is not None and keep.size:
+            # Clone-then-shrink for the same reason insert clones: stale
+            # holders of the old columns keep their old arrays.
+            cols = copy.copy(cols).shrink(keep)
+            self._carry(cols, tree.refit(cols, ids_arr) if tree is not None else None)
         self._registry.sweep(self._generation)  # free superseded indexes
         self._result_cache.clear()
         self._family_lru.clear()
         self._maybe_compact()
         return self
+
+    def _carry(self, columns, tree) -> None:
+        """Register a write's patched column store and dual tree for the
+        new generation, so the next read builds neither.  A ``None`` tree
+        (not built, or a write too large for a refit) is left to build
+        lazily; fresh trees come only from the STR pack."""
+        for key, value in zip(_CARRIED, (columns, tree)):
+            if value is not None:
+                self._registry.carry(key, self._generation, value)
 
     def replace_points(self, points: Sequence) -> "Engine":
         """Replace the entire relation in one mutation (generation
@@ -1662,6 +1684,7 @@ class Engine:
             "built_indexes": [_key_label(k) for k in live],
             "registry_builds": self._registry.builds,
             "registry_hits": self._registry.hits,
+            "registry_carried": self._registry.carried,
             "memory_bytes": self._registry.memory_bytes(
                 self._generation, exclude=("mc_pnn",)
             ),

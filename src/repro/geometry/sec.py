@@ -9,21 +9,32 @@ practical analogue).
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import DegenerateInputError
 from .circle import Circle, circumcircle
 from .point import Point, distance, midpoint
 
 
+@functools.lru_cache(maxsize=256)
+def _shuffle_order(length: int, seed: int) -> Tuple[int, ...]:
+    """The order ``random.Random(seed).shuffle`` puts ``length`` items
+    in.  It depends on nothing else, so it is drawn once per
+    ``(length, seed)``."""
+    order = list(range(length))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def smallest_enclosing_circle(points: Sequence, seed: int = 0) -> Circle:
-    """Smallest circle containing all ``points`` (expected linear time)."""
+    """Smallest circle containing all ``points`` (expected linear time),
+    visiting them in ``random.Random(seed)``'s shuffle order."""
     pts = [(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise ValueError("smallest enclosing circle of empty set")
-    rng = random.Random(seed)
-    rng.shuffle(pts)
+    pts = [pts[i] for i in _shuffle_order(len(pts), seed)]
     circle: Optional[Circle] = None
     for i, p in enumerate(pts):
         if circle is None or not _inside(circle, p):

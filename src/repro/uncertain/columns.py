@@ -161,7 +161,8 @@ def model_tag(p: UncertainPoint) -> int:
 
 
 def _summarise(p: UncertainPoint):
-    """``(tag, center, radius, mean, has_mean, mass_points, masses)``."""
+    """``(tag, bbox, center, radius, mean, has_mean, mass_points,
+    masses)``."""
     bbox = p.support_bbox()
     bx = (0.5 * (bbox[0] + bbox[2]), 0.5 * (bbox[1] + bbox[3]))
     half_diag = 0.5 * float(np.hypot(bbox[2] - bbox[0], bbox[3] - bbox[1]))
@@ -169,14 +170,14 @@ def _summarise(p: UncertainPoint):
     tag = model_tag(p)
     if tag == TAG_DISK:
         c = (p.disk.center.x, p.disk.center.y)
-        return tag, c, p.disk.radius, c, True, [c], [1.0]
+        return tag, bbox, c, p.disk.radius, c, True, [c], [1.0]
     if tag == TAG_GAUSSIAN:
         # radius == p.cutoff, so (centers, radii, sigmas) reconstruct the
         # truncated-Gaussian law exactly.
         c = (p.disk.center.x, p.disk.center.y)
-        return tag, c, p.cutoff, c, True, [c], [1.0]
+        return tag, bbox, c, p.cutoff, c, True, [c], [1.0]
     if tag == TAG_RECT:
-        return tag, bx, half_diag, bx, True, [bx], [1.0]
+        return tag, bbox, bx, half_diag, bx, True, [bx], [1.0]
     if tag == TAG_DISCRETE:
         sec = p.enclosing
         w = np.asarray(p.weights, dtype=np.float64)
@@ -184,6 +185,7 @@ def _summarise(p: UncertainPoint):
         mean = (float(w @ loc[:, 0]), float(w @ loc[:, 1]))
         return (
             tag,
+            bbox,
             (sec.center.x, sec.center.y),
             sec.radius * _RADIUS_GUARD,
             mean,
@@ -201,6 +203,7 @@ def _summarise(p: UncertainPoint):
         )
         return (
             tag,
+            bbox,
             bx,
             half_diag,
             mean,
@@ -214,6 +217,7 @@ def _summarise(p: UncertainPoint):
         mean = _polygon_centroid(verts)
         return (
             tag,
+            bbox,
             (sec.center.x, sec.center.y),
             sec.radius * _RADIUS_GUARD,
             mean,
@@ -223,7 +227,7 @@ def _summarise(p: UncertainPoint):
         )
     # Unknown model: the bbox circumscribing disk is always valid; the
     # first moment is unknown, so the Jensen bracket is disabled.
-    return tag, bx, half_diag, bx, False, [bx], [1.0]
+    return tag, bbox, bx, half_diag, bx, False, [bx], [1.0]
 
 
 def _column_arrays(points: Sequence[UncertainPoint]) -> dict:
@@ -243,8 +247,8 @@ def _column_arrays(points: Sequence[UncertainPoint]) -> dict:
     loc_w: List[float] = []
     sigmas: List[float] = []
     for p in points:
-        tag, c, r, mean, hm, mass_points, masses = _summarise(p)
-        bboxes.append(tuple(map(float, p.support_bbox())))
+        tag, bbox, c, r, mean, hm, mass_points, masses = _summarise(p)
+        bboxes.append(tuple(map(float, bbox)))
         centers.append((float(c[0]), float(c[1])))
         radii.append(float(r))
         means.append((float(mean[0]), float(mean[1])))

@@ -10,6 +10,7 @@ generator must be bit-identical to the exact tier's across all six
 uncertainty model types and all four query methods.
 """
 
+import copy
 import math
 import random
 
@@ -35,6 +36,7 @@ from repro import (
 )
 from repro.constructions import (
     cluster_centers,
+    clustered_discrete_points,
     clustered_disk_points,
     clustered_queries,
     random_discrete_points,
@@ -280,9 +282,8 @@ class TestBackends:
         for backend in ("process", "bogus"):
             with pytest.raises(QueryError, match="unknown parallel backend"):
                 dual_tree_candidates(Q, ModelColumns(points), backend=backend)
-        planner = QueryPlanner(points, parallel_backend="process")
         with pytest.raises(QueryError, match="unknown parallel backend"):
-            planner.candidate_mask(Q)
+            QueryPlanner(points, parallel_backend="process")
 
     def test_planner_thread_backend_identical(self):
         points, Q = clustered_workload(n=150, m=90)
@@ -313,7 +314,7 @@ class TestEngineIntegration:
         assert engine.object_tree() is tree
         assert engine.stats()["registry_builds"] == builds
         assert "dual_tree" in engine.stats()["built_indexes"]
-        # Updates invalidate it lazily.
+        # An update carries a refit copy to the next generation.
         engine.insert([UniformDiskPoint((1.0, 1.0), 0.2)])
         engine.expected_nn_many(Q)
         assert engine.object_tree() is not tree
@@ -662,3 +663,258 @@ class TestStrPackingIdentity:
         for name in aggregates:
             got, want = getattr(otree, name), getattr(ref_tree, name)
             assert all(_same_bytes(g, w) for g, w in zip(got, want)), name
+
+
+# ---------------------------------------------------------------------------
+# Carrying the object tree across small writes (EnvelopeObjectTree.refit)
+# ---------------------------------------------------------------------------
+
+
+def _packed(cols):
+    """A fresh STR pack at the planner's object-tree packing."""
+    return EnvelopeObjectTree(
+        cols, planner_module._DUAL_LEAF_SIZE, planner_module._DUAL_FANOUT
+    )
+
+
+def _tree_bytes(tree):
+    """Every array of a tree, as bytes (to show it was never written)."""
+    return [
+        a.tobytes()
+        for name in ("bboxes", "centers_bbox", "means_bbox", "max_radius",
+                     "max_reach", "all_mean", "sizes", "child_ptr", "child_idx")
+        for a in getattr(tree, name)
+    ] + [tree.leaf_flat.tobytes(), tree.leaf_ptr.tobytes()]
+
+
+def assert_tree_exact(tree, cols):
+    """Every object sits in exactly one leaf, ascending within it, and
+    every node's ``sizes`` and aggregates are the true count, min or max
+    over its current members."""
+    assert tree.n == cols.n
+    leaves = np.split(tree.leaf_flat, tree.leaf_ptr[1:-1])
+    assert np.array_equal(np.sort(tree.leaf_flat), np.arange(cols.n))
+    assert all(seg.size and np.all(np.diff(seg) > 0) for seg in leaves)
+    members = [leaves]
+    for lvl in range(tree.depth - 2, -1, -1):
+        ptr, idx = tree.child_ptr[lvl], tree.child_idx[lvl]
+        members.insert(0, [
+            np.concatenate([members[0][c] for c in idx[ptr[j]:ptr[j + 1]]])
+            for j in range(ptr.shape[0] - 1)
+        ])
+    for lvl, nodes in enumerate(members):
+        for j, m in enumerate(nodes):
+            assert tree.sizes[lvl][j] == m.size
+            b, c, mu = cols.bboxes[m], cols.centers[m], cols.means[m]
+            for got, want in (
+                (tree.bboxes[lvl][j], (b[:, 0].min(), b[:, 1].min(),
+                                       b[:, 2].max(), b[:, 3].max())),
+                (tree.centers_bbox[lvl][j], (c[:, 0].min(), c[:, 1].min(),
+                                             c[:, 0].max(), c[:, 1].max())),
+                (tree.means_bbox[lvl][j], (mu[:, 0].min(), mu[:, 1].min(),
+                                           mu[:, 0].max(), mu[:, 1].max())),
+            ):
+                assert tuple(got) == want, (lvl, j)
+            assert tree.max_radius[lvl][j] == cols.radii[m].max()
+            assert tree.max_reach[lvl][j] == cols.mean_reach[m].max()
+            assert tree.all_mean[lvl][j] == cols.has_mean[m].all()
+
+
+def _written(cols, points, rng, pool):
+    """One seeded write: an insert (pool objects, exact duplicates of
+    stored ones, a disk outside the root bbox) or a remove.  Returns
+    ``(points, columns, removed ids or None)``."""
+    if rng.random() < 0.5:
+        new = [pool.pop() for _ in range(rng.randint(1, 12))]
+        new += [points[rng.randrange(len(points))] for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.3:
+            new.append(UniformDiskPoint((rng.uniform(-900, 900), 1000.0), 2.0))
+        return points + new, copy.copy(cols).extend(new), None
+    removed = np.asarray(
+        sorted(rng.sample(range(len(points)), rng.randint(1, 20))), dtype=np.intp
+    )
+    keep = np.setdiff1d(np.arange(len(points)), removed)
+    return [points[i] for i in keep], copy.copy(cols).shrink(keep), removed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_carried_tree_stays_exact(seed):
+    # All six models plus tie-heavy lattice objects; writes insert
+    # duplicates and objects outside the root bbox and remove at random.
+    rng = random.Random(seed)
+    points = six_model_points(seed, n_per=30) + tie_heavy_lattice(120, seed)
+    pool = six_model_points(seed + 50, n_per=15) + tie_heavy_lattice(80, seed + 1)
+    rng.shuffle(pool)
+    cols = ModelColumns(points)
+    tree = _packed(cols)
+    Q = np.concatenate([queries_for(seed + 7, m=40), seeded_inputs("lattice", 300, seed, 20)[1]])
+    carried = 0
+    for _ in range(14):
+        before = _tree_bytes(tree)
+        points, cols, removed = _written(cols, points, rng, pool)
+        refit = tree.refit(cols, removed)
+        assert _tree_bytes(tree) == before  # the old tree is never written
+        if refit is None:
+            tree = _packed(cols)
+            continue
+        carried += 1
+        tree = refit
+        assert_tree_exact(tree, cols)
+        fresh = _packed(cols)
+        for criterion in ("support", "expected"):
+            for k in (1, 8):
+                _, indptr, indices = flat_survivors(cols, Q, k, criterion)
+                for t in (tree, fresh):
+                    res = dual_tree_candidates(
+                        Q, cols, object_tree=t, k=k, criterion=criterion,
+                        leaf_size=planner_module._QUERY_LEAF_SIZE,
+                        slack=planner_module._CUTOFF_SLACK,
+                    )
+                    assert res.indptr.tobytes() == indptr.tobytes()
+                    assert res.indices.tobytes() == indices.tobytes()
+    assert carried >= 10
+
+
+class TestRefitFallback:
+    def test_emptied_leaf_falls_back(self):
+        cols = ModelColumns(tie_heavy_lattice(300, 5))
+        tree = _packed(cols)
+        leaf = tree.leaf_flat[tree.leaf_ptr[2]:tree.leaf_ptr[3]]
+        keep = np.setdiff1d(np.arange(cols.n), leaf)
+        assert tree.refit(copy.copy(cols).shrink(keep), leaf) is None
+        # One member fewer leaves the leaf non-empty: refit.
+        keep = np.setdiff1d(np.arange(cols.n), leaf[1:])
+        shrunk = copy.copy(cols).shrink(keep)
+        assert_tree_exact(tree.refit(shrunk, leaf[1:]), shrunk)
+
+    def test_overgrown_leaf_and_large_write_fall_back(self):
+        points = six_model_points(9, n_per=100)  # 600 objects
+        cols = ModelColumns(points)
+        tree = _packed(cols)
+        limit = dual_tree_module._REFIT_MAX_SHARE * cols.n
+        # Copies of one object all join one leaf and overfill it.
+        many = [points[0]] * int(limit)
+        assert int(limit) + 1 > dual_tree_module._REFIT_MAX_GROWTH * 16
+        assert tree.refit(copy.copy(cols).extend(many)) is None
+        spread = six_model_points(10, n_per=5)
+        assert len(spread) <= limit
+        assert tree.refit(copy.copy(cols).extend(spread)) is not None
+        big = six_model_points(11, n_per=int(limit) // 6 + 1)
+        assert len(big) > limit
+        assert tree.refit(copy.copy(cols).extend(big)) is None
+
+    def test_leaf_choice_least_growth_then_fewer_members(self):
+        # Two 16-disk leaves (centres x = 0..3 and x = 4..7) whose boxes
+        # both cover the middle.  After 3 removes from the right leaf, a
+        # small disk in the middle grows neither box and joins the leaf
+        # with fewer members; disks past either edge join the leaf whose
+        # box grows least.
+        points = [
+            UniformDiskPoint((float(x), float(y)), 12.0)
+            for x in range(8) for y in range(4)
+        ]
+        cols = ModelColumns(points)
+        tree = _packed(cols)
+        assert tree.n_nodes(tree.depth - 1) == 2
+
+        def leaf_of(t, i):
+            pos = int(np.flatnonzero(t.leaf_flat == i)[0])
+            return int(np.searchsorted(t.leaf_ptr, pos, side="right")) - 1
+
+        removed = np.array([16, 17, 18])
+        cols = copy.copy(cols).shrink(np.setdiff1d(np.arange(32), removed))
+        tree = tree.refit(cols, removed)
+        right = leaf_of(tree, 16)  # old id 19
+        assert tree.sizes[-1][right] == 13 and leaf_of(tree, 0) != right
+        new = [UniformDiskPoint(xy, 0.1) for xy in ((3.5, 1.5), (40.0, 1.5), (-30.0, 1.5))]
+        cols = copy.copy(cols).extend(new)
+        tree = tree.refit(cols)
+        assert leaf_of(tree, 29) == right
+        assert leaf_of(tree, 30) == right
+        assert leaf_of(tree, 31) == leaf_of(tree, 0)
+        assert_tree_exact(tree, cols)
+        # Removes and an insert in one refit: the tie counts members
+        # after the removes (14 right, 16 left).
+        both = ModelColumns(points[:16] + points[18:] + new[:1])
+        tree = _packed(ModelColumns(points)).refit(both, np.array([16, 17]))
+        assert leaf_of(tree, 30) == leaf_of(tree, 16) != leaf_of(tree, 0)
+
+    def test_single_leaf_tree(self):
+        points = six_model_points(12, n_per=2)  # 12 objects, one leaf
+        cols = ModelColumns(points)
+        tree = _packed(cols)
+        assert tree.depth == 1
+        grown = copy.copy(cols).extend([UniformDiskPoint((500.0, -40.0), 1.0)])
+        assert_tree_exact(tree.refit(grown), grown)
+
+
+def test_seed_blocks_fit_budget_with_overgrown_leaf(monkeypatch):
+    # Copies of one far disk all join one leaf, which grows to 3.5x the
+    # leaf size.  Rows next to them seed in that leaf, and under the
+    # smallest tile budget each seed block must still hold at most the
+    # budget's (row, member) pairs.
+    points = [UniformDiskPoint((float(x), float(y)), 0.3) for x in range(20) for y in range(20)]
+    cols = ModelColumns(points)
+    cols = copy.copy(cols).extend([UniformDiskPoint((100.0, 100.0), 0.3)] * 40)
+    tree = _packed(ModelColumns(points)).refit(cols)
+    assert tree.sizes[-1].max() == 56
+    budget = dual_tree_module._pair_budget(1)
+    blocks = []
+    seed_block = dual_tree_module._seed_block
+
+    def spy(Q, otree, columns, k, criterion, stats):
+        before = stats["refined_pairs"]
+        out = seed_block(Q, otree, columns, k, criterion, stats)
+        blocks.append(stats["refined_pairs"] - before)
+        return out
+
+    monkeypatch.setattr(dual_tree_module, "_seed_block", spy)
+    Q = 100.0 + np.random.default_rng(3).uniform(-0.1, 0.1, size=(200, 2))
+    res = dual_tree_candidates(
+        Q, cols, object_tree=tree, leaf_size=planner_module._QUERY_LEAF_SIZE,
+        slack=planner_module._CUTOFF_SLACK, tile_bytes=1,
+    )
+    assert len(blocks) > 1 and max(blocks) <= budget
+    assert sum(blocks) == 200 * 56
+    _, indptr, indices = flat_survivors(cols, Q)
+    assert res.indptr.tobytes() == indptr.tobytes()
+    assert res.indices.tobytes() == indices.tobytes()
+
+
+def test_carried_tree_drift_is_bounded():
+    # A sliding window at n = 2000 clustered discrete points (the shape
+    # of the durable-ingest workload): each tick inserts the 32 newest
+    # points and removes the 32 oldest, carrying the tree by refit (a
+    # refused refit packs afresh, as the engine's next read would).
+    # After every 50 ticks the carried tree refines at most 1.25x the
+    # member pairs a fresh pack does on the same batch, with the same
+    # survivors.
+    centers = cluster_centers(20, seed=1, box=100.0)
+    cols = ModelColumns(clustered_discrete_points(2000, k=4, centers=centers, seed=7))
+    stream = clustered_discrete_points(32 * 200, k=4, centers=centers, seed=8)
+    Q = np.asarray(clustered_queries(256, centers=centers, seed=9))
+    tree = _packed(cols)
+    refits = 0
+    for tick in range(200):
+        cols = copy.copy(cols).extend(stream[32 * tick : 32 * tick + 32])
+        for removed in (None, np.arange(32)):
+            if removed is not None:
+                cols = copy.copy(cols).shrink(np.arange(32, cols.n))
+            refit = tree.refit(cols, removed)
+            refits += refit is not None
+            tree = refit if refit is not None else _packed(cols)
+        if tick % 50 == 49:
+            fresh = _packed(cols)
+            for criterion, k in (("support", 1), ("expected", 1), ("expected", 8)):
+                carried, packed = (
+                    dual_tree_candidates(
+                        Q, cols, object_tree=t, k=k, criterion=criterion,
+                        leaf_size=planner_module._QUERY_LEAF_SIZE,
+                        slack=planner_module._CUTOFF_SLACK,
+                    )
+                    for t in (tree, fresh)
+                )
+                assert carried.indices.tobytes() == packed.indices.tobytes()
+                ratio = carried.stats["refined_pairs"] / packed.stats["refined_pairs"]
+                assert ratio <= 1.25, (tick, criterion, k, ratio)
+    assert refits >= 380

@@ -457,10 +457,47 @@ class TestDynamicUpdates:
         engine.expected_nn_many(Q, eps=0.5)
         engine.monte_carlo_pnn_many(Q, s=16, rng=1)
         assert len(engine.registry.keys()) > 1
-        engine.insert(model_points("disk", seed=257, n=2))
-        # Only the in-place-extended columns survive the generation bump;
-        # superseded planner/quant/sample structures are freed.
+        engine.insert(model_points("disk", seed=257, n=1))
+        # Only the structures the write carried survive the generation
+        # bump (the columns, and the dual tree the approx tier's fallback
+        # rows built); superseded planner/quant/sample structures are
+        # freed.
+        assert engine.registry.keys() == [("columns",), ("dual_tree",)]
+        # A write of more than an eighth of the objects drops the tree.
+        engine.insert(model_points("disk", seed=263, n=2))
         assert engine.registry.keys() == [("columns",)]
+
+    def test_writes_carry_tree(self):
+        # A small write carries the column store and the dual tree
+        # forward, so the next read builds only its planner and the eval
+        # cache.
+        engine = Engine(model_points("disk", seed=431, n=64) + mixed_points(433))
+        Q = queries_for(439, m=12)
+        engine.expected_nn_many(Q)
+        stats = engine.stats()
+        assert stats["registry_builds"] == 4  # planner, columns, tree, cache
+        assert stats["registry_carried"] == 0
+        assert stats["evaluators"]["cache_builds"] == 1
+        tree = engine.object_tree()
+        engine.insert(model_points("rect", seed=443, n=3))
+        engine.remove([0, 5, 70])
+        stats = engine.stats()
+        assert stats["registry_carried"] == 4
+        assert stats["built_indexes"] == ["columns", "dual_tree"]
+        winners, values = engine.expected_nn_many(Q)
+        stats = engine.stats()
+        assert stats["registry_builds"] == 6  # planner and eval cache
+        assert stats["evaluators"]["cache_builds"] == 1
+        assert engine.object_tree() is not tree
+        fresh = Engine(engine.points).expected_nn_many(Q, exact=True)
+        assert np.array_equal(winners, fresh[0])
+        assert np.array_equal(values, fresh[1])
+        # Past an eighth of n the tree is dropped (the next read packs a
+        # fresh one); the columns are still carried.
+        engine.insert(model_points("disk", seed=449, n=12))
+        assert engine.stats()["registry_carried"] == 5
+        engine.expected_nn_many(Q)
+        assert engine.stats()["registry_builds"] == 9  # planner, tree, cache
 
 
 class TestEmptyEngine:

@@ -238,6 +238,41 @@ def test_eval_cache_hits_accumulate():
     assert cache.pair_counts and sum(cache.pair_counts.values()) > 0
 
 
+def test_discrete_stacks_view_the_store():
+    # A location count whose objects hold one run of the store's
+    # locations is stacked as a view of the store, which the cache's own
+    # bytes leave to the store; a count interleaved with another is
+    # gathered.  Either way each row holds its object's locations.
+    points = (
+        random_discrete_points(6, k=4, seed=3, box=90.0)
+        + random_discrete_points(3, k=2, seed=4, box=90.0)
+        + random_discrete_points(2, k=3, seed=5, box=90.0)
+        + random_discrete_points(1, k=2, seed=6, box=90.0)
+        + random_disk_points(2, seed=7, box=90.0)
+    )
+    cols = ModelColumns(points)
+    cache = evaluators.EvalCache(points, cols)
+    views = {k: np.shares_memory(cache.disc_locs[k], cols.locations) for k in cache.disc_locs}
+    assert views == {2: False, 3: True, 4: True}
+    assert all(
+        np.shares_memory(cache.disc_w[k], cols.location_weights) == views[k]
+        for k in cache.disc_w
+    )
+    offsets = cols.loc_offsets
+    for i in range(12):
+        k, row = cache.disc_group[i], cache.disc_row[i]
+        at = slice(offsets[i], offsets[i + 1])
+        assert np.array_equal(cache.disc_locs[k][row], cols.locations[at])
+        assert np.array_equal(cache.disc_w[k][row], cols.location_weights[at])
+    assert cache.disc_group[12:].tolist() == [-1, -1]
+    held = [cache.nodes, cache.weights, cache.gnodes, cache.gweights,
+            cache.disc_group, cache.disc_row, cache.hist_group, cache.hist_row]
+    held += [a for a in (cache.gauss_mass, cache.rect_area) if a is not None]
+    held += [cache.disc_locs[2], cache.disc_w[2]]
+    assert not cache.hist_rects
+    assert cache.nbytes == sum(a.nbytes for a in held)
+
+
 def test_engine_diagnostics_and_stats():
     points = six_model_points(27)
     eng = Engine(points)

@@ -1,6 +1,7 @@
 """Tests for convex hull and smallest enclosing circle."""
 
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,18 @@ class TestSmallestEnclosingCircle:
         pts = [(0, 0), (4, 0), (2, 1)]
         c = smallest_enclosing_circle(pts)
         assert math.isclose(c.radius, 2.0, rel_tol=1e-9)
+
+    def test_cached_shuffle_order_is_randoms(self):
+        # The Welzl visiting order is cached per (length, seed); it must
+        # be exactly the order a fresh random.Random(seed) shuffles into.
+        from repro.geometry.sec import _shuffle_order
+
+        for seed in (0, 1, 7, 12345):
+            for length in range(1, 17):
+                order = list(range(length))
+                random.Random(seed).shuffle(order)
+                assert list(_shuffle_order(length, seed)) == order
+                assert _shuffle_order(length, seed) is _shuffle_order(length, seed)
 
     @given(point_lists)
     @settings(max_examples=100)

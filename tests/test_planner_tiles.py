@@ -137,21 +137,36 @@ class TestTiledMemory:
 
 class TestBackendAndTierGuards:
     def test_planner_rejects_process_backend(self):
-        # There is no process backend: every tier rejects it as unknown.
+        # There is no process backend: a planner naming it is rejected
+        # when it is built, and every tier rejects the live config's.
         points, Q = _workload(n=30, m=4)
-        planner = QueryPlanner(points, parallel_backend="process")
-        for tier in ("pruned", "exact"):
-            with pytest.raises(QueryError, match="unknown parallel backend"):
-                planner.expected_nn_many(Q, tier=tier)
+        with pytest.raises(QueryError, match="unknown parallel backend"):
+            QueryPlanner(points, parallel_backend="process")
         with config.execution(parallel_backend="process"):
+            planner = QueryPlanner(points)
+            for tier in ("pruned", "exact"):
+                with pytest.raises(QueryError, match="unknown parallel backend"):
+                    planner.expected_nn_many(Q, tier=tier)
             with pytest.raises(QueryError, match="unknown parallel backend"):
-                QueryPlanner(points).candidate_mask(Q)
+                planner.candidate_mask(Q)
         # An engine spec naming it is rejected at construction.
         with pytest.raises(QueryError, match="parallel_backend must be one of"):
             Engine(points).query(
                 Q, method="expected_nn", tier="exact",
                 parallel_backend="process",
             )
+
+    def test_unknown_backend_rejected_before_any_pass(self):
+        # An approx batch whose rows all settle never fans out a tile,
+        # so the backend must be checked when the planner is built.
+        points, Q = _workload(n=50, m=20)
+        planner = QueryPlanner(points)
+        _, _, fallback = planner.expected_nn_many(
+            Q, tier="approx", eps=0.5, return_fallback=True
+        )
+        assert not fallback.any()
+        with pytest.raises(QueryError, match="unknown parallel backend 'bogus'"):
+            QueryPlanner(points, parallel_backend="bogus")
 
     def test_facade_rejects_contradictory_exact_and_eps(self):
         from repro import batch

@@ -14,7 +14,9 @@ return the exact tier's answers bit for bit:
 * a wire round trip;
 * a POST to a loopback :class:`repro.service.ServiceServer`;
 * a snapshot restore;
-* a write-ahead-log recovery.
+* a write-ahead-log recovery;
+* the pruned tier after small writes, which carry the dual tree forward
+  instead of rebuilding it.
 
 Extra disks put lattice rows on every branch of the closed-form disk
 expectation: at a center, exactly on a rim, inside, just outside, at
@@ -229,3 +231,28 @@ def test_every_serving_path_matches_exact(name, cluster, http, tmp_path):
     finally:
         recovered.close()
 
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_pruned_tier_after_writes_matches_fresh_exact(name):
+    # The write leg: small inserts (duplicates included) and removes on
+    # the tie-heavy lattice carry the column store and the dual tree
+    # forward instead of rebuilding them on the next read.  The pruned
+    # tier must still answer exactly like a freshly built engine's exact
+    # tier.
+    points = _points(name)
+    Q = lattice_queries()
+    engine = Engine(points[:-3])
+    engine.query(Q, _spec(name))  # builds the tree
+    built = ["columns", "dual_tree"]
+    assert set(built) <= set(engine.stats()["built_indexes"])
+    writes = [
+        ("insert", points[-3:-1]),
+        ("remove", [0, 7]),
+        ("insert", [points[-1], points[4]]),  # points[4] twice now
+        ("remove", [len(points) - 4]),
+    ]
+    for op, arg in writes:
+        getattr(engine, op)(arg)
+        assert engine.stats()["built_indexes"] == built, op
+        exact = Engine(engine.points).query(Q, _spec(name, "exact"))
+        _assert_same(engine.query(Q, _spec(name)), exact, what=f"after {op}")
