@@ -887,9 +887,6 @@ def dual_tree_candidates(
     leaf_size: int = 32,
     fanout: int = 8,
     slack: float = _CUTOFF_SLACK,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    tile_bytes: Optional[int] = None,
 ) -> DualTreeCandidates:
     """The dual-tree prune pass: CSR survivor sets for a query batch.
 
@@ -914,18 +911,16 @@ def dual_tree_candidates(
         pass's ``lb_i(q) <= k``-th smallest ``ub_j(q)`` set, with
         ``criterion`` selecting the support or expected-distance
         bracket.
-    backend / workers:
-        ``"serial"`` or ``"thread"`` — threads fan out over query
-        subtrees after one seeding pass over the whole batch.
-    tile_bytes:
-        Peak-memory budget for the leaf refinement's per-pair
-        temporaries (defaults to :data:`repro.config.EXECUTION`'s
-        ``tile_bytes``), at ~256 bytes per pair.  Each stage is sized
-        from the pairs that actually reach it: R1 runs in chunks of
-        whole query-leaf segments holding at most the budget's
-        (query row, object leaf) pairs, and each R2 stage in chunks of
-        whole rows holding at most the budget's member pairs (a single
-        segment or row above the budget runs alone).
+
+    The execution settings come from :data:`repro.config.EXECUTION`.
+    Under ``parallel_backend="thread"``, threads fan out over query
+    subtrees after one seeding pass over the whole batch.
+    ``tile_bytes`` bounds the leaf refinement's per-pair temporaries,
+    at ~256 bytes per pair.  Each stage is sized from the pairs that
+    actually reach it: R1 runs in chunks of whole query-leaf segments
+    holding at most the budget's (query row, object leaf) pairs, and
+    each R2 stage in chunks of whole rows holding at most the budget's
+    member pairs (a single segment or row above the budget runs alone).
     """
     Q = kernels.as_query_array(qs)
     m = Q.shape[0]
@@ -933,7 +928,7 @@ def dual_tree_candidates(
     k = min(max(int(k), 1), n)
     if criterion not in ("support", "expected"):
         raise QueryError(f"unknown pruning criterion {criterion!r}")
-    backend = _parallel.check_backend(backend)
+    backend = _parallel.check_backend(None)
     if object_tree is None:
         object_tree = EnvelopeObjectTree(columns, leaf_size, fanout)
     if object_tree.n != n:
@@ -955,10 +950,8 @@ def dual_tree_candidates(
         )
     qtree = QueryBlockTree(Q, leaf_size, fanout)
     base_stats["query_tree_depth"] = float(qtree.depth)
-    if tile_bytes is None:
-        tile_bytes = EXECUTION.tile_bytes
     # The chunks count the pairs each stage really evaluates.
-    pair_budget = _pair_budget(tile_bytes)
+    pair_budget = _pair_budget(EXECUTION.tile_bytes)
     # The seed is one pass over the whole batch, shared by every task.
     if qtree.depth > 1:
         seed = _seed_cutoffs(
@@ -967,7 +960,7 @@ def dual_tree_candidates(
     else:
         seed = np.full(m, np.inf)
     node_seed = _node_seeds(qtree, seed)
-    n_workers = _parallel.resolve_workers(workers)
+    n_workers = _parallel.resolve_workers()
     if backend == "thread" and qtree.depth > 1 and n_workers > 1:
         # Parallelize over query subtrees: each level-1 node descends
         # independently (its best-ub chain never reads a sibling's), so

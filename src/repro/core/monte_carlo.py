@@ -50,17 +50,14 @@ _HELD_PAIR_BYTES = 8 * 6
 _DENSE_PAIR_BYTES = 8 * 5
 
 
-def _round_block(nnz: int, planner=None, held: int = 0) -> int:
+def _round_block(nnz: int, held: int = 0) -> int:
     """Monte-Carlo rounds per vectorized block over ``nnz`` candidate
     pairs: as many rounds as keep the block's temporaries inside the
-    ``tile_bytes`` working-set budget and, under a memory budget, inside
-    what the budget leaves beside the ``held`` bytes (the request is
-    refused when not even one round fits)."""
+    ``EXECUTION.tile_bytes`` working-set budget and, under a memory
+    budget, inside what the budget leaves beside the ``held`` bytes (the
+    request is refused when not even one round fits)."""
     per_round = max(int(nnz) * _ROUND_PAIR_BYTES, 1)
-    tb = getattr(planner, "tile_bytes", None)
-    if tb is None:
-        tb = EXECUTION.tile_bytes
-    rounds = max(1, int(tb) // per_round)
+    rounds = max(1, int(EXECUTION.tile_bytes) // per_round)
     _resilience.require_bytes(
         held + per_round,
         f"Monte-Carlo counters and one round over {nnz} candidate pairs",
@@ -423,9 +420,7 @@ class MonteCarloPNN:
                 rows = np.repeat(np.arange(active.size, dtype=np.intp), lens)
                 qx = Q[active[rows], 0]
                 qy = Q[active[rows], 1]
-                block = _round_block(
-                    gather.size, planner, held=nnz * _HELD_PAIR_BYTES
-                )
+                block = _round_block(gather.size, held=nnz * _HELD_PAIR_BYTES)
                 for j0 in range(t, t1, block):
                     _resilience.checkpoint("mc.round", j0)
                     pos = _csr_round_positions(

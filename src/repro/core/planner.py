@@ -36,8 +36,13 @@ call.  :meth:`QueryPlanner._answer` runs any row on any tier:
     optionally ``rel=``): certified ε-approximate answers in O(log) per
     query, its fallback rows re-answered by the pruned pass — except
     that under ``EXECUTION.dtype="float32"`` expected-NN fallback rows
-    run the grouped kernels in single precision with a certified bound
-    per row (:attr:`QueryPlanner.last_fallback_bounds`).
+    run the grouped kernels in single precision, and the call returns a
+    certified bound per fallback row with its answers.
+
+Every tier takes its tile budget, backend and worker count from
+:data:`repro.config.EXECUTION` at call time, and the planner keeps no
+per-call state: a call's telemetry is what it adds to the cumulative
+``dual_totals`` and ``eval_totals``.
 """
 
 from __future__ import annotations
@@ -228,15 +233,6 @@ class QueryPlanner:
     columns:
         Optional precomputed :class:`ModelColumns` for ``points``
         (otherwise built on first use: the exact tier never needs it).
-    tile_bytes / parallel_backend / parallel_workers:
-        Per-planner overrides of :data:`repro.config.EXECUTION` (``None``
-        reads the live config at call time).  A ``parallel_backend``
-        outside :data:`repro.core.parallel.BACKENDS` raises
-        :class:`~repro.errors.QueryError` here.
-    object_tree:
-        Optional prebuilt
-        :class:`~repro.core.dual_tree.EnvelopeObjectTree` over the same
-        columns, adopted instead of building lazily.
     cache:
         Optional ``cache(key, build)`` hook returning the structure
         stored under ``key``, built with ``build()`` on first use.  The
@@ -253,10 +249,6 @@ class QueryPlanner:
         self,
         points: Sequence,
         columns: Optional[ModelColumns] = None,
-        tile_bytes: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-        parallel_workers: Optional[int] = None,
-        object_tree: Optional[EnvelopeObjectTree] = None,
         cache: Optional[Callable[[tuple, Callable[[], object]], object]] = None,
     ):
         self.points = list(points)
@@ -264,17 +256,8 @@ class QueryPlanner:
             raise QueryError("QueryPlanner requires at least one point")
         if columns is not None and columns.n != len(self.points):
             raise QueryError("columns were built over a different point set")
-        if object_tree is not None and object_tree.n != len(self.points):
-            raise QueryError("object tree was built over a different point set")
-        if parallel_backend is not None:
-            # Checked here, not when a pass first fans out: an approx
-            # batch with no fallback rows never reaches a tile.
-            _parallel.check_backend(parallel_backend)
-        self.tile_bytes = tile_bytes
-        self.parallel_backend = parallel_backend
-        self.parallel_workers = parallel_workers
         self._columns = columns
-        self._object_tree = object_tree
+        self._object_tree = None
         self._eval_cache = None
         self._entries: Dict[tuple, object] = {}
         self._cache = cache if cache is not None else self._own_cache
@@ -289,13 +272,6 @@ class QueryPlanner:
         self.eval_totals: Dict[str, float] = dict.fromkeys(
             ("grouped_calls", "pairs", "prune_seconds", "eval_seconds"), 0.0
         )
-        self.last_eval_stats: Optional[Dict[str, float]] = None
-        self._last_prune_seconds = 0.0
-        #: After an approx-tier ``expected_nn_many`` under
-        #: ``EXECUTION.dtype="float32"``: per-query certified float32
-        #: error bounds for the fallback rows (``None`` when the
-        #: fallback ran in float64 and is exact).
-        self.last_fallback_bounds: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -316,17 +292,11 @@ class QueryPlanner:
         return self._columns
 
     # -- tiled execution -----------------------------------------------------
-    def _backend(self) -> str:
-        if self.parallel_backend is not None:
-            return self.parallel_backend
-        return EXECUTION.parallel_backend
-
     def _tile_rows(self, tier: str) -> int:
-        tb = self.tile_bytes if self.tile_bytes is not None else EXECUTION.tile_bytes
         # Pruned rows stage no bound matrices; exact-tier tiles stage
         # their own full extremal matrices.
         per_pair = _BYTES_PER_PAIR_DUAL if tier == "pruned" else _BYTES_PER_PAIR
-        rows = max(1, int(tb) // max(len(self.points) * per_pair, 1))
+        rows = max(1, int(EXECUTION.tile_bytes) // max(len(self.points) * per_pair, 1))
         # Admission control: when a memory budget is configured, the
         # tile height is clamped so one tile's working set fits it (or
         # the request is rejected when even a single row cannot).
@@ -338,9 +308,7 @@ class QueryPlanner:
         """The exact tier's ``fn(lo, hi)`` over cache-sized row tiles,
         optionally fanned out across workers; results in tile order."""
         tiles = _parallel.tile_ranges(m, self._tile_rows("exact"))
-        return _parallel.map_tiles(
-            fn, tiles, backend=self._backend(), workers=self.parallel_workers
-        )
+        return _parallel.map_tiles(fn, tiles)
 
     @staticmethod
     def _check_tier(tier: str, eps: Optional[float], return_fallback: bool) -> None:
@@ -392,33 +360,10 @@ class QueryPlanner:
             )
         return self._eval_cache
 
-    def _begin_answer(self) -> None:
-        """Clear the last-call telemetry at the start of an answer call,
-        so a call that evaluates nothing (an approx query without
-        fallback rows, the exact tier) never reports an earlier call's
-        ``last_eval_stats`` or ``last_fallback_bounds``."""
-        self.last_eval_stats = None
-        self.last_fallback_bounds = None
-        self._last_prune_seconds = 0.0
-
-    def _note_eval(self, pairs: int, seconds: float) -> None:
-        self.eval_totals["grouped_calls"] += 1.0
-        self.eval_totals["pairs"] += float(pairs)
-        self.eval_totals["eval_seconds"] += float(seconds)
-        self.last_eval_stats = {
-            "pairs": float(pairs), "eval_seconds": float(seconds),
-            "prune_seconds": float(self._last_prune_seconds),
-        }
-
-    def _dual_csr(
-        self, qs, k: int, criterion: str, record: bool = True
-    ) -> DualTreeCandidates:
+    def _dual_csr(self, qs, k: int, criterion: str) -> DualTreeCandidates:
         """One dual-tree prune pass over the whole batch (the traversal
         is output-sensitive, so it is never row-tiled; threads fan out
-        over query subtrees instead).
-
-        ``record=False`` leaves the cumulative totals and the last-call
-        fields untouched (the :meth:`prune_stats` re-run)."""
+        over query subtrees instead), added to :attr:`dual_totals`."""
         Q = kernels.as_query_array(qs)
         n = len(self.points)
         k = min(max(int(k), 1), n)
@@ -436,13 +381,9 @@ class QueryPlanner:
         res = dual_tree_candidates(
             Q, self.columns, object_tree=self.object_tree(), k=k,
             criterion=criterion, leaf_size=_QUERY_LEAF_SIZE,
-            fanout=_DUAL_FANOUT, slack=_CUTOFF_SLACK, backend=self._backend(),
-            workers=self.parallel_workers, tile_bytes=self.tile_bytes,
+            fanout=_DUAL_FANOUT, slack=_CUTOFF_SLACK,
         )
-        if not record:
-            return res
-        self._last_prune_seconds = time.perf_counter() - t0
-        self.eval_totals["prune_seconds"] += self._last_prune_seconds
+        self.eval_totals["prune_seconds"] += time.perf_counter() - t0
         self.dual_totals["traversals"] += 1.0
         for key in _DUAL_COUNTERS:
             self.dual_totals[key] += res.stats[key]
@@ -489,14 +430,18 @@ class QueryPlanner:
         """Pass ``p``'s answers for every query row on ``tier``: the pruned
         pass, the exact row tiles reduced the same way, or the quantized
         index with its fallback rows re-answered by the pruned pass
-        (``return_fallback=True`` appends the fallback mask)."""
+        (``return_fallback=True`` appends the fallback mask, and for
+        expected NN the fallback rows' float32 bounds, ``None`` when
+        they ran in float64)."""
         if tier == "approx" and p.approx is None:
             raise QueryError(f"{p.name} has no approx tier")
         self._check_tier(tier, eps, return_fallback)
+        # Checked on every tier: an approx batch with no fallback rows
+        # never reaches a tile or a traversal.
+        _parallel.check_backend(None)
         Q = kernels.as_query_array(qs)
         if p.check is not None:
             p.check(arg, Q.shape[0], len(self.points))
-        self._begin_answer()
         if tier == "pruned":
             return self._pruned(Q, p, arg)
         if tier == "exact":
@@ -512,15 +457,16 @@ class QueryPlanner:
         float32 = dtype == "float32"
         answers, fallback = p.approx(self.approx_index(eps, rel, p.criterion), Q, arg)
         rows = np.flatnonzero(fallback)
+        bounds = None
         if rows.size:
             resolved = self._pruned(Q[rows], _FLOAT32_NN if float32 else p, arg)
             if float32:
-                resolved, self.last_fallback_bounds = resolved
+                resolved, bounds = resolved
             _put_rows(answers, rows, resolved)
         if not return_fallback:
             return answers
         if isinstance(answers, tuple):
-            return (*answers, fallback)
+            return (*answers, fallback, bounds)
         return answers, fallback
 
     def _pruned(self, Q: np.ndarray, p: Pass, arg):
@@ -554,7 +500,9 @@ class QueryPlanner:
             )
             if kernel == "expected":
                 values = values[0]
-        self._note_eval(cols.shape[0], time.perf_counter() - t0)
+        self.eval_totals["grouped_calls"] += 1.0
+        self.eval_totals["pairs"] += float(cols.shape[0])
+        self.eval_totals["eval_seconds"] += time.perf_counter() - t0
         return values
 
     def _exact(self, Q: np.ndarray, p: Pass, arg):
@@ -622,16 +570,18 @@ class QueryPlanner:
     def expected_nn_many(
         self, qs, tier: str = "pruned", eps: Optional[float] = None,
         rel: float = 0.0, return_fallback: bool = False,
-    ) -> Union[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]:
+    ) -> Tuple[Optional[np.ndarray], ...]:
         """Expected-distance NN winners: ``(indices, values)``.
 
         ``exact`` and ``pruned`` return identical winners and values
         (the full ``expected_distance_matrix`` argmin); ``approx``
         returns ε-certified winners/values from the quantized envelope
         (fallback rows resolved by the pruned tier, or in certified
-        float32 under ``EXECUTION.dtype="float32"`` with the row bounds
-        in :attr:`last_fallback_bounds`; ``return_fallback=True``
-        appends the resolved-row mask).
+        float32 under ``EXECUTION.dtype="float32"``).
+        ``return_fallback=True`` returns ``(indices, values, fallback,
+        bounds)``: the resolved-row mask and the fallback rows' certified
+        float32 error bounds, in row order (``None`` when the fallback
+        ran in float64 and is exact).
         """
         return self._answer(
             qs, tier, PASSES["expected_nn_many"], None, eps, rel, return_fallback
@@ -693,31 +643,3 @@ class QueryPlanner:
             qs, tier, PASSES["threshold_nn_exact_many"], tau, eps, rel,
             return_fallback,
         )
-
-    # -- introspection -------------------------------------------------------
-    def prune_stats(self, qs, criterion: str = "support",
-                    k: int = 1) -> Dict[str, float]:
-        """Mean/max candidate counts for a query matrix (diagnostics).
-
-        ``criterion`` / ``k`` must match the answer path being diagnosed
-        (``k`` is the expected-kNN neighbor count; 1 otherwise).  The
-        result also carries this pass's traversal telemetry:
-        ``node_pairs_visited`` / ``node_pairs_pruned`` (tree-node pairs
-        bounded / discarded), ``point_node_pairs`` and ``refined_pairs``
-        (leaf-stage bound evaluations), and ``survivors`` (total
-        surviving pairs).  The pass is a diagnostic re-run: it adds
-        nothing to :attr:`dual_totals` or :attr:`eval_totals` and leaves
-        the last-call fields to the answer call it describes.
-        """
-        res = self._dual_csr(qs, k, criterion, record=False)
-        counts = res.counts()
-        n = float(len(self.points))
-        out = {
-            "n": n,
-            "queries": float(res.m),
-            "mean_candidates": float(counts.mean()) if counts.size else 0.0,
-            "max_candidates": float(counts.max()) if counts.size else 0.0,
-            "mean_fraction": float(counts.mean() / n) if counts.size else 0.0,
-        }
-        out.update(res.stats)
-        return out

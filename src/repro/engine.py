@@ -95,7 +95,7 @@ from .core.knn import monte_carlo_knn_many as _monte_carlo_knn_many
 from .core.monte_carlo import MonteCarloPNN, rounds_for_fixed_query
 from .core.nonzero import UncertainSet
 from .core.parallel import BACKENDS
-from .core.planner import QueryPlanner
+from .core.planner import _DUAL_COUNTERS, QueryPlanner
 from .core.spiral import SpiralSearchPNN
 from .core.threshold import ApproxThresholdIndex, ThresholdAnswer
 from .errors import QueryError, QueryTimeoutError, WalCorruptionError, WalError
@@ -224,7 +224,8 @@ class QuerySpec:
         Per-query overrides of :data:`repro.config.EXECUTION`.
     diagnostics:
         Collect candidates-pruned statistics into
-        :attr:`QueryResult.diagnostics` (costs an extra bound pass).
+        :attr:`QueryResult.diagnostics`, read from the counters of the
+        pass that answered.
     deadline_s:
         Optional cooperative wall-clock budget for this batch.  Checked
         at tile/chunk boundaries across the stack; expiry raises
@@ -1253,12 +1254,6 @@ class Engine:
     def _execute(self, spec: QuerySpec, Q: np.ndarray) -> QueryResult:
         if spec.subset is not None:
             return self._execute_subset(spec, Q)
-        planner = self._registry.peek(("planner",), self._generation)
-        if planner is not None:
-            # Paths that prune without a planner answer call (the
-            # Monte-Carlo candidate rounds) must not report an earlier
-            # query's evaluation stats in their diagnostics.
-            planner._begin_answer()
         m = Q.shape[0]
         n = len(self._points)
         base = dict(
@@ -1279,6 +1274,7 @@ class Engine:
                 plan={"route": "empty", "indexes": []},
                 **base,
             )
+        before = self._counters() if spec.diagnostics else None
         overrides = {}
         if spec.tile_bytes is not None:
             overrides["tile_bytes"] = spec.tile_bytes
@@ -1292,7 +1288,7 @@ class Engine:
         else:
             result = self._dispatch_resilient(spec, Q, base)
         if spec.diagnostics:
-            self._collect_diagnostics(spec, Q, result)
+            self._collect_diagnostics(spec, result, before)
         return result
 
     # -- deadlines & degradation ----------------------------------------------
@@ -1451,46 +1447,56 @@ class Engine:
         )
         return result
 
+    def _counters(self) -> Dict[str, float]:
+        """The cumulative counters diagnostics are read from: the
+        planner's ``dual_totals`` and ``eval_totals`` and the eval
+        cache's hits and per-tag pairs (absent while unbuilt)."""
+        out: Dict[str, float] = {}
+        planner = self._registry.peek(("planner",), self._generation)
+        if planner is not None:
+            out.update(planner.dual_totals)
+            out.update(planner.eval_totals)
+        cache = self._registry.peek(("eval_cache",), self._generation)
+        if cache is not None:
+            out["eval_cache_hits"] = float(cache.hits)
+            for name, pairs in cache.pair_counts.items():
+                out[f"pairs_{name}"] = float(pairs)
+        return out
+
     def _collect_diagnostics(
-        self, spec: QuerySpec, Q: np.ndarray, result: QueryResult
+        self, spec: QuerySpec, result: QueryResult, before: Dict[str, float]
     ) -> None:
+        """Diagnostics of the call that just answered: how much the
+        :meth:`_counters` moved since ``before``, so nothing is re-run
+        and every key describes this call alone."""
+        delta = {
+            key: value - before.get(key, 0.0)
+            for key, value in self._counters().items()
+        }
         diag: Dict[str, float] = {}
         if result.fallback is not None:
             diag["fallback_rows"] = float(np.count_nonzero(result.fallback))
-        # Evaluation-phase breakdown of the answer pass that just ran:
-        # prune vs evaluate wall time, grouped pairs, and eval-cache
-        # reuse.  Present whenever the grouped evaluator served the
-        # query; the exact tier evaluates no survivor pairs.
-        if len(self._points) and spec.subset is None:
-            planner = self._registry.peek(("planner",), self._generation)
-            if planner is not None and planner.last_eval_stats is not None:
-                diag["eval_pairs"] = planner.last_eval_stats["pairs"]
-                diag["eval_seconds"] = planner.last_eval_stats["eval_seconds"]
-                diag["prune_seconds"] = planner.last_eval_stats["prune_seconds"]
-            cache = self._registry.peek(("eval_cache",), self._generation)
-            if cache is not None:
-                diag["eval_cache_hits"] = float(cache.hits)
-                for name, pairs in cache.pair_counts.items():
-                    diag[f"pairs_{name}"] = float(pairs)
-        if spec.tier == "pruned" and len(self._points) and spec.subset is None:
-            # The answer path's prune parameters, so the reported counts
-            # describe the same survivor sets the evaluators saw.  The
-            # re-run adds nothing to the planner's totals.
-            criterion, k = METHODS[spec.method].prune(spec)
-            stats = self.planner().prune_stats(Q, criterion=criterion, k=k)
-            diag["mean_candidates"] = stats["mean_candidates"]
-            diag["max_candidates"] = stats["max_candidates"]
-            diag["mean_candidate_fraction"] = stats["mean_fraction"]
-            diag["candidates_pruned_fraction"] = 1.0 - stats["mean_fraction"]
-            # Dual-tree traversal telemetry of the re-run.
-            for key in (
-                "node_pairs_visited",
-                "node_pairs_pruned",
-                "point_node_pairs",
-                "refined_pairs",
-                "survivors",
-            ):
-                diag[key] = stats[key]
+        # Evaluation-phase breakdown: prune vs evaluate wall time,
+        # grouped pairs and eval-cache reuse.  Present whenever the
+        # grouped evaluator served the call; the exact tier, the
+        # Monte-Carlo rounds and settled approx rows evaluate no
+        # survivor pairs.
+        if delta.get("grouped_calls"):
+            diag["eval_pairs"] = delta["pairs"]
+            diag["eval_seconds"] = delta["eval_seconds"]
+            diag["prune_seconds"] = delta["prune_seconds"]
+            diag["eval_cache_hits"] = delta["eval_cache_hits"]
+            for key, value in delta.items():
+                if key.startswith("pairs_") and value:
+                    diag[key] = value
+        if spec.tier == "pruned":
+            # The traversal telemetry of the prune that answered.
+            mean = delta["survivors"] / result.m if result.m else 0.0
+            diag["mean_candidates"] = mean
+            diag["mean_candidate_fraction"] = mean / result.n
+            diag["candidates_pruned_fraction"] = 1.0 - mean / result.n
+            for key in _DUAL_COUNTERS:
+                diag[key] = delta[key]
         result.diagnostics.update(diag)
 
     # -- facade-compatible convenience methods --------------------------------

@@ -113,9 +113,15 @@ def clip_polygon_halfplane(
 
     Returns the (possibly empty) clipped polygon in the same orientation.
     This is the inner loop of halfplane intersection (``K_ij`` cells).
+    The halfplane is normalised to a unit normal first, so ``eps`` is a
+    distance whatever the length of ``(a, b)`` (the bisector of two
+    sites ``1e-12`` apart has a normal of length ``2e-12``).
     """
     if not vertices:
         return []
+    norm = math.hypot(a, b)
+    if norm > 0.0:
+        a, b, c = a / norm, b / norm, c / norm
     out: List[Point] = []
     n = len(vertices)
     for i in range(n):

@@ -148,11 +148,6 @@ class Method:
     report: Optional[Callable[..., dict]] = None
     merge: Optional[Callable[..., Dict[str, object]]] = None
 
-    def prune(self, spec: "QuerySpec") -> Tuple[str, int]:
-        """The pruned tier's ``(criterion, k)`` for ``spec``, read from
-        the pass (``diagnostics=True`` re-runs it)."""
-        return self.plan.prune(getattr(spec, self.arg) if self.arg else None)
-
 
 # -- spec checks ---------------------------------------------------------------
 
@@ -211,14 +206,13 @@ def _answer_expected_nn(engine: "Engine", spec: "QuerySpec", Q: np.ndarray):
         winners, values = planner.expected_nn_many(Q, tier=spec.tier)
         return {"answers": winners, "values": values,
                 "plan": _plan(spec, "planner")}
-    winners, values, fallback = planner.expected_nn_many(
+    winners, values, fallback, f32_bounds = planner.expected_nn_many(
         Q, tier="approx", eps=spec.eps, rel=spec.rel, return_fallback=True
     )
     # Fallback rows resolve exactly in float64; under
-    # EXECUTION.dtype="float32" the planner reports their certified
+    # EXECUTION.dtype="float32" the planner returns their certified
     # kernel error bounds instead, which fold into the eps budget.
     certificate = np.maximum(spec.eps, spec.rel * values)
-    f32_bounds = planner.last_fallback_bounds
     certificate[fallback] = 0.0 if f32_bounds is None else f32_bounds
     return {"answers": winners, "values": values, "fallback": fallback,
             "certificate": certificate, "plan": _plan(spec, "quant", "planner")}

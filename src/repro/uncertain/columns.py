@@ -476,13 +476,15 @@ class ModelColumns:
         if keep.size and (keep.min() < 0 or keep.max() >= self.n):
             raise ValueError("keep indices out of range")
         gather, lens = kernels.csr_segment_gather(self.loc_offsets, keep)
-        self.locations = self.locations[gather]
-        self.location_weights = self.location_weights[gather]
+        # np.take gathers the same bytes as fancy indexing, several
+        # times faster on these row gathers.
+        self.locations = np.take(self.locations, gather, axis=0)
+        self.location_weights = np.take(self.location_weights, gather, axis=0)
         self.loc_offsets = np.concatenate(
             ([0], np.cumsum(lens))
         ).astype(np.intp)
         for name in _ROW_COLUMNS:
-            setattr(self, name, getattr(self, name)[keep])
+            setattr(self, name, np.take(getattr(self, name), keep, axis=0))
         self.n = int(keep.size)
         return self
 

@@ -32,6 +32,7 @@ from repro import (
     UniformDiskPoint,
     UniformPolygonPoint,
     UniformRectPoint,
+    config,
     dual_tree_candidates,
 )
 from repro.constructions import (
@@ -244,11 +245,6 @@ class TestOutputSensitivity:
         planner.candidate_csr(Q, criterion="expected")
         assert planner.dual_totals["traversals"] == 2.0
         assert planner.dual_totals["node_pairs_visited"] > 0
-        totals = dict(planner.dual_totals)
-        stats = planner.prune_stats(Q, criterion="expected")
-        assert "node_pairs_visited" in stats and "refined_pairs" in stats
-        # The diagnostic re-run is not counted.
-        assert planner.dual_totals == totals
 
     def test_object_tree_reused_across_criteria(self):
         points, Q = clustered_workload(n=120, m=60)
@@ -261,8 +257,10 @@ class TestOutputSensitivity:
     def test_memory_budget_chunks_are_invisible(self):
         points, Q = clustered_workload(n=200, m=120)
         cols = ModelColumns(points)
-        want = dual_tree_candidates(Q, cols, tile_bytes=1 << 30)
-        got = dual_tree_candidates(Q, cols, tile_bytes=4096)
+        with config.execution(tile_bytes=1 << 30):
+            want = dual_tree_candidates(Q, cols)
+        with config.execution(tile_bytes=4096):
+            got = dual_tree_candidates(Q, cols)
         assert np.array_equal(want.indptr, got.indptr)
         assert np.array_equal(want.indices, got.indices)
 
@@ -272,7 +270,8 @@ class TestBackends:
         points, Q = clustered_workload(n=150, m=90)
         cols = ModelColumns(points)
         serial = dual_tree_candidates(Q, cols)
-        threaded = dual_tree_candidates(Q, cols, backend="thread", workers=4)
+        with config.execution(parallel_backend="thread", parallel_workers=4):
+            threaded = dual_tree_candidates(Q, cols)
         assert np.array_equal(serial.indptr, threaded.indptr)
         assert np.array_equal(serial.indices, threaded.indices)
 
@@ -280,17 +279,20 @@ class TestBackends:
         # "process" is no backend: rejected as unknown, like any other.
         points, Q = clustered_workload(n=40, m=10)
         for backend in ("process", "bogus"):
+            with config.execution(parallel_backend=backend):
+                with pytest.raises(QueryError, match="unknown parallel backend"):
+                    dual_tree_candidates(Q, ModelColumns(points))
+        with config.execution(parallel_backend="process"):
             with pytest.raises(QueryError, match="unknown parallel backend"):
-                dual_tree_candidates(Q, ModelColumns(points), backend=backend)
-        with pytest.raises(QueryError, match="unknown parallel backend"):
-            QueryPlanner(points, parallel_backend="process")
+                QueryPlanner(points).expected_nn_many(Q)
 
     def test_planner_thread_backend_identical(self):
         points, Q = clustered_workload(n=150, m=90)
         serial = QueryPlanner(points)
-        threaded = QueryPlanner(points, parallel_backend="thread")
+        threaded = QueryPlanner(points)
         si, sv = serial.expected_nn_many(Q)
-        ti, tv = threaded.expected_nn_many(Q)
+        with config.execution(parallel_backend="thread"):
+            ti, tv = threaded.expected_nn_many(Q)
         assert np.array_equal(si, ti) and np.array_equal(sv, tv)
 
 
@@ -299,7 +301,9 @@ class TestPruneKnob:
         points = six_model_points(10)
         other = EnvelopeObjectTree(ModelColumns(points[:4]))
         with pytest.raises(QueryError, match="different"):
-            QueryPlanner(points, object_tree=other)
+            dual_tree_candidates(
+                queries_for(10, m=5), ModelColumns(points), object_tree=other
+            )
 
 
 class TestEngineIntegration:
@@ -340,6 +344,41 @@ class TestEngineIntegration:
         ):
             assert key in res.diagnostics
         assert res.diagnostics["node_pairs_visited"] < Q.shape[0] * len(points)
+
+    @pytest.mark.parametrize(
+        "spec,criterion,k",
+        [
+            (QuerySpec("expected_nn", diagnostics=True), "expected", 1),
+            (QuerySpec("expected_knn", k=3, diagnostics=True), "expected", 3),
+            (QuerySpec("nonzero", diagnostics=True), "support", 1),
+            (QuerySpec("mc_pnn", s=16, seed=1, diagnostics=True), "support", 1),
+        ],
+        ids=["expected_nn", "expected_knn", "nonzero", "mc_pnn"],
+    )
+    def test_diagnostics_come_from_the_answering_pass(
+        self, spec, criterion, k, monkeypatch
+    ):
+        # One traversal per diagnostics query, counted once in the
+        # totals, and its counters are those of a fresh pass.
+        points, Q = clustered_workload(n=120, m=50)
+        engine = Engine(points, result_cache_size=0)
+        engine.expected_nn_many(Q[:3])  # build the planner and its tree
+        passes = []
+        real = planner_module.dual_tree_candidates
+
+        def counted(*args, **kwargs):
+            passes.append(real(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(planner_module, "dual_tree_candidates", counted)
+        before = engine.stats()["dual_tree"]["traversals"]
+        diag = engine.query(Q, spec).diagnostics
+        assert len(passes) == 1
+        assert engine.stats()["dual_tree"]["traversals"] == before + 1
+        fresh = planner_packed(Q, ModelColumns(points), k, criterion)
+        for key in ("survivors", "node_pairs_visited", "refined_pairs"):
+            assert diag[key] == fresh.stats[key], key
+        assert diag["mean_candidates"] == fresh.counts().mean()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +428,7 @@ def seeded_inputs(kind, n, seed, m):
     return points, Q
 
 
-def planner_packed(Q, cols, k, criterion, **kw):
+def planner_packed(Q, cols, k, criterion):
     """The dual pass at the planner's packing: 16-object leaves, fanout
     8 and 4-row query leaves."""
     tree = EnvelopeObjectTree(
@@ -399,7 +438,7 @@ def planner_packed(Q, cols, k, criterion, **kw):
         Q, cols, object_tree=tree, k=k, criterion=criterion,
         leaf_size=planner_module._QUERY_LEAF_SIZE,
         fanout=planner_module._DUAL_FANOUT,
-        slack=planner_module._CUTOFF_SLACK, **kw,
+        slack=planner_module._CUTOFF_SLACK,
     )
 
 
@@ -427,10 +466,11 @@ def test_seeded_survivors_equal_flat(case):
     points, Q = seeded_inputs(kind, n, seed, m)
     cols = ModelColumns(points)
     k = n if k == "n" else min(k, n)
-    res = planner_packed(
-        Q, cols, k, criterion, backend=backend, workers=3,
-        tile_bytes=tile_bytes,
-    )
+    settings = {"parallel_backend": backend, "parallel_workers": 3}
+    if tile_bytes is not None:
+        settings["tile_bytes"] = tile_bytes
+    with config.execution(**settings):
+        res = planner_packed(Q, cols, k, criterion)
     _, indptr, indices = flat_survivors(cols, Q, k, criterion)
     assert res.indptr.tobytes() == indptr.tobytes()
     assert res.indices.tobytes() == indices.tobytes()
@@ -870,10 +910,11 @@ def test_seed_blocks_fit_budget_with_overgrown_leaf(monkeypatch):
 
     monkeypatch.setattr(dual_tree_module, "_seed_block", spy)
     Q = 100.0 + np.random.default_rng(3).uniform(-0.1, 0.1, size=(200, 2))
-    res = dual_tree_candidates(
-        Q, cols, object_tree=tree, leaf_size=planner_module._QUERY_LEAF_SIZE,
-        slack=planner_module._CUTOFF_SLACK, tile_bytes=1,
-    )
+    with config.execution(tile_bytes=1):
+        res = dual_tree_candidates(
+            Q, cols, object_tree=tree, leaf_size=planner_module._QUERY_LEAF_SIZE,
+            slack=planner_module._CUTOFF_SLACK,
+        )
     assert len(blocks) > 1 and max(blocks) <= budget
     assert sum(blocks) == 200 * 56
     _, indptr, indices = flat_survivors(cols, Q)

@@ -377,12 +377,14 @@ class TestDynamicUpdates:
         ai, av = engine.expected_nn_many(Q, eps=0.5)
         bi, bv = fresh.expected_nn_many(Q, eps=0.5)
         assert np.array_equal(ai, bi) and np.array_equal(av, bv)
-        # The in-place extended/shrunk column store equals a fresh one.
+        # The in-place extended/shrunk column store equals a fresh one,
+        # byte for byte: every row column and the location CSR.
         cols = engine.columns()
         ref = ModelColumns(points)
-        for name in ("bboxes", "centers", "radii", "means", "mean_reach",
-                     "tags", "loc_offsets", "locations", "location_weights"):
-            assert np.array_equal(getattr(cols, name), getattr(ref, name))
+        for name in ModelColumns.ARRAY_FIELDS:
+            got, want = getattr(cols, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_insert_matches_fresh_build(self):
         base = mixed_points(149)

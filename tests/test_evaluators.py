@@ -275,10 +275,10 @@ def test_discrete_stacks_view_the_store():
 
 def test_engine_diagnostics_and_stats():
     points = six_model_points(27)
-    eng = Engine(points)
+    eng = Engine(points, result_cache_size=0)
     Q = queries_for(37, m=12)
     res = eng.query(Q, method="expected_nn", diagnostics=True)
-    eng.query(Q, method="expected_nn")
+    again = eng.query(Q, method="expected_nn", diagnostics=True)
     for key in ("eval_pairs", "eval_seconds", "prune_seconds", "eval_cache_hits"):
         assert key in res.diagnostics
     assert res.diagnostics["eval_pairs"] > 0
@@ -286,13 +286,14 @@ def test_engine_diagnostics_and_stats():
     ev = stats["evaluators"]
     assert ev["cache_builds"] == 1
     assert sum(ev["pairs_by_tag"].values()) == ev["pairs"]
-    # Exactly the two answer passes count; the diagnostics re-run of
-    # the prune (same batch, same survivors) adds nothing.
+    # Exactly the two answer passes count, and each call's diagnostics
+    # are its own share of the totals: nothing is re-run.
     diag = res.diagnostics
     assert ev["grouped_calls"] == 2
     assert ev["pairs"] == 2 * diag["eval_pairs"]
-    last = eng.planner().last_eval_stats
-    assert ev["prune_seconds"] == diag["prune_seconds"] + last["prune_seconds"]
+    assert ev["prune_seconds"] == pytest.approx(
+        diag["prune_seconds"] + again.diagnostics["prune_seconds"], rel=1e-12
+    )
     dual = stats["dual_tree"]
     assert dual["traversals"] == 2
     for key in ("node_pairs_visited", "refined_pairs", "survivors"):
@@ -331,6 +332,63 @@ def test_unevaluated_calls_report_no_stale_eval():
     for diag in (mc.diagnostics, res.diagnostics, exact.diagnostics):
         for key in ("eval_pairs", "eval_seconds", "prune_seconds"):
             assert key not in diag
+        # Nor the eval cache's counters, which would describe other calls.
+        assert not [k for k in diag if k.startswith(("eval_", "pairs_"))]
+
+
+@pytest.mark.parametrize(
+    "points,spec",
+    [
+        (six_model_points(29), QuerySpec("expected_nn", diagnostics=True)),
+        (six_model_points(29), QuerySpec("nonzero", diagnostics=True)),
+        (
+            random_discrete_points(80, k=4, seed=29, box=90.0),
+            QuerySpec("threshold", tau=0.1, diagnostics=True),
+        ),
+    ],
+    ids=["expected_nn", "nonzero", "threshold"],
+)
+def test_repeated_diagnostics_report_the_call_alone(points, spec):
+    # Identical queries on one engine (no result cache) report identical
+    # evaluation counters: each describes its own call, not the eval
+    # cache's lifetime.
+    eng = Engine(points, result_cache_size=0)
+    Q = queries_for(40, m=24)
+    first, second, third = (eng.query(Q, spec).diagnostics for _ in range(3))
+    counters = sorted(k for k in first if k.startswith("pairs_"))
+    assert counters and first["eval_cache_hits"] > 0
+    for diag in (second, third):
+        assert sorted(k for k in diag if k.startswith("pairs_")) == counters
+        for key in counters + ["eval_cache_hits", "eval_pairs", "survivors"]:
+            assert diag[key] == first[key], key
+    assert sum(first[k] for k in counters) == first["eval_pairs"]
+
+
+def test_evaluator_chunks_follow_the_execution_budget(monkeypatch):
+    # Every layer reads config.EXECUTION and the planner takes no
+    # execution setting of its own: under a 1-byte budget each gaussian
+    # pair is its own evaluator chunk.
+    points = clustered_gaussian_points(300, seed=42, clusters=8, box=300.0)
+    Q = np.asarray(
+        clustered_queries(40, centers=cluster_centers(8, seed=41, box=300.0), seed=43)
+    )
+    with pytest.raises(TypeError):
+        QueryPlanner(points, tile_bytes=1)
+    planner = QueryPlanner(points)
+    chunks = []
+    checkpoint = evaluators._resilience.checkpoint
+
+    def spy(site, index=None):
+        if site == "evaluators.chunk":
+            chunks.append(index)
+        checkpoint(site, index)
+
+    monkeypatch.setattr(evaluators._resilience, "checkpoint", spy)
+    with config.execution(tile_bytes=1):
+        planner.expected_nn_many(Q)
+    assert planner.eval_totals["pairs"] > 40
+    assert len(chunks) == planner.eval_totals["pairs"]
+    assert chunks == list(range(len(chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +414,9 @@ class TestFloat32Certified:
         points, Q = self._quadrature_workload()
         with config.execution(dtype="float32"):
             planner = QueryPlanner(points)
-            wf, vf, fb = planner.expected_nn_many(
+            wf, vf, fb, bounds = planner.expected_nn_many(
                 Q, tier="approx", eps=1e-9, return_fallback=True
             )
-            bounds = planner.last_fallback_bounds
         w64, v64 = QueryPlanner(points).expected_nn_many(Q)
         rows = np.flatnonzero(fb)
         if rows.size == 0:
@@ -372,10 +429,10 @@ class TestFloat32Certified:
         # pruned tier, so they equal the exact tier bit for bit.
         points, Q = self._workload()
         planner = QueryPlanner(points)
-        wg, vg, fb = planner.expected_nn_many(
+        wg, vg, fb, bounds = planner.expected_nn_many(
             Q, tier="approx", eps=1e-9, return_fallback=True
         )
-        assert planner.last_fallback_bounds is None
+        assert bounds is None
         rows = np.flatnonzero(fb)
         assert rows.size
         wo, vo = planner.expected_nn_many(Q[rows], tier="exact")
@@ -389,10 +446,9 @@ class TestFloat32Certified:
         points, Q = self._workload()
         with config.execution(dtype="float32"):
             planner = QueryPlanner(points)
-            wf, vf, fb = planner.expected_nn_many(
+            wf, vf, fb, bounds = planner.expected_nn_many(
                 Q, tier="approx", eps=1e-9, return_fallback=True
             )
-            bounds = planner.last_fallback_bounds
             res = Engine(points).query(
                 Q, method="expected_nn", tier="approx", eps=1e-9
             )

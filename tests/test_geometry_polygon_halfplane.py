@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -113,6 +113,9 @@ class TestHalfplaneIntersection:
         )
     )
     @settings(max_examples=50)
+    # Sites 1e-12 apart: their bisector's normal has length 2e-12, so an
+    # unnormalised clip cut the cell down to a sliver without the site.
+    @example([(1e-12, 0.0), (0.5, 0.0), (0.0, 0.0)])
     def test_voronoi_cell_contains_site(self, pts):
         # The halfplane cell of the first site (bisectors toward all
         # others) must contain the site itself.

@@ -25,6 +25,7 @@ from repro import (
     UniformPolygonPoint,
     UniformRectPoint,
     batch,
+    config,
     expected_knn_many,
     threshold_nn_exact_many,
 )
@@ -38,8 +39,8 @@ from repro.constructions import (
     random_queries,
 )
 
-#: Pruned-tier planner settings: the serial dual-tree prune and its
-#: thread fan-out over query subtrees.
+#: Pruned-tier execution settings (``config.execution``): the serial
+#: dual-tree prune and its thread fan-out over query subtrees.
 VARIANTS = {
     "dual": {},
     "thread": {"parallel_backend": "thread", "parallel_workers": 2},
@@ -83,38 +84,42 @@ class TestMixedModelParity:
     def test_nonzero_nn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 10)
-        planner = QueryPlanner(points, **VARIANTS[variant])
-        assert planner.nonzero_nn_many(Q) == UncertainSet(points).nonzero_nn_many(Q)
+        want = UncertainSet(points).nonzero_nn_many(Q)
+        with config.execution(**VARIANTS[variant]):
+            assert QueryPlanner(points).nonzero_nn_many(Q) == want
 
     def test_expected_nn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 20, m=40)
-        planner = QueryPlanner(points, **VARIANTS[variant])
         E = ExpectedNNIndex(points).expected_distance_matrix(Q)
         want_idx = E.argmin(axis=1)
         want_val = E[np.arange(E.shape[0]), want_idx]
-        got_idx, got_val = planner.expected_nn_many(Q)
+        with config.execution(**VARIANTS[variant]):
+            got_idx, got_val = QueryPlanner(points).expected_nn_many(Q)
         assert np.array_equal(got_idx, want_idx)
         assert np.array_equal(got_val, want_val)
 
     def test_expected_knn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 30, m=30)
-        planner = QueryPlanner(points, **VARIANTS[variant])
+        planner = QueryPlanner(points)
         for k in (1, 2, 5, len(points)):
             want = expected_knn_many(points, Q, k)
-            got = planner.expected_knn_many(Q, k)
+            with config.execution(**VARIANTS[variant]):
+                got = planner.expected_knn_many(Q, k)
             assert np.array_equal(got, want), k
 
     def test_monte_carlo_pnn_parity(self, variant, seed):
         points = mixed_points(seed)
         Q = queries_for(seed + 40, m=50)
-        planner = QueryPlanner(points, **VARIANTS[variant])
+        planner = QueryPlanner(points)
         mc = MonteCarloPNN(points, s=120, rng=seed)
-        assert mc.query_many(Q, planner=planner) == mc.query_many(Q)
-        assert np.array_equal(
-            mc.query_matrix(Q, planner=planner), mc.query_matrix(Q)
-        )
+        want_rows, want = mc.query_many(Q), mc.query_matrix(Q)
+        with config.execution(**VARIANTS[variant]):
+            got_rows = mc.query_many(Q, planner=planner)
+            got = mc.query_matrix(Q, planner=planner)
+        assert got_rows == want_rows
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -123,10 +128,11 @@ class TestDiscreteThresholdParity:
         points = random_discrete_points(30, k=4, seed=seed, box=60)
         Q = queries_for(seed, m=40, box=60.0)
         for variant, settings in VARIANTS.items():
-            planner = QueryPlanner(points, **settings)
+            planner = QueryPlanner(points)
             for tau in (0.0, 0.2, 0.6):
                 want = threshold_nn_exact_many(points, Q, tau)
-                got = planner.threshold_nn_exact_many(Q, tau)
+                with config.execution(**settings):
+                    got = planner.threshold_nn_exact_many(Q, tau)
                 assert got == want, (variant, tau)
 
 
@@ -143,8 +149,9 @@ class TestClusteredWorkloadParity:
 
     def test_pruning_is_effective_and_exact(self):
         planner = QueryPlanner(self.points)
-        stats = planner.prune_stats(self.Q)
-        assert stats["mean_fraction"] < 0.25  # the prune actually bites
+        indptr, _ = planner.candidate_csr(self.Q)
+        mean_fraction = indptr[-1] / (self.Q.shape[0] * len(self.points))
+        assert mean_fraction < 0.25  # the prune actually bites
         assert planner.nonzero_nn_many(self.Q) == UncertainSet(
             self.points
         ).nonzero_nn_many(self.Q)
@@ -205,9 +212,11 @@ class TestPlannerReusesColumns:
         points = mixed_points(31, n_per=4)
         cols = ModelColumns(points)
         p1 = QueryPlanner(points, columns=cols)
-        p2 = QueryPlanner(points, columns=cols, parallel_backend="thread")
+        p2 = QueryPlanner(points, columns=cols)
         Q = queries_for(32, m=20)
-        assert p1.nonzero_nn_many(Q) == p2.nonzero_nn_many(Q)
+        with config.execution(parallel_backend="thread"):
+            threaded = p2.nonzero_nn_many(Q)
+        assert p1.nonzero_nn_many(Q) == threaded
         assert p1.columns is cols and p2.columns is cols
 
     def test_expected_nn_index_planner_cached(self):

@@ -57,17 +57,18 @@ class TestTiledIdentity:
 
     def test_parallel_thread_backend_identical(self):
         points, Q = _workload()
-        serial = QueryPlanner(points, tile_bytes=32 * 1024)
-        threaded = QueryPlanner(
-            points,
-            tile_bytes=32 * 1024,
-            parallel_backend="thread",
-            parallel_workers=4,
-        )
-        sw, sv = serial.expected_nn_many(Q)
-        tw, tv = threaded.expected_nn_many(Q)
+        serial = QueryPlanner(points)
+        threaded = QueryPlanner(points)
+        with config.execution(tile_bytes=32 * 1024):
+            sw, sv = serial.expected_nn_many(Q)
+            s_sets = serial.nonzero_nn_many(Q)
+        with config.execution(
+            tile_bytes=32 * 1024, parallel_backend="thread", parallel_workers=4
+        ):
+            tw, tv = threaded.expected_nn_many(Q)
+            t_sets = threaded.nonzero_nn_many(Q)
         assert np.array_equal(sw, tw) and np.array_equal(sv, tv)
-        assert serial.nonzero_nn_many(Q) == threaded.nonzero_nn_many(Q)
+        assert s_sets == t_sets
 
     def test_exact_tier_equals_pruned(self):
         points, Q = _workload(n=80, m=60)
@@ -85,11 +86,12 @@ class TestTiledIdentity:
 class TestSingleQueryPath:
     def test_m1_is_one_tile_with_row_sized_bounds(self):
         points, Q = _workload(n=150, m=8)
-        planner = QueryPlanner(points, tile_bytes=1)  # floor: 1 row per tile
-        w, v = planner.expected_nn_many(Q[:1])
+        planner = QueryPlanner(points)
+        with config.execution(tile_bytes=1):  # floor: 1 row per tile
+            w, v = planner.expected_nn_many(Q[:1])
+            mask = planner.candidate_mask(Q[:1])
         wf, vf = QueryPlanner(points).expected_nn_many(Q)
         assert w.shape == (1,) and w[0] == wf[0] and v[0] == vf[0]
-        mask = planner.candidate_mask(Q[:1])
         assert mask.shape == (1, len(points))
 
     def test_empty_batch(self):
@@ -137,16 +139,16 @@ class TestTiledMemory:
 
 class TestBackendAndTierGuards:
     def test_planner_rejects_process_backend(self):
-        # There is no process backend: a planner naming it is rejected
-        # when it is built, and every tier rejects the live config's.
+        # There is no process backend: every tier rejects the live
+        # config's.
         points, Q = _workload(n=30, m=4)
-        with pytest.raises(QueryError, match="unknown parallel backend"):
-            QueryPlanner(points, parallel_backend="process")
         with config.execution(parallel_backend="process"):
             planner = QueryPlanner(points)
             for tier in ("pruned", "exact"):
                 with pytest.raises(QueryError, match="unknown parallel backend"):
                     planner.expected_nn_many(Q, tier=tier)
+            with pytest.raises(QueryError, match="unknown parallel backend"):
+                planner.expected_nn_many(Q, tier="approx", eps=0.5)
             with pytest.raises(QueryError, match="unknown parallel backend"):
                 planner.candidate_mask(Q)
         # An engine spec naming it is rejected at construction.
@@ -157,16 +159,24 @@ class TestBackendAndTierGuards:
             )
 
     def test_unknown_backend_rejected_before_any_pass(self):
-        # An approx batch whose rows all settle never fans out a tile,
-        # so the backend must be checked when the planner is built.
+        # An approx batch whose rows all settle never fans out a tile
+        # or a traversal, so every tier checks the backend up front.
         points, Q = _workload(n=50, m=20)
         planner = QueryPlanner(points)
-        _, _, fallback = planner.expected_nn_many(
+        _, _, fallback, _ = planner.expected_nn_many(
             Q, tier="approx", eps=0.5, return_fallback=True
         )
         assert not fallback.any()
-        with pytest.raises(QueryError, match="unknown parallel backend 'bogus'"):
-            QueryPlanner(points, parallel_backend="bogus")
+        with config.execution(parallel_backend="bogus"):
+            for tier, eps in (("exact", None), ("pruned", None), ("approx", 0.5)):
+                for call in (
+                    lambda: planner.expected_nn_many(Q, tier=tier, eps=eps),
+                    lambda: planner.nonzero_nn_many(Q, tier=tier, eps=eps),
+                ):
+                    with pytest.raises(
+                        QueryError, match="unknown parallel backend 'bogus'"
+                    ):
+                        call()
 
     def test_facade_rejects_contradictory_exact_and_eps(self):
         from repro import batch

@@ -320,11 +320,11 @@ class TestFaultInjection:
         pts = random_disk_points(40, seed=3, box=40.0)
         Q = _queries(64)
         base = QueryPlanner(pts).expected_nn_many(Q, tier="exact")
-        planner = QueryPlanner(
-            pts, tile_bytes=len(pts) * 64 * 8,
+        planner = QueryPlanner(pts)
+        with execution(
+            tile_bytes=len(pts) * 64 * 8,
             parallel_backend="thread", parallel_workers=2,
-        )
-        with faults.inject(
+        ), faults.inject(
             FaultSpec("parallel.tile", "crash", indices=(1,))
         ):
             got = planner.expected_nn_many(Q, tier="exact")
