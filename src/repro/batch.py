@@ -14,7 +14,7 @@ throwaway :class:`repro.Engine` session, so the facade and the session
 API share one code path (and one set of semantics): prune-then-evaluate
 by default, ``exact=True`` for the unpruned cross-check tier, ``eps=``
 for the sublinear quantized-envelope tier — all with the tiled,
-bounded-memory execution of :data:`repro.config.EXECUTION`.  Answers
+bounded-memory execution of :func:`repro.config.execution`.  Answers
 are bit-identical to the pre-engine releases and to the session API.
 
 Quick start::

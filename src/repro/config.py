@@ -11,6 +11,7 @@ convention.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import random
 from typing import ContextManager, Iterator, Optional, TypeVar, Union
@@ -53,14 +54,19 @@ TOLERANCES = Tolerances()
 _K = TypeVar("_K")
 
 
-@contextlib.contextmanager
-def _overridden(knobs: _K, what: str, overrides: dict) -> Iterator[_K]:
-    """Set ``overrides`` on the live ``knobs`` object in place and
-    restore the previous values on exit, even on exception.  Unknown
-    field names raise ``TypeError("unknown <what> fields: [...]")``."""
+def _check_fields(knobs: _K, what: str, overrides: dict) -> None:
+    """Reject unknown field names with
+    ``TypeError("unknown <what> fields: [...]")``."""
     unknown = set(overrides) - {f.name for f in dataclasses.fields(knobs)}
     if unknown:
         raise TypeError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+@contextlib.contextmanager
+def _overridden(knobs: _K, what: str, overrides: dict) -> Iterator[_K]:
+    """Set ``overrides`` on the live ``knobs`` object in place and
+    restore the previous values on exit, even on exception."""
+    _check_fields(knobs, what, overrides)
     saved = {name: getattr(knobs, name) for name in overrides}
     try:
         for name, value in overrides.items():
@@ -152,23 +158,44 @@ class Execution:
     max_workers: Optional[int] = None
 
 
-#: Module-level default execution settings.  Like :data:`TOLERANCES`,
-#: modules bind the object itself, so overrides mutate it in place —
-#: prefer the :func:`execution` context manager.
+#: The process-default execution settings, which every context starts
+#: from.  :func:`execution` never writes it; code reads the settings in
+#: force through :func:`current_execution`.
 EXECUTION = Execution()
 
+#: The settings of the innermost :func:`execution` block of the calling
+#: context (unset outside any block).  Pool tiles run in a copy of the
+#: submitting context (:mod:`repro.core.parallel`), so they read it too.
+_CURRENT: contextvars.ContextVar[Execution] = contextvars.ContextVar("execution")
 
-def execution(**overrides: Union[int, str, None]) -> ContextManager[Execution]:
-    """Temporarily override fields of the global :data:`EXECUTION`.
+
+def current_execution() -> Execution:
+    """The execution settings in force in the calling context: the
+    innermost :func:`execution` block's, else :data:`EXECUTION`."""
+    return _CURRENT.get(EXECUTION)
+
+
+@contextlib.contextmanager
+def execution(**overrides: Union[int, str, None]) -> Iterator[Execution]:
+    """Override execution settings for the calling context.
 
     Usage::
 
         with config.execution(tile_bytes=1 << 20, parallel_backend="thread"):
             ...  # code under a small-tile, threaded execution regime
 
-    Mirrors :func:`tolerances`: in-place mutation, restored on exit.
+    The block runs under a changed copy of :func:`current_execution`
+    (yielded), seen by this thread and by the pool tiles it fans out,
+    and never by other threads; :data:`EXECUTION` is not written.  The
+    previous settings return on exit, even on exception.
     """
-    return _overridden(EXECUTION, "execution", overrides)
+    _check_fields(EXECUTION, "execution", overrides)
+    settings = dataclasses.replace(current_execution(), **overrides)
+    token = _CURRENT.set(settings)
+    try:
+        yield settings
+    finally:
+        _CURRENT.reset(token)
 
 
 # -- cluster (sharded multi-process engine) ----------------------------------
@@ -224,7 +251,7 @@ CLUSTER = Cluster()
 def cluster(**overrides: Union[int, float, bool, None]) -> ContextManager[Cluster]:
     """Temporarily override fields of the global :data:`CLUSTER`.
 
-    Mirrors :func:`execution`: in-place mutation, restored on exit.
+    Mirrors :func:`tolerances`: in-place mutation, restored on exit.
     """
     return _overridden(CLUSTER, "cluster", overrides)
 
@@ -274,7 +301,7 @@ DURABILITY = Durability()
 def durability(**overrides: Union[int, float, str]) -> ContextManager[Durability]:
     """Temporarily override fields of the global :data:`DURABILITY`.
 
-    Mirrors :func:`execution`: in-place mutation, restored on exit.
+    Mirrors :func:`tolerances`: in-place mutation, restored on exit.
     """
     fsync = overrides.get("fsync")
     if fsync is not None and fsync not in ("always", "interval", "off"):
@@ -307,9 +334,9 @@ class Service:
         how many total query rows the merged matrix may hold.
     queue_workers:
         Dispatcher threads draining the queue.  The default (1) keeps
-        every engine strictly serial; raise it only for many-tenant
-        deployments where requests carry no per-spec execution
-        overrides (those mutate the process-wide ``EXECUTION`` knobs).
+        every engine strictly serial; with more, each engine still runs
+        under its dataset's lock, and per-spec execution overrides stay
+        with the request that set them.
     request_timeout_s:
         Server-side cap on one request's total queue-wait + execution
         time; expiry answers HTTP 504.
@@ -350,7 +377,7 @@ SERVICE = Service()
 def service(**overrides: Union[int, float, bool, None]) -> ContextManager[Service]:
     """Temporarily override fields of the global :data:`SERVICE`.
 
-    Mirrors :func:`execution`: in-place mutation, restored on exit.
+    Mirrors :func:`tolerances`: in-place mutation, restored on exit.
     """
     return _overridden(SERVICE, "service", overrides)
 

@@ -73,7 +73,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import EXECUTION
+from ..config import current_execution
 from ..errors import QueryError
 from ..geometry import kernels
 from ..index.bulk import str_hierarchy
@@ -158,7 +158,8 @@ _AGGREGATES = (
 #: Refit limits of :meth:`EnvelopeObjectTree.refit`: a write that
 #: changes more than this share of the objects, or that would leave a
 #: leaf empty or holding more than this multiple of the leaf size, gets
-#: no refit (the next read packs a fresh tree).
+#: no refit (the next read packs a fresh tree).  So does any write once
+#: the objects changed since the last pack outnumber the tree's.
 _REFIT_MAX_SHARE = 0.125
 _REFIT_MAX_GROWTH = 4
 
@@ -243,6 +244,8 @@ class EnvelopeObjectTree(_PackedTree):
         self.n = int(columns.n)
         self.leaf_size = int(leaf_size)
         self.fanout = int(fanout)
+        #: Objects inserted or removed since this tree was packed.
+        self.churn = 0
         for name in _AGGREGATES[1:]:
             setattr(self, name, [None] * self.depth)
         leaf = _member_aggregates(columns, self.leaf_flat, self.leaf_ptr[:-1])
@@ -274,13 +277,18 @@ class EnvelopeObjectTree(_PackedTree):
         Returns ``None`` (the caller packs a fresh tree) when the write
         changes more than :data:`_REFIT_MAX_SHARE` of the objects, or
         would leave a leaf empty or above :data:`_REFIT_MAX_GROWTH`
-        times the leaf size.  This tree's arrays are never written: a
-        reader of the previous generation may still hold it.
+        times the leaf size, or once the objects changed since the last
+        pack (:attr:`churn`, this write included) outnumber ``n``: a
+        window that has turned over is repacked, so the carried tree's
+        prune work cannot keep drifting away from a fresh pack's.  This
+        tree's arrays are never written: a reader of the previous
+        generation may still hold it.
         """
         removed = np.asarray([] if removed is None else removed, dtype=np.intp)
         kept = self.n - removed.shape[0]
         new_ids = np.arange(kept, int(columns.n), dtype=np.intp)
-        if new_ids.shape[0] + removed.shape[0] > _REFIT_MAX_SHARE * self.n:
+        changed = new_ids.shape[0] + removed.shape[0]
+        if changed > _REFIT_MAX_SHARE * self.n or self.churn + changed > self.n:
             return None
         n_leaves = self.n_nodes(self.depth - 1)
         flat = self.leaf_flat
@@ -310,7 +318,9 @@ class EnvelopeObjectTree(_PackedTree):
         mark = np.zeros(n_leaves, dtype=bool)
         for leaves in touched:
             mark[leaves] = True
-        return self._refitted(columns, flat, ptr, mark)
+        tree = self._refitted(columns, flat, ptr, mark)
+        tree.churn = self.churn + changed
+        return tree
 
     def _choose_leaves(self, items: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """The leaf each item bbox joins: the least area enlargement over
@@ -320,7 +330,7 @@ class EnvelopeObjectTree(_PackedTree):
         leaves = self.bboxes[-1]
         width = leaves.shape[0]
         rank = sizes * width + np.arange(width)
-        step = max(1, _pair_budget(EXECUTION.tile_bytes) // width)
+        step = max(1, _pair_budget(current_execution().tile_bytes) // width)
         out = [np.zeros(0, dtype=np.intp)]
         for lo in range(0, items.shape[0], step):
             grow = _enlargement(leaves, items[lo : lo + step, None, :])
@@ -912,7 +922,8 @@ def dual_tree_candidates(
         ``criterion`` selecting the support or expected-distance
         bracket.
 
-    The execution settings come from :data:`repro.config.EXECUTION`.
+    The execution settings come from
+    :func:`repro.config.current_execution`.
     Under ``parallel_backend="thread"``, threads fan out over query
     subtrees after one seeding pass over the whole batch.
     ``tile_bytes`` bounds the leaf refinement's per-pair temporaries,
@@ -951,7 +962,7 @@ def dual_tree_candidates(
     qtree = QueryBlockTree(Q, leaf_size, fanout)
     base_stats["query_tree_depth"] = float(qtree.depth)
     # The chunks count the pairs each stage really evaluates.
-    pair_budget = _pair_budget(EXECUTION.tile_bytes)
+    pair_budget = _pair_budget(current_execution().tile_bytes)
     # The seed is one pass over the whole batch, shared by every task.
     if qtree.depth > 1:
         seed = _seed_cutoffs(

@@ -8,7 +8,7 @@ dispatch per surviving *object*:
   **pair arrays**, stable-partitioned by ``ModelColumns.tags``
   (:meth:`~repro.uncertain.ModelColumns.tag_groups`);
 * each model family present gets ONE vectorized kernel call for the
-  whole pair group (chunked only by the ``config.EXECUTION.tile_bytes``
+  whole pair group (chunked only by the ``tile_bytes``
   working-set budget), reading every model parameter from the
   registry-owned :class:`EvalCache` instead of Python objects;
 * results come back in CSR pair order, which the segmented reducers
@@ -59,7 +59,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import EXECUTION
+from ..config import current_execution
 from ..errors import QueryError
 from ..geometry import kernels
 from .. import resilience as _resilience
@@ -96,14 +96,14 @@ _F32_LIN_COEFF = 64.0
 
 #: Peak simultaneous float64 working-set bytes per pair in each grouped
 #: kernel (node grid × live temporaries); pair batches are chunked so a
-#: chunk's working set stays within ``config.EXECUTION.tile_bytes``.
+#: chunk's working set stays within the ``tile_bytes`` in force.
 #: Chunking never changes results — every kernel is row-independent.
 _BYTES_RECT = _NODES * 8 * 18
 _BYTES_GAUSS = _NODES * _GAUSS_PANELS * _GAUSS_ORDER * 8 * 8
 
 
 def _chunk(total: int, bytes_per_pair: int) -> range:
-    step = max(1, int(EXECUTION.tile_bytes) // max(int(bytes_per_pair), 1))
+    step = max(1, int(current_execution().tile_bytes) // max(int(bytes_per_pair), 1))
     return range(0, total, step)
 
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import EXECUTION, SeedLike, default_rng
+from ..config import SeedLike, current_execution, default_rng
 from ..errors import QueryError
 from .. import resilience as _resilience
 from ..geometry import kernels
@@ -57,7 +57,7 @@ def _round_block(nnz: int, held: int = 0) -> int:
     budget, inside what the budget leaves beside the ``held`` bytes (the
     request is refused when not even one round fits)."""
     per_round = max(int(nnz) * _ROUND_PAIR_BYTES, 1)
-    rounds = max(1, int(EXECUTION.tile_bytes) // per_round)
+    rounds = max(1, int(current_execution().tile_bytes) // per_round)
     _resilience.require_bytes(
         held + per_round,
         f"Monte-Carlo counters and one round over {nnz} candidate pairs",
@@ -346,7 +346,7 @@ class MonteCarloPNN:
         # counts its own wins, so row tiles keep the (rows, n) counters
         # and distances inside tile_bytes without changing a count.
         step = _resilience.clamp_tile_rows(
-            max(1, int(EXECUTION.tile_bytes) // max(n * _DENSE_PAIR_BYTES, 1)),
+            max(1, int(current_execution().tile_bytes) // max(n * _DENSE_PAIR_BYTES, 1)),
             n,
             _DENSE_PAIR_BYTES,
             what="Monte-Carlo round tile",

@@ -9,8 +9,10 @@ parallelism never changes an answer, only the wall clock.
 
 Every work unit passes through a resilience checkpoint (site
 ``"parallel.tile"``): injected faults fire there, and the active
-cooperative deadline is charged one unit.  Worker failures are
-recovered, not propagated: a tile that dies with
+cooperative deadline is charged one unit.  Each pool task runs in a
+copy of the submitting thread's :mod:`contextvars` context, so a tile
+reads that query's execution settings, deadline and fault collectors.
+Worker failures are recovered, not propagated: a tile that dies with
 :class:`repro.errors.WorkerCrashError` is retried serially in the
 calling thread (with fault injection suppressed — the harness models
 transient faults).  Because results are keyed by tile index, recovered
@@ -21,10 +23,11 @@ runs return bit-identical answers; the recovery counters surface in
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import os
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from ..config import EXECUTION
+from ..config import current_execution
 from ..errors import QueryError, ResourceLimitError, WorkerCrashError
 from ..resilience import checkpoint
 from ..resilience import faults as _faults
@@ -44,10 +47,10 @@ TILE_SITE = "parallel.tile"
 
 def check_backend(backend: Optional[str]) -> str:
     """The backend to run on: ``backend``, else
-    :data:`repro.config.EXECUTION`'s, rejected with
+    :func:`repro.config.current_execution`'s, rejected with
     :class:`repro.errors.QueryError` unless it is one of :data:`BACKENDS`."""
     if backend is None:
-        backend = EXECUTION.parallel_backend
+        backend = current_execution().parallel_backend
     if backend not in BACKENDS:
         raise QueryError(
             f"unknown parallel backend {backend!r}; expected one of {BACKENDS}"
@@ -76,7 +79,8 @@ def resolve_workers(
     topology the operator capped out must be rejected at construction,
     not silently reshaped.
     """
-    explicit = workers if workers is not None else EXECUTION.parallel_workers
+    settings = current_execution()
+    explicit = workers if workers is not None else settings.parallel_workers
     if explicit is None:
         count = os.cpu_count() or 1
     else:
@@ -85,13 +89,13 @@ def resolve_workers(
             raise QueryError(
                 f"worker count must be a positive integer, got {explicit!r}"
             )
-    cap = EXECUTION.max_workers
+    cap = settings.max_workers
     if cap is not None:
         cap = int(cap)
         if cap <= 0:
             raise QueryError(
                 f"EXECUTION.max_workers must be a positive integer or None, "
-                f"got {EXECUTION.max_workers!r}"
+                f"got {settings.max_workers!r}"
             )
         if strict and explicit is not None and count > cap:
             raise ResourceLimitError(
@@ -121,16 +125,6 @@ def _checked_call(fn: Callable[..., T], index: int, args: Tuple) -> T:
     return fn(*args)
 
 
-def _collected_call(
-    collectors: Tuple, fn: Callable[..., T], index: int, args: Tuple
-) -> T:
-    """:func:`_checked_call` under the submitting thread's fault-stats
-    collectors, so events fired inside pool worker threads are still
-    attributed to the engine that issued the query."""
-    with _faults.adopting(collectors):
-        return _checked_call(fn, index, args)
-
-
 def _map_argtuples(
     fn: Callable[..., T],
     argtuples: Sequence[Tuple],
@@ -147,13 +141,13 @@ def _map_argtuples(
     results: List[T] = [None] * len(argtuples)  # type: ignore[list-item]
     done = [False] * len(argtuples)
     crashes = 0
-    # Pool workers adopt this thread's per-engine fault-stats collectors.
-    collectors = _faults.current_collectors()
     with concurrent.futures.ThreadPoolExecutor(
         max_workers=min(n_workers, len(argtuples))
     ) as pool:
         futures = {
-            pool.submit(_collected_call, collectors, fn, i, args): i
+            pool.submit(
+                contextvars.copy_context().run, _checked_call, fn, i, args
+            ): i
             for i, args in enumerate(argtuples)
         }
         for fut in concurrent.futures.as_completed(futures):
@@ -206,9 +200,9 @@ def map_tiles(
 ) -> List[T]:
     """``[fn(lo, hi) for (lo, hi) in tiles]`` under the chosen backend.
 
-    ``backend=None`` reads :data:`repro.config.EXECUTION`.  The output
-    list is ordered by tile position regardless of completion order, so
-    all backends are interchangeable.  Tiles whose worker crashed are
+    ``backend=None`` reads :func:`repro.config.current_execution`.  The
+    output list is ordered by tile position regardless of completion
+    order, so all backends are interchangeable.  Tiles whose worker crashed are
     retried serially — see the module docstring.
     """
     return _map_argtuples(fn, list(tiles), backend, workers)

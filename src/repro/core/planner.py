@@ -40,9 +40,9 @@ call.  :meth:`QueryPlanner._answer` runs any row on any tier:
     certified bound per fallback row with its answers.
 
 Every tier takes its tile budget, backend and worker count from
-:data:`repro.config.EXECUTION` at call time, and the planner keeps no
-per-call state: a call's telemetry is what it adds to the cumulative
-``dual_totals`` and ``eval_totals``.
+:func:`repro.config.current_execution` at call time, and the planner
+keeps no per-call state: a call's telemetry is what it adds to the
+cumulative ``dual_totals`` and ``eval_totals``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
-from ..config import EXECUTION
+from ..config import current_execution
 from ..errors import QueryError
 from ..geometry import kernels
 from .. import resilience as _resilience
@@ -296,7 +296,8 @@ class QueryPlanner:
         # Pruned rows stage no bound matrices; exact-tier tiles stage
         # their own full extremal matrices.
         per_pair = _BYTES_PER_PAIR_DUAL if tier == "pruned" else _BYTES_PER_PAIR
-        rows = max(1, int(EXECUTION.tile_bytes) // max(len(self.points) * per_pair, 1))
+        budget = int(current_execution().tile_bytes)
+        rows = max(1, budget // max(len(self.points) * per_pair, 1))
         # Admission control: when a memory budget is configured, the
         # tile height is clamped so one tile's working set fits it (or
         # the request is rejected when even a single row cannot).
@@ -451,7 +452,7 @@ class QueryPlanner:
             return _join(tiles)
         # The dtype shapes expected-NN fallback rows only; a bad value
         # fails loudly even when no row needs the fallback.
-        dtype = EXECUTION.dtype if p.kernel == "expected" else "float64"
+        dtype = current_execution().dtype if p.kernel == "expected" else "float64"
         _require(dtype in ("float64", "float32"), f"unknown execution dtype "
                  f"{dtype!r}; expected 'float64' or 'float32'")
         float32 = dtype == "float32"

@@ -215,14 +215,6 @@ class QuantizedEnvelopeIndex:
         self._root_cy = 0.5 * (ymin + ymax)
         self._root_half = 0.5 * side
 
-    def _pair_bounds(
-        self, qx: np.ndarray, qy: np.ndarray, cols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Criterion brackets for flat (cell, object) pair arrays —
-        :meth:`repro.ModelColumns.pair_bounds`, which keeps this math
-        next to the matrix-form bracket methods."""
-        return self.columns.pair_bounds(qx, qy, cols, self.criterion)
-
     @staticmethod
     def _gather_segments(
         values: np.ndarray, indptr: np.ndarray, cells: np.ndarray, copies: int = 1
@@ -261,7 +253,9 @@ class QuantizedEnvelopeIndex:
             k = level_cx.size
             counts = np.diff(indptr)
             rows = np.repeat(np.arange(k, dtype=np.intp), counts)
-            lb, ub = self._pair_bounds(level_cx[rows], level_cy[rows], cand)
+            lb, ub = self.columns.member_pair_bounds(
+                level_cx[rows], level_cy[rows], cand, self.criterion
+            )
             minub = np.minimum.reduceat(ub, indptr[:-1])
             minlb = np.minimum.reduceat(lb, indptr[:-1])
             # The per-cell certification budget: absolute eps, widened to

@@ -86,8 +86,8 @@ import numpy as np
 from . import io as _io
 from .config import (
     DURABILITY as _DURABILITY,
-    EXECUTION as _EXECUTION,
     SeedLike,
+    current_execution,
     default_rng,
     execution as _execution_ctx,
 )
@@ -221,7 +221,8 @@ class QuerySpec:
         sub-dataset (answers are reported in the full dataset's index
         space).
     tile_bytes / parallel_backend / parallel_workers:
-        Per-query overrides of :data:`repro.config.EXECUTION`.
+        Per-query overrides of the execution settings
+        (:func:`repro.config.execution`, for this query alone).
     diagnostics:
         Collect candidates-pruned statistics into
         :attr:`QueryResult.diagnostics`, read from the counters of the
@@ -1332,7 +1333,7 @@ class Engine:
         chunk = self.planner()._tile_rows(
             "exact" if spec.tier == "exact" else "pruned"
         )
-        if _EXECUTION.parallel_backend != "serial":
+        if current_execution().parallel_backend != "serial":
             # A degrade chunk must span several tiles: map_tiles runs a
             # one-tile chunk serially, so the pool (with its crash
             # recovery) would never engage.

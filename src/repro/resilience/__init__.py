@@ -62,7 +62,8 @@ __all__ = [
 
 def checkpoint(site: str, index: Optional[int] = None) -> None:
     """One cooperative resilience checkpoint: fire injected faults for
-    ``site``/``index``, then charge the active deadline.  Costs two
-    truthiness tests when neither harness is active."""
+    ``site``/``index``, then charge the active deadline.  Costs a
+    truthiness test and a context-variable read when neither harness
+    is active."""
     faults.fire(site, index)
     check_deadline(site)

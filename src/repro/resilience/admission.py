@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config import EXECUTION
+from ..config import current_execution
 from ..errors import ResourceLimitError
 from . import faults as _faults
 
@@ -30,7 +30,7 @@ __all__ = ["budget_bytes", "require_bytes", "clamp_tile_rows"]
 
 def budget_bytes() -> Optional[int]:
     """The active admission budget, or ``None`` when unlimited."""
-    budget = EXECUTION.memory_budget_bytes
+    budget = current_execution().memory_budget_bytes
     return None if budget is None else int(budget)
 
 

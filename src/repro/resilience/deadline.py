@@ -8,19 +8,18 @@ boundaries; when the budget is exhausted the check raises
 the elapsed time, and a per-site progress map — the partial diagnostics
 of the aborted run.
 
-The active scope lives in a module-level stack rather than a
-thread-local so that thread-pool workers fanning out tiles on behalf of
-the scoped query observe the same deadline.  Process-pool workers do
-not share the stack; their tiles are bounded from the parent side at
-result-collection checkpoints.  Deadline scopes are not meant to be
-opened concurrently from independent user threads.
+The active deadline is a :mod:`contextvars` variable: each thread sees
+only the scopes it opened, and the pool tiles it fans out
+(:mod:`repro.core.parallel`) run in a copy of its context, so they
+charge the same deadline.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from ..errors import QueryError, QueryTimeoutError
 
@@ -64,12 +63,15 @@ class Deadline:
             )
 
 
-_STACK: List[Deadline] = []
+#: The innermost deadline scope of the calling context.
+_ACTIVE: contextvars.ContextVar[Optional[Deadline]] = contextvars.ContextVar(
+    "deadline", default=None
+)
 
 
 def active_deadline() -> Optional[Deadline]:
     """The innermost active deadline, or ``None``."""
-    return _STACK[-1] if _STACK else None
+    return _ACTIVE.get()
 
 
 @contextlib.contextmanager
@@ -83,15 +85,16 @@ def deadline_scope(deadline_s: Optional[float]) -> Iterator[Optional[Deadline]]:
         yield None
         return
     dl = Deadline(deadline_s)
-    _STACK.append(dl)
+    token = _ACTIVE.set(dl)
     try:
         yield dl
     finally:
-        _STACK.remove(dl)
+        _ACTIVE.reset(token)
 
 
 def check_deadline(site: str) -> None:
     """Checkpoint: count one unit of progress at ``site`` against the
     active deadline (no-op when no deadline is active)."""
-    if _STACK:
-        _STACK[-1].tick(site)
+    dl = _ACTIVE.get()
+    if dl is not None:
+        dl.tick(site)

@@ -23,36 +23,38 @@ one truthiness test and never touches the environment.
 
 Recovery paths run under :func:`suppressed` so a retried tile does not
 re-fire its fault — the harness models transient faults, which is what
-the serial-retry recovery strategy is designed for.
+the serial-retry recovery strategy is designed for.  Suppression and the
+per-engine counters of :func:`collecting` are :mod:`contextvars`
+variables: they hold for the thread that set them and for the pool
+tiles it fans out (:mod:`repro.core.parallel`), never for other threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import json
 import os
-import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import QueryError, ResourceLimitError, WorkerCrashError
 
 __all__ = ["FaultSpec", "FaultStats", "inject", "fire", "suppressed",
            "active", "fault_stats", "reset_fault_stats", "collecting",
-           "adopting", "current_collectors", "KINDS", "SITES"]
+           "KINDS", "SITES"]
 
 KINDS = ("crash", "kill", "slow", "alloc")
 
-#: Documented checkpoint sites.  ``fire``/``check_deadline`` accept any
-#: string; this tuple is the reference list used in docs and validation.
+#: The checkpoint sites that fire.  :class:`FaultSpec` rejects any
+#: other name, so a plan cannot name a site that never fires.
 SITES = (
     "parallel.tile",      # one map_tiles / map_ordered work unit
     "dual_tree.level",    # one dual-tree traversal level
     "dual_tree.refine",   # one dual-tree refinement chunk
     "evaluators.chunk",   # one grouped-evaluator pair chunk
     "mc.round",           # one Monte-Carlo round (or round block)
-    "planner.tile",       # one planner bound-pass tile
     "engine.chunk",       # one degrade-mode row chunk
     "admission",          # one admission-control estimate
     "snapshot.write",     # one snapshot payload write
@@ -73,7 +75,7 @@ class FaultSpec:
     Attributes
     ----------
     site:
-        Checkpoint site name (see :data:`SITES`).
+        Checkpoint site name, one of :data:`SITES`.
     kind:
         One of :data:`KINDS`.
     indices:
@@ -98,9 +100,9 @@ class FaultSpec:
         if self.kind not in KINDS:
             raise QueryError(
                 f"unknown fault kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.site, str) or not self.site:
-            raise QueryError(f"fault site must be a non-empty string, "
-                             f"got {self.site!r}")
+        if self.site not in SITES:
+            raise QueryError(
+                f"unknown fault site {self.site!r}; expected one of {SITES}")
         if self.indices is not None:
             self.indices = tuple(int(i) for i in self.indices)
         if self.times is not None and int(self.times) <= 0:
@@ -133,7 +135,11 @@ def _plan_from_env() -> List[FaultSpec]:
 
 
 _PLAN: List[FaultSpec] = _plan_from_env()
-_SUPPRESS = 0
+
+#: Whether :func:`suppressed` holds in the calling context.
+_SUPPRESSED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "faults_suppressed", default=False
+)
 
 #: Counter keys tracked by every :class:`FaultStats` bundle.
 _STAT_KEYS = (
@@ -172,53 +178,23 @@ class FaultStats:
 #: Process-wide aggregate (the historical module-level view).
 _AGGREGATE = FaultStats()
 
-# Per-thread stack of additional collectors; an Engine pushes its own
-# bundle around dispatch so recovery events are attributed to it.  Pool
-# worker threads adopt the submitting thread's collectors (see
-# ``current_collectors`` / ``adopting`` and repro.core.parallel).
-_TLS = threading.local()
-
-
-def _collector_stack() -> List[FaultStats]:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = _TLS.stack = []
-    return stack
-
-
-def current_collectors() -> Tuple[FaultStats, ...]:
-    """The live collector stack of this thread (picklable-free tuple,
-    passed by reference into worker threads)."""
-    return tuple(_collector_stack())
+#: The collectors of the calling context's :func:`collecting` scopes,
+#: outermost first; an Engine opens one around dispatch so recovery
+#: events are attributed to it.
+_COLLECTORS: contextvars.ContextVar[Tuple[FaultStats, ...]] = (
+    contextvars.ContextVar("fault_collectors", default=())
+)
 
 
 @contextlib.contextmanager
 def collecting(stats: FaultStats) -> Iterator[FaultStats]:
     """Attribute all fault/recovery events in this block to ``stats``
     (in addition to the process aggregate and any enclosing scopes)."""
-    stack = _collector_stack()
-    stack.append(stats)
+    token = _COLLECTORS.set(_COLLECTORS.get() + (stats,))
     try:
         yield stats
     finally:
-        stack.remove(stats)
-
-
-@contextlib.contextmanager
-def adopting(collectors: Sequence[FaultStats]) -> Iterator[None]:
-    """Adopt another thread's collector stack (worker threads of a
-    thread pool run tiles on behalf of the submitting query)."""
-    stack = _collector_stack()
-    added = [c for c in collectors if c is not None]
-    stack.extend(added)
-    try:
-        yield
-    finally:
-        for c in added:
-            try:
-                stack.remove(c)
-            except ValueError:
-                pass
+        _COLLECTORS.reset(token)
 
 
 def fault_stats() -> Dict[str, int]:
@@ -232,19 +208,18 @@ def reset_fault_stats() -> None:
 
 def _record(key: str, count: int = 1) -> None:
     _AGGREGATE.record(key, count)
-    for collector in _collector_stack():
+    for collector in _COLLECTORS.get():
         collector.record(key, count)
 
 
 @contextlib.contextmanager
 def suppressed() -> Iterator[None]:
     """Disable fault firing for the enclosed block (used by recovery)."""
-    global _SUPPRESS
-    _SUPPRESS += 1
+    token = _SUPPRESSED.set(True)
     try:
         yield
     finally:
-        _SUPPRESS -= 1
+        _SUPPRESSED.reset(token)
 
 
 def active() -> bool:
@@ -254,7 +229,7 @@ def active() -> bool:
     half-written frame so a kill produces a genuinely torn record —
     gate that work on this, keeping the happy path at one truthiness
     test."""
-    return bool(_PLAN) and not _SUPPRESS
+    return bool(_PLAN) and not _SUPPRESSED.get()
 
 
 def fire(site: str, index: Optional[int] = None) -> None:
@@ -264,7 +239,7 @@ def fire(site: str, index: Optional[int] = None) -> None:
     ``REPRO_FAULT_PLAN`` at import — checked first, so production
     checkpoints cost one truthiness test.
     """
-    if not _PLAN or _SUPPRESS:
+    if not _PLAN or _SUPPRESSED.get():
         return
     for spec in _PLAN:
         if spec.site != site:

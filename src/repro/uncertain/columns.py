@@ -554,39 +554,6 @@ class ModelColumns:
         )
         return lb, ub
 
-    def pair_bounds(
-        self, qx: np.ndarray, qy: np.ndarray, cols: np.ndarray, criterion: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The :meth:`envelope_bounds_many` / :meth:`expected_bounds_many`
-        brackets in flat **pair** form: ``qx``/``qy``/``cols`` are
-        parallel arrays naming one (query, object) pair per entry.
-
-        The quantized-envelope builder (:mod:`repro.core.quant_index`)
-        evaluates brackets over ragged per-cell candidate lists, where a
-        dense ``(m, n)`` matrix would waste the pruned structure — this
-        is the same math as the matrix methods, kept here so any future
-        bracket tightening lands in one place.
-        """
-        b = self.bboxes[cols]
-        dxm = np.maximum(np.maximum(b[:, 0] - qx, 0.0), qx - b[:, 2])
-        dym = np.maximum(np.maximum(b[:, 1] - qy, 0.0), qy - b[:, 3])
-        lb = np.hypot(dxm, dym)
-        dxM = np.maximum(np.abs(qx - b[:, 0]), np.abs(qx - b[:, 2]))
-        dyM = np.maximum(np.abs(qy - b[:, 1]), np.abs(qy - b[:, 3]))
-        ub = np.hypot(dxM, dyM)
-        d = np.hypot(qx - self.centers[cols, 0], qy - self.centers[cols, 1])
-        r = self.radii[cols]
-        lb = np.maximum(lb, np.maximum(d - r, 0.0))
-        ub = np.minimum(ub, d + r)
-        if criterion == "expected":
-            hm = self.has_mean[cols]
-            dm = np.hypot(qx - self.means[cols, 0], qy - self.means[cols, 1])
-            lb = np.maximum(lb, np.where(hm, dm, 0.0))
-            reach = np.where(hm, self.mean_reach[cols], np.inf)
-            with np.errstate(invalid="ignore"):
-                ub = np.minimum(ub, np.where(hm, dm + reach, np.inf))
-        return lb, ub
-
     def member_pair_bounds(
         self, qx: np.ndarray, qy: np.ndarray, cols: np.ndarray, criterion: str
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -594,12 +561,13 @@ class ModelColumns:
         in flat pair form, **bit-identical** to the matrix methods.
 
         ``qx`` / ``qy`` / ``cols`` name one (query, object) pair per
-        entry.  Unlike :meth:`pair_bounds` (whose ``np.hypot`` center
-        distances serve the quantized-envelope builder), every operation
-        here replays the matrix path's exact float sequence
-        (``sqrt(dx*dx + dy*dy)`` center/mean distances), so the
-        dual-tree leaf refinement reproduces the matrix bounds — and
-        therefore the flat bound pass's survivor sets — bit for bit.
+        entry, so ragged candidate lists (dual-tree leaf refinement, the
+        quantized-envelope builder's per-cell lists) need no dense
+        ``(m, n)`` matrix.  Every operation replays the matrix path's
+        exact float sequence (``sqrt(dx*dx + dy*dy)`` center/mean
+        distances), so the dual-tree leaf refinement reproduces the
+        matrix bounds — and therefore the flat bound pass's survivor
+        sets — bit for bit.
         Long inputs run in cache-sized blocks of :data:`_PAIR_BLOCK`
         pairs; every operation is elementwise, so the floats do not
         depend on the blocking.

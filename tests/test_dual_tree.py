@@ -843,6 +843,27 @@ class TestRefitFallback:
         assert len(big) > limit
         assert tree.refit(copy.copy(cols).extend(big)) is None
 
+    def test_refit_refused_once_the_window_turns_over(self):
+        # Every refit adds its inserts and removes to ``churn``; the
+        # write that takes it past n gets no refit, and a fresh pack
+        # counts from 0 again.
+        cols = ModelColumns(six_model_points(9, n_per=100))  # n = 600
+        stream = six_model_points(10, n_per=100)
+        tree = _packed(cols)
+        assert tree.churn == 0
+        for tick in range(10):  # 30 in, 30 out: churn reaches n = 600
+            cols = copy.copy(cols).extend(stream[30 * tick : 30 * tick + 30])
+            tree = tree.refit(cols)
+            cols = copy.copy(cols).shrink(np.arange(30, cols.n))
+            tree = tree.refit(cols, np.arange(30))
+            assert tree.churn == 60 * (tick + 1)
+        assert_tree_exact(tree, cols)
+        grown = copy.copy(cols).extend(stream[300:301])
+        assert tree.refit(grown) is None
+        fresh = _packed(grown)
+        assert fresh.churn == 0
+        assert fresh.refit(copy.copy(grown).extend(stream[301:331])).churn == 30
+
     def test_leaf_choice_least_growth_then_fewer_members(self):
         # Two 16-disk leaves (centres x = 0..3 and x = 4..7) whose boxes
         # both cover the middle.  After 3 removes from the right leaf, a

@@ -195,7 +195,9 @@ class TestExecutionConfig:
         before = config.EXECUTION.tile_bytes
         with config.execution(tile_bytes=123, parallel_backend="thread") as ex:
             assert ex.tile_bytes == 123
-            assert config.EXECUTION.parallel_backend == "thread"
+            assert config.current_execution().parallel_backend == "thread"
+            # The block changes its context's settings, not the default.
+            assert config.EXECUTION == config.Execution()
         assert config.EXECUTION.tile_bytes == before
         assert config.EXECUTION.parallel_backend == "serial"
         with pytest.raises(TypeError):

@@ -242,6 +242,13 @@ class TestFaultInjection:
         with pytest.raises(QueryError):
             FaultSpec("parallel.tile", "slow", delay_s=-1.0)
 
+    def test_unknown_site_rejected(self):
+        # A plan can only name a checkpoint that fires.
+        with pytest.raises(QueryError, match="unknown fault site"):
+            FaultSpec("planner.tile", "crash")
+        for site in faults.SITES:
+            FaultSpec(site, "crash")
+
     def test_fire_is_noop_without_plan(self):
         faults.fire("parallel.tile", 0)  # must not raise
 
