@@ -946,10 +946,10 @@ class Engine:
     def save(self, path: str) -> str:
         """Write a versioned snapshot of this session to ``path``.
 
-        The snapshot holds the uncertain relation (exact JSON
-        round-trip) plus the summarised column store, with a checksum
-        and a manifest of the indexes built at save time; the write is
-        atomic.  See :mod:`repro.resilience.snapshot`.
+        The snapshot holds the uncertain relation (exact round-trip
+        through the wire codec) plus the summarised column store, with
+        a checksum and a manifest of the indexes built at save time;
+        the write is atomic.  See :mod:`repro.resilience.snapshot`.
         """
         return _snapshot.save_engine(self, path)
 
@@ -1070,12 +1070,19 @@ class Engine:
         stamp.  Per-row column summaries are independent, so the
         result is bit-identical to applying the records one by one; a
         point inserted and removed inside the log is decoded but never
-        summarised.
+        summarised.  The inserts' packed discrete batches are collected
+        as arrays (:class:`repro.io.DiscreteColumns`) and decoded in one
+        :func:`repro.io.points_from_wire` call at the end; other
+        encodings decode per record.
         """
         gen = self._generation
         replaced: Optional[List] = None
         n_base = len(self._points)
+        # The inserted points in log order: decoded lists, or the point
+        # counts of packed discrete batches still in ``packed``.
         logged: List = []
+        packed: List[_io.DiscreteColumns] = []
+        n_logged = 0
         # The row index array, kept as chunks that are concatenated only
         # when a remove needs it, so an insert record costs O(1).
         chunks = [np.arange(n_base, dtype=np.intp)]
@@ -1095,12 +1102,20 @@ class Engine:
             gen = rec.gen
             replayed += 1
             if rec.op == "insert":
-                new = _io.points_from_wire(rec.payload["points"])
-                start = n_base + len(logged)
+                wire = rec.payload["points"]
+                batch = _io.unpack_discrete(wire)
+                if batch is None:
+                    part = _io.points_from_wire(wire)
+                    count = len(part)
+                else:
+                    packed.append(batch)
+                    part = count = len(batch.names)
+                logged.append(part)
+                start = n_base + n_logged
+                n_logged += count
                 chunks.append(
-                    np.arange(start, start + len(new), dtype=np.intp)
+                    np.arange(start, n_base + n_logged, dtype=np.intp)
                 )
-                logged.extend(new)
             elif rec.op == "remove":
                 rows = np.concatenate(chunks)
                 ids = np.asarray(rec.payload["ids"], dtype=np.intp)
@@ -1116,10 +1131,18 @@ class Engine:
             else:  # replace: a new base, nothing logged on top of it yet
                 replaced = _io.points_from_wire(rec.payload["points"])
                 n_base = len(replaced)
-                logged = []
+                logged, packed, n_logged = [], [], 0
                 chunks = [np.arange(n_base, dtype=np.intp)]
         if not replayed:
             return
+        decoded = iter(
+            _io.points_from_wire(_io.DiscreteColumns.concat(packed))
+            if packed else ()
+        )
+        logged = list(itertools.chain.from_iterable(
+            itertools.islice(decoded, part) if isinstance(part, int) else part
+            for part in logged
+        ))
         rows = np.concatenate(chunks)
         self._wal_replayed += replayed
         # _wal is still None, so none of these re-append to the log.

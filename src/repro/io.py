@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,8 +36,8 @@ def point_to_dict(point: UncertainPoint) -> Dict:
     if isinstance(point, DiscreteUncertainPoint):
         return {
             "type": "discrete",
-            "locations": [list(l) for l in point.locations],
-            "weights": list(point.weights),
+            "locations": point._loc_arr.tolist(),
+            "weights": point._w_arr.tolist(),
             "name": point.name,
         }
     if isinstance(point, TruncatedGaussianPoint):
@@ -166,34 +166,78 @@ def _unpack_f64(text: str, n: int, kind: str):
     return arr
 
 
+class DiscreteColumns(NamedTuple):
+    """The arrays of a packed discrete batch: each point's location
+    count and name, and every point's locations ``(N, 2)`` and weights
+    ``(N,)``, concatenated in batch order."""
+
+    counts: np.ndarray
+    names: list
+    xy: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: Sequence["DiscreteColumns"]) -> "DiscreteColumns":
+        """One batch holding ``parts`` in order."""
+        return cls(
+            np.concatenate([p.counts for p in parts]),
+            [name for p in parts for name in p.names],
+            np.concatenate([p.xy for p in parts]),
+            np.concatenate([p.weights for p in parts]),
+        )
+
+    def points(self) -> List[DiscreteUncertainPoint]:
+        """Validate the batch once, with the constructor's checks, then
+        build each point on row views of the two arrays."""
+        counts = self.counts
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        bad = counts == 0
+        row_of = np.repeat(np.arange(counts.shape[0]), counts)
+        bad[row_of[self.weights <= 0.0]] = True
+        # Left to right, as the constructor's sum() adds them.
+        total_w = np.zeros(counts.shape[0])
+        for j in range(int(counts.max(initial=0))):
+            has = np.flatnonzero(counts > j)
+            total_w[has] += self.weights[starts[has] + j]
+        bad |= np.abs(total_w - 1.0) > 1e-9
+        for i in np.flatnonzero(bad).tolist():
+            # The constructor raises the point's own message.
+            lo, hi = int(starts[i]), int(ends[i])
+            DiscreteUncertainPoint(
+                self.xy[lo:hi].tolist(), self.weights[lo:hi].tolist()
+            )
+        make = DiscreteUncertainPoint._from_arrays
+        xy, weights = self.xy, self.weights
+        return [
+            make(xy[lo:hi], weights[lo:hi], name)
+            for lo, hi, name in zip(starts.tolist(), ends.tolist(), self.names)
+        ]
+
+
 def points_to_wire(
     points: Sequence[UncertainPoint],
 ) -> Union[List[Dict], Dict]:
-    """Encode a point batch for the write-ahead log / wire.
+    """Encode a point batch for the write-ahead log, the wire and the
+    snapshot relation.
 
     Homogeneous batches of the hot ingest types are packed as base64
     float64 columns — the per-float cost of JSON ``repr`` encoding is
-    what would otherwise dominate a durable ``Engine.insert``.  Any
-    other batch falls back to the per-point dict encoding of
-    :func:`point_to_dict`.  Either form round-trips exactly through
-    :func:`points_from_wire`.
+    what would otherwise dominate a durable ``Engine.insert``.  A
+    discrete batch concatenates the points' location and weight arrays,
+    so encoding never builds their Python lists.  Any other batch falls
+    back to the per-point dict encoding of :func:`point_to_dict`.
+    Either form round-trips exactly through :func:`points_from_wire`.
     """
     pts = list(points)
     if pts and all(type(p) is DiscreteUncertainPoint for p in pts):
-        counts = [len(p.weights) for p in pts]
-        xy = np.asarray(
-            [loc for p in pts for loc in p.locations], dtype=np.float64
-        )
-        if xy.shape == (sum(counts), 2):
-            return {
-                "pack": "discrete",
-                "counts": counts,
-                "names": [p.name for p in pts],
-                "xy": _pack_f64(xy),
-                "weights": _pack_f64(
-                    [w for p in pts for w in p.weights]
-                ),
-            }
+        return {
+            "pack": "discrete",
+            "counts": [p._w_arr.shape[0] for p in pts],
+            "names": [p.name for p in pts],
+            "xy": _pack_f64(np.concatenate([p._loc_arr for p in pts])),
+            "weights": _pack_f64(np.concatenate([p._w_arr for p in pts])),
+        }
     if pts and all(type(p) is UniformDiskPoint for p in pts):
         return {
             "pack": "disk_uniform",
@@ -208,35 +252,47 @@ def points_to_wire(
     return [point_to_dict(p) for p in pts]
 
 
+def unpack_discrete(obj) -> Optional[DiscreteColumns]:
+    """The decoded arrays of a packed discrete batch written by
+    :func:`points_to_wire`, or ``None`` for any other encoding.  Checks
+    that the payload holds as many values as the counts name; the
+    points' own checks run in :meth:`DiscreteColumns.points`."""
+    if not isinstance(obj, dict) or obj.get("pack") != "discrete":
+        return None
+    try:
+        counts = np.asarray([int(c) for c in obj["counts"]], dtype=np.intp)
+        names = list(obj["names"])
+        if len(names) != counts.shape[0]:
+            raise DistributionError(
+                "packed discrete encoding has mismatched counts/names"
+            )
+        if counts.size and counts.min() < 0:
+            raise DistributionError(
+                "packed discrete encoding has a negative location count"
+            )
+        total = int(counts.sum())
+        xy = _unpack_f64(obj["xy"], 2 * total, "discrete").reshape(total, 2)
+        weights = _unpack_f64(obj["weights"], total, "discrete")
+    except DistributionError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        raise DistributionError(
+            f"malformed packed 'discrete' encoding: {exc}"
+        ) from exc
+    return DiscreteColumns(counts, names, xy, weights)
+
+
 def points_from_wire(obj) -> List[UncertainPoint]:
-    """Decode a batch written by :func:`points_to_wire`."""
+    """Decode a batch written by :func:`points_to_wire` (a JSON list of
+    :func:`point_to_dict` encodings is one too), or the
+    :class:`DiscreteColumns` of packed discrete batches already
+    unpacked."""
+    packed = obj if isinstance(obj, DiscreteColumns) else unpack_discrete(obj)
+    if packed is not None:
+        return packed.points()
     if isinstance(obj, dict):
         pack = obj.get("pack")
         try:
-            if pack == "discrete":
-                counts = [int(c) for c in obj["counts"]]
-                names = obj["names"]
-                total = sum(counts)
-                xy = _unpack_f64(obj["xy"], 2 * total, pack).reshape(
-                    total, 2
-                )
-                weights = _unpack_f64(obj["weights"], total, pack)
-                out, at = [], 0
-                for k, name in zip(counts, names):
-                    out.append(
-                        DiscreteUncertainPoint(
-                            [tuple(l) for l in xy[at:at + k].tolist()],
-                            weights[at:at + k].tolist(),
-                            name=name,
-                        )
-                    )
-                    at += k
-                if len(out) != len(counts) or len(names) != len(counts):
-                    raise DistributionError(
-                        "packed discrete encoding has mismatched "
-                        "counts/names"
-                    )
-                return out
             if pack == "disk_uniform":
                 names = obj["names"]
                 xyr = _unpack_f64(

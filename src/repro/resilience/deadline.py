@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import threading
 import time
 from typing import Dict, Iterator, Optional
 
@@ -27,9 +28,12 @@ __all__ = ["Deadline", "deadline_scope", "active_deadline", "check_deadline"]
 
 
 class Deadline:
-    """A running wall-clock budget plus per-site progress counters."""
+    """A running wall-clock budget plus per-site progress counters.
 
-    __slots__ = ("deadline_s", "started_at", "expires_at", "progress")
+    Every pool tile of a query ticks the same deadline, so the counters
+    are updated under a lock."""
+
+    __slots__ = ("deadline_s", "started_at", "expires_at", "progress", "_lock")
 
     def __init__(self, deadline_s: float):
         if not (float(deadline_s) > 0.0):
@@ -38,6 +42,7 @@ class Deadline:
         self.started_at = time.monotonic()
         self.expires_at = self.started_at + self.deadline_s
         self.progress: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started_at
@@ -50,16 +55,19 @@ class Deadline:
 
     def tick(self, site: str) -> None:
         """Record one completed unit at ``site`` and raise if expired."""
-        self.progress[site] = self.progress.get(site, 0) + 1
+        with self._lock:
+            self.progress[site] = self.progress.get(site, 0) + 1
         if self.expired():
             elapsed = self.elapsed()
+            with self._lock:
+                progress = dict(self.progress)
             raise QueryTimeoutError(
                 f"deadline of {self.deadline_s:.6g}s expired after "
                 f"{elapsed:.6g}s at checkpoint {site!r}",
                 site=site,
                 deadline_s=self.deadline_s,
                 elapsed_s=elapsed,
-                progress=self.progress,
+                progress=progress,
             )
 
 

@@ -36,6 +36,7 @@ import contextvars
 import dataclasses
 import json
 import os
+import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -135,6 +136,10 @@ def _plan_from_env() -> List[FaultSpec]:
 
 
 _PLAN: List[FaultSpec] = _plan_from_env()
+
+#: Guards each spec's ``times`` check and ``fired`` count: every pool
+#: tile of a query may reach the same spec at once.
+_FIRE_LOCK = threading.Lock()
 
 #: Whether :func:`suppressed` holds in the calling context.
 _SUPPRESSED: contextvars.ContextVar[bool] = contextvars.ContextVar(
@@ -246,9 +251,10 @@ def fire(site: str, index: Optional[int] = None) -> None:
             continue
         if spec.indices is not None and (index is None or int(index) not in spec.indices):
             continue
-        if spec.times is not None and spec.fired >= spec.times:
-            continue
-        spec.fired += 1
+        with _FIRE_LOCK:
+            if spec.times is not None and spec.fired >= spec.times:
+                continue
+            spec.fired += 1
         _record("injected")
         if spec.kind == "slow":
             time.sleep(spec.delay_s)

@@ -8,12 +8,22 @@ A snapshot is a single ``.npz`` holding
   engines rebuild those structures lazily on their first use, so a
   restore is never blocked on index construction), and a SHA-256
   checksum over the payload;
-* ``points`` — the uncertain relation as UTF-8 JSON via :mod:`repro.io`
-  (JSON round-trips IEEE doubles exactly, so restored models are
-  bit-identical);
+* ``points`` — the uncertain relation as UTF-8 JSON in the write-ahead
+  log's codec, :func:`repro.io.points_to_wire`: a relation of only
+  discrete points or only disks is base64 float64 columns, any other
+  relation a list of per-point dicts.  Both forms round-trip IEEE
+  doubles exactly, so restored models are bit-identical;
 * ``col_*`` — the :class:`~repro.uncertain.columns.ModelColumns`
   arrays, written so a restore installs the summarised column store
   directly instead of re-summarising every point.
+
+Format 2 is the one written.  Format 1 stored the relation as a JSON
+list of point dicts, which is a valid wire batch too, so both load
+through :func:`repro.io.points_from_wire`; a format-1 column store
+gets its discrete and polygon radii re-measured on load
+(:func:`repro.uncertain.columns.support_radii`), because format 1
+stored smallest-enclosing-circle radii that can leave a support point
+outside.
 
 Writes are atomic and durable (temp file in the target directory,
 ``fsync``, then ``os.replace``; the temp file is removed on any
@@ -36,13 +46,15 @@ import numpy as np
 
 from .. import io as _io
 from ..errors import ReproError, SnapshotError
-from ..uncertain.columns import ModelColumns
+from ..uncertain.columns import ModelColumns, support_radii
 from . import faults as _faults
 
 __all__ = ["MAGIC", "VERSION", "save_engine", "load_engine", "read_manifest"]
 
 MAGIC = "repro-engine-snapshot"
-VERSION = 1
+VERSION = 2
+#: Every format version this library reads.
+READABLE = (1, 2)
 
 
 def _checksum(points_bytes: bytes, col_arrays: Optional[Dict[str, np.ndarray]]) -> str:
@@ -68,7 +80,9 @@ def save_engine(engine, path: str) -> str:
     """
     from ..engine import _key_label  # localised: engine imports this module
 
-    points_bytes = _io.dumps(engine.points).encode("utf-8")
+    points_bytes = json.dumps(
+        _io.points_to_wire(engine.points)
+    ).encode("utf-8")
     col_arrays = None
     if len(engine):
         # Build (or fetch) the column store so restores skip
@@ -185,10 +199,10 @@ def _manifest(data, path: str) -> Dict[str, object]:
             f"{path!r} is not a {MAGIC} file", path=path, reason="magic"
         )
     version = manifest.get("version")
-    if version != VERSION:
+    if version not in READABLE:
         raise SnapshotError(
             f"snapshot {path!r} has format version {version!r}; this "
-            f"library reads version {VERSION}",
+            f"library reads versions {READABLE}",
             path=path, reason="version",
         )
     return manifest
@@ -199,9 +213,10 @@ def load_engine(path: str, result_cache_size: int = 32):
     :func:`save_engine`.
 
     The restored engine answers every query bit-identically to the
-    saved one: the point relation round-trips exactly through JSON and
-    the summarised column store is installed verbatim.  Indexes listed
-    in the manifest rebuild lazily on their first miss.
+    saved one: the point relation round-trips exactly through the wire
+    codec and the summarised column store is installed verbatim (a
+    format-1 store with its radii re-measured).  Indexes listed in the
+    manifest rebuild lazily on their first miss.
     """
     from ..engine import Engine
 
@@ -245,8 +260,8 @@ def load_engine(path: str, result_cache_size: int = 32):
                 path=path, reason="checksum",
             )
         try:
-            points = _io.loads(points_bytes.decode("utf-8"))
-        except (ReproError, UnicodeDecodeError) as exc:
+            points = _io.points_from_wire(json.loads(points_bytes))
+        except (ReproError, ValueError) as exc:
             raise SnapshotError(
                 f"snapshot {path!r} holds an undecodable relation: {exc}",
                 path=path, reason="schema",
@@ -274,5 +289,7 @@ def load_engine(path: str, result_cache_size: int = 32):
                     f"for {len(points)} points",
                     path=path, reason="schema",
                 )
+            if manifest["version"] == 1:
+                cols.radii = support_radii(cols, points)
             engine.registry.put(("columns",), engine.generation, cols)
         return engine

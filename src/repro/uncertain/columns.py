@@ -16,10 +16,13 @@ Columns
 ``centers (n, 2)`` / ``radii (n,)``
     An enclosing disk per object: the support of ``P_i`` is contained in
     ``disk(centers[i], radii[i])``.  Exact for disk/Gaussian models
-    (their own disk), the smallest enclosing circle for discrete and
-    polygon supports, and a circumscribing disk of the bbox otherwise;
-    those last two radii are inflated by ``1e-12`` relative, so no
-    support point rounds outside its disk.
+    (their own disk).  Discrete and polygon supports are centred on
+    their smallest enclosing circle, and their radius is the largest
+    distance from that center to a support point (location or vertex),
+    computed as the pair bounds compute distances, so every support
+    point lies inside by construction.  Other models get a
+    circumscribing disk of the bbox.  Radii that are not model
+    parameters are inflated by ``1e-12`` relative.
 ``means (n, 2)`` / ``mean_reach (n,)`` / ``has_mean (n,)``
     First moment ``E[P_i]`` (exact per model) and the maximum distance
     from the mean to the support.  By convexity of ``d(q, .)`` these
@@ -65,6 +68,7 @@ from .rect_uniform import UniformRectPoint
 __all__ = [
     "ModelColumns",
     "model_tag",
+    "support_radii",
     "TAG_DISCRETE",
     "TAG_RECT",
     "TAG_DISK",
@@ -84,11 +88,15 @@ TAG_POLYGON = 5
 TAG_OTHER = 6
 
 #: Relative inflation of every enclosing radius that is not a model
-#: parameter (smallest enclosing circles, circumscribed bbox disks).
-#: Support points lie on those circles, where ``d - r`` can round a few
-#: ulps above its true value 0; a pruning cutoff of exactly 0 (a
-#: certain point at ``q``) has no relative slack to absorb that, and
-#: would drop an object whose support holds ``q``.
+#: parameter (support radii of discrete and polygon objects,
+#: circumscribed bbox disks).  Support points lie on or inside those
+#: circles, and a bound ``d(q, center) - r`` rounds a few ulps away
+#: from its true value; a pruning cutoff of exactly 0 (a certain point
+#: at ``q``) has no relative slack to absorb that, and would drop an
+#: object whose support holds ``q``.  The guard covers rounding only: a
+#: Welzl circle's own radius may leave a support point up to 1e-10
+#: relative outside (its inside test's tolerance), which is why the
+#: support radii are measured, not taken from the circle.
 _RADIUS_GUARD = 1.0 + 1e-12
 
 #: Pairs per block of :meth:`ModelColumns.member_pair_bounds`: its
@@ -141,6 +149,60 @@ def _polygon_centroid(vertices: np.ndarray) -> Tuple[float, float]:
     )
 
 
+def _support_radius(support: np.ndarray, cx: float, cy: float) -> float:
+    """Largest distance from ``(cx, cy)`` to a row of ``support``
+    ``(k, 2)``, times the guard, in :meth:`ModelColumns.member_pair_bounds`'
+    ``sqrt(dx*dx + dy*dy)`` form."""
+    dx = support[:, 0] - cx
+    dy = support[:, 1] - cy
+    return float(np.sqrt(dx * dx + dy * dy).max()) * _RADIUS_GUARD
+
+
+def _discrete_radii(
+    centers: np.ndarray, offsets: np.ndarray, locations: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """:func:`_support_radius` of each of ``rows`` over its CSR
+    locations, as one segmented max."""
+    if rows.shape[0] == centers.shape[0]:  # every row: no gather
+        lens = np.diff(offsets)
+    else:
+        gather, lens = kernels.csr_segment_gather(offsets, rows)
+        locations = locations[gather]
+    dx = locations[:, 0] - np.repeat(centers[rows, 0], lens)
+    dy = locations[:, 1] - np.repeat(centers[rows, 1], lens)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    starts = np.cumsum(lens) - lens
+    d = np.sqrt(dx, out=dx)
+    return np.maximum.reduceat(d, starts) * _RADIUS_GUARD
+
+
+def support_radii(
+    columns: "ModelColumns", points: Sequence[UncertainPoint]
+) -> np.ndarray:
+    """``columns.radii`` with each discrete and polygon row re-measured
+    from its stored center to its support points, as a fresh store
+    measures them.  Applied to column stores written before the radii
+    were measured (snapshot format 1), whose smallest-enclosing-circle
+    radii can leave a support point outside."""
+    radii = columns.radii.copy()
+    rows = np.flatnonzero(columns.tags == TAG_DISCRETE)
+    if rows.size:
+        radii[rows] = _discrete_radii(
+            columns.centers, columns.loc_offsets, columns.locations, rows
+        )
+    for i in np.flatnonzero(columns.tags == TAG_POLYGON).tolist():
+        cx, cy = columns.centers[i].tolist()
+        radii[i] = _support_radius(_vertices(points[i]), cx, cy)
+    return radii
+
+
+def _vertices(p: UniformPolygonPoint) -> np.ndarray:
+    return np.asarray([(v.x, v.y) for v in p.vertices], dtype=np.float64)
+
+
 def model_tag(p: UncertainPoint) -> int:
     """The ``TAG_*`` code of one model, without computing its summary
     (cheap isinstance dispatch — used by :meth:`repro.Engine.stats` for
@@ -179,19 +241,20 @@ def _summarise(p: UncertainPoint):
     if tag == TAG_RECT:
         return tag, bbox, bx, half_diag, bx, True, [bx], [1.0]
     if tag == TAG_DISCRETE:
+        # The radius is measured over the whole call's locations at
+        # once, in _column_arrays.
         sec = p.enclosing
-        w = np.asarray(p.weights, dtype=np.float64)
-        loc = np.asarray(p.locations, dtype=np.float64)
+        w, loc = p._w_arr, p._loc_arr
         mean = (float(w @ loc[:, 0]), float(w @ loc[:, 1]))
         return (
             tag,
             bbox,
             (sec.center.x, sec.center.y),
-            sec.radius * _RADIUS_GUARD,
+            np.nan,
             mean,
             True,
-            p.locations,
-            p.weights,
+            p._location_list(),
+            p._weight_list(),
         )
     if tag == TAG_HISTOGRAM:
         rects = np.asarray(p.rects, dtype=np.float64)
@@ -212,14 +275,14 @@ def _summarise(p: UncertainPoint):
             p.masses,
         )
     if tag == TAG_POLYGON:
-        verts = np.asarray([(v.x, v.y) for v in p.vertices], dtype=np.float64)
+        verts = _vertices(p)
         sec = smallest_enclosing_circle([tuple(v) for v in verts])
         mean = _polygon_centroid(verts)
         return (
             tag,
             bbox,
             (sec.center.x, sec.center.y),
-            sec.radius * _RADIUS_GUARD,
+            _support_radius(verts, sec.center.x, sec.center.y),
             mean,
             True,
             [mean],
@@ -232,9 +295,23 @@ def _summarise(p: UncertainPoint):
 
 def _column_arrays(points: Sequence[UncertainPoint]) -> dict:
     """Summarise ``points`` into the column arrays (one :func:`_summarise`
-    pass).  Shared by :class:`ModelColumns` construction and the in-place
+    pass, then the discrete radii as one segmented max).  Shared by
+    :class:`ModelColumns` construction and the in-place
     :meth:`ModelColumns.extend` append path, so dynamic inserts never
     re-summarise the objects already stored."""
+    # The per-object lists are freed when _summary_arrays returns, before
+    # the radius pass allocates its temporaries.
+    arrays = _summary_arrays(points)
+    rows = np.flatnonzero(arrays["tags"] == TAG_DISCRETE)
+    if rows.size:
+        arrays["radii"][rows] = _discrete_radii(
+            arrays["centers"], arrays["loc_offsets"], arrays["locations"],
+            rows,
+        )
+    return arrays
+
+
+def _summary_arrays(points: Sequence[UncertainPoint]) -> dict:
     bboxes: List[Tuple[float, float, float, float]] = []
     centers: List[Tuple[float, float]] = []
     radii: List[float] = []

@@ -22,53 +22,90 @@ from .base import UncertainPoint
 class DiscreteUncertainPoint(UncertainPoint):
     """Uncertain point with locations ``p_1..p_k`` and weights ``w_1..w_k``.
 
-    Weights must be positive and sum to one (up to rounding).  The
-    constructor only validates and stores; the hull, the smallest
-    enclosing circle and the alias table are built on first use and
-    cached on the instance.  The hull drives ``dmax`` and the circle the
-    column summary, so a point restored together with its summary (a
-    snapshot) builds neither until a caller needs them.
+    Weights must be positive and sum to one (up to rounding).  A point
+    holds its support as two arrays, ``(k, 2)`` locations and ``(k,)``
+    weights.  The constructor validates its input and keeps the
+    ``locations`` / ``weights`` lists it built to do so; a point
+    decoded by recovery (:func:`repro.io.points_from_wire`) sits on row
+    views of one decoded array pair and builds those lists on first
+    use.  The hull, the smallest enclosing circle and the alias table
+    are built on first use too, and cached on the instance.  The hull
+    drives ``dmax`` and the circle the column summary, so a restored
+    relation, whose summary the snapshot holds, builds none of them
+    until a caller needs them.
     """
 
     def __init__(self, locations: Sequence, weights: Sequence[float], name=None):
-        self.locations: List[Tuple[float, float]] = [
-            (float(p[0]), float(p[1])) for p in locations
-        ]
-        self.weights: List[float] = [float(w) for w in weights]
-        if len(self.locations) != len(self.weights):
+        locs = [(float(p[0]), float(p[1])) for p in locations]
+        ws = [float(w) for w in weights]
+        if len(locs) != len(ws):
             raise DistributionError("locations/weights length mismatch")
-        if not self.locations:
+        if not locs:
             raise DistributionError("empty discrete distribution")
-        if any(w <= 0.0 for w in self.weights):
+        if any(w <= 0.0 for w in ws):
             raise DistributionError("location probabilities must be positive")
-        total = sum(self.weights)
+        total = sum(ws)
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"weights sum to {total}, expected 1")
+        # The lists are built anyway to validate: keep them as the cache
+        # (a cached_property yields to an instance attribute).
+        self.locations = locs
+        self.weights = ws
         self.name = name
-        self._loc_arr = np.asarray(self.locations, dtype=np.float64)
-        self._w_arr = np.asarray(self.weights, dtype=np.float64)
+        self._loc_arr = np.asarray(locs, dtype=np.float64)
+        self._w_arr = np.asarray(ws, dtype=np.float64)
+
+    @classmethod
+    def _from_arrays(cls, loc_arr: np.ndarray, w_arr: np.ndarray, name=None):
+        """A point on already validated ``(k, 2)`` / ``(k,)`` arrays,
+        held as given (the batch decoder passes row views)."""
+        self = cls.__new__(cls)
+        self.name = name
+        self._loc_arr = loc_arr
+        self._w_arr = w_arr
+        return self
 
     def __repr__(self) -> str:
-        return f"DiscreteUncertainPoint(k={len(self.locations)})"
+        return f"DiscreteUncertainPoint(k={self.k})"
+
+    @cached_property
+    def locations(self) -> List[Tuple[float, float]]:
+        """The support locations as ``(x, y)`` tuples."""
+        return [tuple(loc) for loc in self._loc_arr.tolist()]
+
+    @cached_property
+    def weights(self) -> List[float]:
+        """The location probabilities."""
+        return self._w_arr.tolist()
+
+    def _location_list(self) -> list:
+        """The locations as a list without caching one: the cached list
+        when there is one (whose floats the caller's results then
+        share), else a temporary one."""
+        return self.__dict__.get("locations") or self._loc_arr.tolist()
+
+    def _weight_list(self) -> list:
+        """The weights as :meth:`_location_list` gives the locations."""
+        return self.__dict__.get("weights") or self._w_arr.tolist()
 
     @cached_property
     def hull(self) -> List:
         """Convex hull of the support, counter-clockwise."""
-        return convex_hull(self.locations)
+        return convex_hull(self._location_list())
 
     @cached_property
     def enclosing(self):
         """Smallest enclosing circle of the support."""
-        return smallest_enclosing_circle(self.locations)
+        return smallest_enclosing_circle(self._location_list())
 
     @cached_property
     def _sampler(self) -> AliasSampler:
-        return AliasSampler(self.weights)
+        return AliasSampler(self._weight_list())
 
     @property
     def k(self) -> int:
         """Description complexity (number of possible locations)."""
-        return len(self.locations)
+        return self._w_arr.shape[0]
 
     @property
     def is_discrete(self) -> bool:
@@ -76,8 +113,9 @@ class DiscreteUncertainPoint(UncertainPoint):
 
     # -- support ----------------------------------------------------------
     def support_bbox(self):
-        xs = [p[0] for p in self.locations]
-        ys = [p[1] for p in self.locations]
+        locs = self._location_list()
+        xs = [p[0] for p in locs]
+        ys = [p[1] for p in locs]
         return (min(xs), min(ys), max(xs), max(ys))
 
     def dmin(self, q) -> float:
@@ -90,7 +128,7 @@ class DiscreteUncertainPoint(UncertainPoint):
         if len(self.hull) >= 2:
             _, d = farthest_point_from(self.hull, q)
             return d
-        px, py = self.locations[0]
+        px, py = self._loc_arr[0].tolist()
         return math.hypot(px - q[0], py - q[1])
 
     # -- probability --------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -146,3 +147,69 @@ class TestMalformedEncodings:
     def test_bad_shape_reports_row(self):
         with pytest.raises(DistributionError, match=r"row 0"):
             io.loads('[{"type": "rect_uniform", "rect": [1, 2]}]')
+
+
+class TestPackedDiscreteBatches:
+    """A packed discrete batch is checked once, with the constructor's
+    checks and messages, and decoded into points on row views of one
+    location array and one weight array."""
+
+    XY = [[0, 0], [1, 2], [3, 1], [5, 5], [6, 4]]
+
+    def _wire(self, weights, counts=(3, 2), xy=XY):
+        return {
+            "pack": "discrete",
+            "counts": list(counts),
+            "names": [f"p{i}" for i in range(len(counts))],
+            "xy": io._pack_f64(np.asarray(xy, dtype=float)),
+            "weights": io._pack_f64(np.asarray(weights, dtype=float)),
+        }
+
+    def _constructor_message(self, locations, weights):
+        with pytest.raises(DistributionError) as err:
+            DiscreteUncertainPoint(locations, weights)
+        return str(err.value)
+
+    def test_non_positive_weight(self):
+        with pytest.raises(DistributionError) as err:
+            io.points_from_wire(self._wire([0.2, 0.5, 0.3, 1.5, -0.5]))
+        assert str(err.value) == "location probabilities must be positive"
+        assert str(err.value) == self._constructor_message(self.XY[3:], [1.5, -0.5])
+
+    def test_weights_not_summing_to_one(self):
+        weights = [0.3, 0.3, 0.3, 0.5, 0.5]
+        with pytest.raises(DistributionError, match="^weights sum to 0.8999") as err:
+            io.points_from_wire(self._wire(weights))
+        assert str(err.value) == self._constructor_message(self.XY[:3], weights[:3])
+
+    def test_first_bad_point_raises(self):
+        # Point 0 sums to 0.9, point 1 has a negative weight.
+        with pytest.raises(DistributionError, match="^weights sum to"):
+            io.points_from_wire(self._wire([0.3, 0.3, 0.3, 1.5, -0.5]))
+
+    def test_counts_disagree_with_payload(self):
+        weights = [0.2, 0.5, 0.3, 0.5, 0.5]
+        with pytest.raises(
+            DistributionError,
+            match="^packed discrete encoding holds 10 values, expected 12$",
+        ):
+            io.points_from_wire(self._wire(weights, counts=(3, 3)))
+        with pytest.raises(
+            DistributionError,
+            match="^packed discrete encoding holds 5 values, expected 4$",
+        ):
+            io.points_from_wire(self._wire(weights, counts=(2, 2), xy=self.XY[:4]))
+        bad = self._wire(weights)
+        bad["names"] = ["only one"]
+        with pytest.raises(DistributionError, match="mismatched counts/names"):
+            io.points_from_wire(bad)
+        with pytest.raises(DistributionError, match="^empty discrete distribution$"):
+            io.points_from_wire(self._wire(weights, counts=(3, 0, 2)))
+
+    def test_points_are_row_views_of_the_batch(self):
+        pts = io.points_from_wire(self._wire([0.2, 0.5, 0.3, 0.5, 0.5]))
+        assert [p.name for p in pts] == ["p0", "p1"]
+        xy = pts[0]._loc_arr.base
+        assert xy is not None and pts[1]._loc_arr.base is xy
+        assert pts[1].locations == [(5.0, 5.0), (6.0, 4.0)]
+        assert pts[0].weights == [0.2, 0.5, 0.3]

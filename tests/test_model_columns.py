@@ -1,10 +1,14 @@
 """The SoA model store: envelope brackets, moments, tags, CSR columns,
-and the array-based STR bulk loaders."""
+support radii, and the array-based STR bulk loaders."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro import ModelColumns, UncertainSet
+from repro import Engine, ModelColumns, QuerySpec, UncertainSet
 from repro.uncertain.columns import (
     TAG_DISCRETE,
     TAG_DISK,
@@ -128,6 +132,87 @@ class TestModelColumns:
         cols = ModelColumns(points[:3])
         with pytest.raises(QueryError):
             QueryPlanner(points, columns=cols)
+
+
+coords = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def discrete_objects(draw):
+    """k = 1..8 locations: scattered, near-cocircular, or duplicated."""
+    k = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("scatter", "circle", "duplicates")))
+    if shape == "circle":
+        cx, cy = draw(coords), draw(coords)
+        r = draw(st.floats(1e-3, 50.0))
+        wobble = st.floats(-1e-9, 1e-9)
+        locs = [
+            (cx + r * math.cos(a) + draw(wobble), cy + r * math.sin(a) + draw(wobble))
+            for a in draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k))
+        ]
+    elif shape == "duplicates":
+        base = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=3))
+        locs = [base[draw(st.integers(0, len(base) - 1))] for _ in range(k)]
+    else:
+        locs = draw(st.lists(st.tuples(coords, coords), min_size=k, max_size=k))
+    return DiscreteUncertainPoint(locs, [1.0 / k] * k)
+
+
+@st.composite
+def cocircular_polygons(draw):
+    """3..8 vertices on one circle, at least a degree apart."""
+    cx, cy = draw(coords), draw(coords)
+    r = draw(st.floats(1e-2, 50.0))
+    turn = draw(st.floats(0.0, 1.0))
+    degrees = draw(st.lists(st.integers(0, 359), min_size=3, max_size=8, unique=True))
+    return UniformPolygonPoint([
+        (cx + r * math.cos(math.radians(d + turn)), cy + r * math.sin(math.radians(d + turn)))
+        for d in degrees
+    ])
+
+
+#: A discrete object one of whose locations lies 8e-12 relative outside
+#: its smallest enclosing circle's radius (Welzl's inside test allows
+#: 1e-10), and a certain point that beats it by 4e-12 at ``ROW``.
+NEAR_COCIRCULAR = DiscreteUncertainPoint(
+    [(58.13820877404199, 70.37454101336156), (58.90410328017087, 71.48851256655766),
+     (59.0950422498526, 71.28938094890569), (59.08110913537973, 70.76733544616104)],
+    [0.39403481169065885, 0.16715108914919427, 0.3403053962374821, 0.09850870292266471],
+)
+CERTAIN = DiscreteUncertainPoint([(58.13820877404426, 70.37454101336486)], [1.0])
+ROW = [[58.08143592951698, 70.29221942369921]]
+
+
+class TestSupportRadii:
+    """Each discrete and polygon radius covers the object's support
+    points, measured as the pair bounds measure distances."""
+
+    @staticmethod
+    def _support(p):
+        if isinstance(p, DiscreteUncertainPoint):
+            return p._loc_arr
+        return np.asarray([(v.x, v.y) for v in p.vertices])
+
+    @given(st.lists(st.one_of(discrete_objects(), cocircular_polygons()),
+                    min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @example([NEAR_COCIRCULAR])
+    def test_every_support_point_lies_within_its_radius(self, points):
+        cols = ModelColumns(points)
+        for i, p in enumerate(points):
+            support = self._support(p)
+            dx = support[:, 0] - cols.centers[i, 0]
+            dy = support[:, 1] - cols.centers[i, 1]
+            assert np.all(np.sqrt(dx * dx + dy * dy) <= cols.radii[i]), i
+
+    def test_pruned_tier_keeps_a_near_cocircular_answer(self):
+        # dmin of the first object is 0.09999999999999411 and dmax of
+        # the certain point 0.10000000000399502, so both are answers.
+        engine = Engine([NEAR_COCIRCULAR, CERTAIN])
+        exact = engine.query(ROW, QuerySpec("nonzero", tier="exact"))
+        pruned = engine.query(ROW, QuerySpec("nonzero"))
+        assert exact.answers == [frozenset({0, 1})]
+        assert pruned.answers == exact.answers
 
 
 class TestBulkLeafBuilders:

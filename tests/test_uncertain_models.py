@@ -213,14 +213,24 @@ class TestPolygonUniform:
 #: Per-point structures built on first use, not by the constructor.
 LAZY = ("hull", "enclosing", "_sampler")
 
+#: The support lists, which a decoded point builds from its arrays on
+#: first use (the constructor keeps the lists it validated).
+LISTS = ("locations", "weights")
+
 
 def _built(p):
     return [name for name in LAZY if name in p.__dict__]
 
 
+def _held(p):
+    return [name for name in LISTS + LAZY if name in p.__dict__]
+
+
 class TestLazyGeometry:
     """Discrete points build their hull, enclosing circle and alias
-    table on first use; restoring an engine builds none of them."""
+    table on first use; restoring an engine builds none of them, and
+    points decoded by a restore or a log replay hold no support lists
+    either."""
 
     QS = [(0.0, 0.0), (50.0, 50.0), (120.0, -7.5)]
 
@@ -300,3 +310,88 @@ class TestLazyGeometry:
                 if isinstance(p, DiscreteUncertainPoint):
                     assert twin.hull == p.hull
                     assert twin.enclosing == p.enclosing
+
+    def test_loaded_points_hold_nothing_through_reads_and_saves(self, tmp_path):
+        Engine(self._points()).save(str(tmp_path / "snap.npz"))
+        loaded = Engine.load(str(tmp_path / "snap.npz"))
+        assert all(_held(p) == [] for p in loaded.points)
+        Q = np.asarray(self.QS)
+        for method in ("nonzero", "expected_nn"):
+            loaded.query(Q, method=method)
+        loaded.save(str(tmp_path / "again.npz"))
+        assert all(_held(p) == [] for p in loaded.points)
+
+    def test_replayed_points_hold_only_what_the_summary_used(self, tmp_path):
+        ddir = str(tmp_path / "dur")
+        durable = Engine.open_durable(ddir, self._points())
+        durable.insert(random_discrete_points(3, 4, seed=33))
+        durable.insert(random_discrete_points(2, 4, seed=34))
+        durable.remove([0, 5, 18, 19])  # two snapshot rows, the second batch
+        durable.close()
+        recovered = Engine.open_durable(ddir)
+        try:
+            base, logged = recovered.points[:13], recovered.points[13:]
+            assert len(logged) == 3
+            for _ in range(2):
+                assert all(_held(p) == [] for p in base)
+                # The replay inserts the kept points as a live insert
+                # does: the column summary is the first use of their
+                # hull and circle, and never reads the lists.
+                assert all(_held(p) == ["hull", "enclosing"] for p in logged)
+                recovered.save(str(tmp_path / "again.npz"))
+        finally:
+            recovered.close()
+
+        # A replaced relation is held unsummarised until a read needs it.
+        ddir = str(tmp_path / "replaced")
+        durable = Engine.open_durable(ddir, self._points())
+        durable.replace_points(random_discrete_points(5, 3, seed=35))
+        durable.close()
+        recovered = Engine.open_durable(ddir)
+        try:
+            assert len(recovered) == 5
+            assert all(_held(p) == [] for p in recovered.points)
+        finally:
+            recovered.close()
+
+    def test_decoded_first_use_matches_eager_construction(self, tmp_path):
+        Engine(self._points()).save(str(tmp_path / "snap.npz"))
+        decoded = Engine.load(str(tmp_path / "snap.npz")).points
+        for p, eager in zip(decoded, self._points()):
+            assert p.name == eager.name and p.k == eager.k
+            assert p.support_bbox() == eager.support_bbox()
+            for q in self.QS:
+                assert p.dmax(q) == eager.dmax(q)
+                assert p.dmin(q) == eager.dmin(q)
+                assert p.expected_distance(q) == eager.expected_distance(q)
+                assert p.distance_cdf(q, 40.0) == eager.distance_cdf(q, 40.0)
+            assert p.hull == eager.hull
+            assert p.enclosing == eager.enclosing
+            assert p.locations == eager.locations
+            assert p.weights == eager.weights
+            rng, ref = random.Random(5), random.Random(5)
+            assert [p.sample(rng) for _ in range(40)] == [
+                eager.sample(ref) for _ in range(40)
+            ]
+            assert np.array_equal(p.sample_many(9, 64), eager.sample_many(9, 64))
+            assert _held(p) == list(LISTS + LAZY)
+
+    def test_decoded_points_pickle_before_and_after_first_use(self, tmp_path):
+        Engine(self._points()).save(str(tmp_path / "snap.npz"))
+        for p in Engine.load(str(tmp_path / "snap.npz")).points[-5:]:
+            fresh = pickle.loads(pickle.dumps(p))
+            assert _held(fresh) == []
+            rng = random.Random(3)
+            stream = [p.sample(rng) for _ in range(5)]
+            p.dmax((1.0, 2.0))
+            p.enclosing
+            p.weights
+            used = pickle.loads(pickle.dumps(p))
+            assert _held(used) == _held(p) == list(LISTS + LAZY)
+            for twin in (fresh, used):
+                assert np.array_equal(twin._loc_arr, p._loc_arr)
+                assert np.array_equal(twin._w_arr, p._w_arr)
+                rng = random.Random(3)
+                assert [twin.sample(rng) for _ in range(5)] == stream
+                assert (twin.hull, twin.enclosing) == (p.hull, p.enclosing)
+                assert (twin.locations, twin.weights) == (p.locations, p.weights)
