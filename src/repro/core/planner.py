@@ -37,7 +37,10 @@ call.  :meth:`QueryPlanner._answer` runs any row on any tier:
     query, its fallback rows re-answered by the pruned pass — except
     that under ``EXECUTION.dtype="float32"`` expected-NN fallback rows
     run the grouped kernels in single precision, and the call returns a
-    certified bound per fallback row with its answers.
+    certified bound per fallback row with its answers.  The index values
+    its cell labels and its settled rows' winners through this
+    planner's :meth:`QueryPlanner._pair_values` and reduces them with
+    the pruned tier's reducers, so the two tiers share one evaluator.
 
 Every tier takes its tile budget, backend and worker count from
 :func:`repro.config.current_execution` at call time, and the planner
@@ -329,8 +332,7 @@ class QueryPlanner:
         return self._cache(
             ("quant", float(eps), float(rel), criterion),
             lambda: QuantizedEnvelopeIndex(
-                self.points, eps=eps, rel=rel, criterion=criterion,
-                columns=self.columns,
+                self.points, eps=eps, rel=rel, criterion=criterion, planner=self,
             ),
         )
 

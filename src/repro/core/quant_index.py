@@ -22,6 +22,13 @@ store:
   labelled with **exact** evaluations at the cell center; the Lipschitz
   property turns those labels into certified answers for every query in
   the cell.
+* Every exact value the index needs (the ε-cell labels and the winners
+  of settled rows) is a pruned-tier pass in all but name: a batch of
+  cells is a CSR whose rows are the centers and whose columns are each
+  cell's candidates in ascending order, valued by the planner's
+  tag-grouped kernels (:meth:`repro.QueryPlanner._pair_values`) and
+  reduced by :mod:`repro.core.reducers`.  So a label is bit-identical
+  to the exact tier's answer at its cell center.
 * The budget is ``max(ε, rel * dist)``: pure additive quantization with
   ``rel = 0``, and the paper's multiplicative ``(1 + ε)``-style regime
   with ``rel > 0``, which keeps far-field cells coarse (cell size grows
@@ -55,8 +62,7 @@ dmax_j(q))``, the returned set ``S`` satisfies
 — an ε-relaxation of ``NN!=0(q)``; on settled cells ``S = NN!=0(q)``
 exactly.  Threshold answers are emitted only where they are exact
 (settled singleton cells have ``pi_w = 1``); everything else lands in
-the fallback mask (or, with ``certified_only=False``, receives the
-center's quantification sweep as an *uncertified* estimate).
+the fallback mask.
 """
 
 from __future__ import annotations
@@ -69,9 +75,8 @@ import numpy as np
 
 from ..errors import QueryError
 from ..geometry import kernels
-from ..uncertain.columns import ModelColumns
-from .continuous_quant import continuous_quantification_many
-from .quantification import quantification_probabilities
+from .planner import QueryPlanner
+from .reducers import min_reduce_csr, nonzero_csr
 
 __all__ = [
     "ApproxNN",
@@ -125,10 +130,7 @@ class ApproxSets:
 class ApproxThreshold:
     """Certified-exact threshold answers + fallback mask.
 
-    Rows not in ``fallback`` are exactly the [DYM+05] answer.  With
-    ``certified_only=False`` the fallback rows that hit a labelled cell
-    receive the cell center's sweep as an uncertified estimate instead
-    (and stay flagged in ``fallback``).
+    Rows not in ``fallback`` are exactly the [DYM+05] answer.
     """
 
     answers: List[Dict[int, float]]
@@ -157,8 +159,11 @@ class QuantizedEnvelopeIndex:
         :meth:`expected_nn_many`); ``"support"`` — quantize the
         ``dmin``/``dmax`` envelope (serves :meth:`nonzero_nn_many` and
         :meth:`threshold_nn_many`).
-    columns:
-        Optional precomputed :class:`ModelColumns` over ``points``.
+    planner:
+        Optional :class:`repro.QueryPlanner` over ``points``: its column
+        store bounds the cells, and its grouped kernels value the labels
+        and the settled rows' winners.  A private one is built when
+        omitted.
     margin:
         Fractional padding of the quantized domain around the data
         bounding box; queries outside the domain fall back.
@@ -174,7 +179,7 @@ class QuantizedEnvelopeIndex:
         eps: float,
         criterion: str = "expected",
         rel: float = 0.0,
-        columns: Optional[ModelColumns] = None,
+        planner: Optional[QueryPlanner] = None,
         margin: float = 0.5,
         max_nodes: int = 2_000_000,
         max_depth: int = 40,
@@ -185,12 +190,13 @@ class QuantizedEnvelopeIndex:
             raise QueryError("rel must be non-negative")
         if criterion not in ("expected", "support"):
             raise QueryError(f"unknown quantization criterion {criterion!r}")
-        self.points = list(points)
-        if not self.points:
+        points = list(points)
+        if not points:
             raise QueryError("QuantizedEnvelopeIndex requires at least one point")
-        self.columns = columns if columns is not None else ModelColumns(self.points)
-        if self.columns.n != len(self.points):
-            raise QueryError("columns were built over a different point set")
+        self.planner = planner if planner is not None else QueryPlanner(points)
+        if len(self.planner) != len(points):
+            raise QueryError("planner was built over a different point set")
+        self.columns = self.planner.columns
         self.eps = float(eps)
         self.rel = float(rel)
         self.criterion = criterion
@@ -199,7 +205,6 @@ class QuantizedEnvelopeIndex:
         self._build_root(float(margin))
         self._build_tree()
         self._label_leaves()
-        self._pi_cache: Dict[int, Dict[int, float]] = {}
 
     # -- construction --------------------------------------------------------
     def _build_root(self, margin: float) -> None:
@@ -402,26 +407,6 @@ class QuantizedEnvelopeIndex:
         )
         self._depth = depth
 
-    def _eval_by_object(
-        self, evaluate, pair_rows: np.ndarray, pair_cols: np.ndarray, C: np.ndarray
-    ) -> np.ndarray:
-        """``evaluate(point_i, centers)`` gathered over CSR pairs, one
-        vectorized call per distinct object."""
-        vals = np.empty(pair_cols.shape[0])
-        order = np.argsort(pair_cols, kind="stable")
-        sorted_cols = pair_cols[order]
-        starts = np.searchsorted(
-            sorted_cols, np.arange(self.columns.n), side="left"
-        )
-        ends = np.searchsorted(
-            sorted_cols, np.arange(self.columns.n), side="right"
-        )
-        for i in range(self.columns.n):
-            sel = order[starts[i]:ends[i]]
-            if sel.size:
-                vals[sel] = evaluate(self.points[i], C[pair_rows[sel]])
-        return vals
-
     def _label_leaves(self) -> None:
         """Allocate the lazy label store.  ε-cell labels (exact center
         evaluations) are computed on first touch by
@@ -435,7 +420,9 @@ class QuantizedEnvelopeIndex:
 
     def _ensure_quant_labels(self, lids: np.ndarray) -> None:
         """Label the (unique, QUANT-kind) leaf ids that are still
-        unlabelled: one grouped exact evaluation per distinct object."""
+        unlabelled, as a pruned pass answers its rows: the cells form a
+        CSR (rows the centers, columns their ascending candidates),
+        valued by the grouped kernels and fed to the pass's reducer."""
         need = lids[~self._leaf_labelled[lids]]
         if need.size == 0:
             return
@@ -445,43 +432,16 @@ class QuantizedEnvelopeIndex:
         )
         indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.intp)
         C = np.column_stack((self._leaf_cx[need], self._leaf_cy[need]))
-        L = need.size
-        pr = np.repeat(np.arange(L, dtype=np.intp), lens)
-        npairs = cols.shape[0]
-        pair_pos = np.arange(npairs, dtype=np.intp)
+        values = self.planner._pair_values(self.criterion, C, indptr, cols)
         if self.criterion == "expected":
-            vals = self._eval_by_object(
-                lambda p, Qs: p.expected_distance_many(Qs), pr, cols, C
+            self._leaf_winner[need], self._leaf_value[need] = min_reduce_csr(
+                indptr, cols, values
             )
-            minv = np.minimum.reduceat(vals, indptr[:-1])
-            pos = np.where(vals == minv[pr], pair_pos, npairs)
-            first = np.minimum.reduceat(pos, indptr[:-1])
-            self._leaf_value[need] = minv
-            self._leaf_winner[need] = cols[first]
         else:
-            dmins = self._eval_by_object(
-                lambda p, Qs: p.dmin_many(Qs), pr, cols, C
-            )
-            dmaxs = self._eval_by_object(
-                lambda p, Qs: p.dmax_many(Qs), pr, cols, C
-            )
-            best = np.minimum.reduceat(dmaxs, indptr[:-1])
-            pos = np.where(dmaxs == best[pr], pair_pos, npairs)
-            argpos = np.minimum.reduceat(pos, indptr[:-1])
-            masked = dmaxs.copy()
-            masked[argpos] = np.inf
-            second = np.minimum.reduceat(masked, indptr[:-1])
-            # Lemma 2.1 at the center: the argmin of dmax competes with
-            # the second-smallest dmax, everyone else with the smallest.
-            thr = best[pr]
-            thr[argpos] = second
-            member = dmins < thr
-            for j, lid in enumerate(need):
-                seg = slice(indptr[j], indptr[j + 1])
-                self._leaf_set[lid] = frozenset(
-                    cols[seg][member[seg]].tolist()
-                )
-                self._leaf_winner[lid] = int(cols[argpos[j]])
+            # A support ε-cell answers with its set; only settled cells
+            # read a winner.
+            for lid, members in zip(need.tolist(), nonzero_csr(indptr, cols, *values)):
+                self._leaf_set[lid] = members
         self._leaf_labelled[need] = True
 
     # -- batched point location ----------------------------------------------
@@ -529,8 +489,8 @@ class QuantizedEnvelopeIndex:
         """ε-certified expected-distance NN for every query row.
 
         Settled rows report the exact winner with its expectation
-        evaluated exactly at the query (error 0, one grouped model
-        evaluation per distinct winner); ε-cell rows are pure label
+        evaluated exactly at the query (error 0, one grouped kernel call
+        over the (row, winner) pairs); ε-cell rows are pure label
         lookups with error at most ``eps``; fallback rows are left to
         the caller's exact tier.
         """
@@ -549,15 +509,12 @@ class QuantizedEnvelopeIndex:
             self._ensure_quant_labels(np.unique(leaf[quant]))
         winners[good] = self._leaf_winner[leaf[good]]
         values[quant] = self._leaf_value[leaf[quant]]
-        settled = good & ~quant
-        rows = np.flatnonzero(settled)
+        rows = np.flatnonzero(good & ~quant)
         if rows.size:
-            by_winner = winners[rows]
-            for w in np.unique(by_winner):
-                sub = rows[by_winner == w]
-                values[sub] = self.points[int(w)].expected_distance_many(
-                    Q[sub]
-                )
+            values[rows] = self.planner._pair_values(
+                "expected", Q[rows], np.arange(rows.size + 1, dtype=np.intp),
+                winners[rows],
+            )
         return ApproxNN(winners, values, fallback, self.eps, self.rel)
 
     def nonzero_nn_many(self, qs) -> ApproxSets:
@@ -580,66 +537,23 @@ class QuantizedEnvelopeIndex:
                 sets.append(frozenset([int(self._leaf_winner[leaf[row]])]))
         return ApproxSets(sets, fallback, self.eps, self.rel)
 
-    def threshold_nn_many(
-        self, qs, tau: float, certified_only: bool = True
-    ) -> ApproxThreshold:
+    def threshold_nn_many(self, qs, tau: float) -> ApproxThreshold:
         """Threshold answers where the quantization certifies them.
 
         Settled singleton cells are exact (``pi_w = 1 > tau``); every
-        other row is flagged in the fallback mask.  With
-        ``certified_only=False``, flagged rows that hit an ε-cell also
-        receive the center's exact sweep over the cell candidates as an
-        uncertified estimate (cached per cell).
+        other row is flagged in the fallback mask.
         """
         if self.criterion != "support":
             raise QueryError("threshold_nn_many requires criterion='support'")
         if not 0.0 <= tau < 1.0:
             raise QueryError("tau must lie in [0, 1)")
         Q, leaf, fallback = self._leaf_rows(qs)
-        m = Q.shape[0]
-        answers: List[Dict[int, float]] = [{} for _ in range(m)]
-        fallback = fallback.copy()
-        for row in range(m):
-            if fallback[row]:
-                continue
-            lid = int(leaf[row])
-            if self._leaf_kind[lid] == _SETTLED:
-                answers[row] = {int(self._leaf_winner[lid]): 1.0}
-            else:
-                fallback[row] = True
-                if not certified_only:
-                    answers[row] = {
-                        i: v
-                        for i, v in self._center_pi(lid).items()
-                        if v > tau
-                    }
-        return ApproxThreshold(answers, fallback, self.eps, self.rel)
-
-    def _center_pi(self, lid: int) -> Dict[int, float]:
-        """Quantification probabilities at an ε-cell center, restricted
-        to the cell candidates (a superset of the center's ``NN!=0``):
-        the Eq. (2) sweep for all-discrete candidates, the Eq. (1)
-        quadrature (:func:`continuous_quantification_many`) when no
-        candidate is discrete, and ``{}`` for mixed cells (neither
-        formula covers both atom and density mass exactly)."""
-        if lid not in self._pi_cache:
-            j = int(np.searchsorted(self._quant_leaf_ids, lid))
-            seg = self._quant_idx[
-                self._quant_indptr[j]:self._quant_indptr[j + 1]
-            ]
-            sub = [self.points[int(i)] for i in seg]
-            center = (float(self._leaf_cx[lid]), float(self._leaf_cy[lid]))
-            discrete = [p.is_discrete for p in sub]
-            if all(discrete):
-                pi = quantification_probabilities(sub, center)
-            elif not any(discrete):
-                pi = continuous_quantification_many(sub, [center])[0]
-            else:
-                pi = []
-            self._pi_cache[lid] = {
-                int(seg[t]): float(v) for t, v in enumerate(pi) if v > 0.0
-            }
-        return self._pi_cache[lid]
+        settled = ~fallback
+        settled[settled] = self._leaf_kind[leaf[settled]] == _SETTLED
+        answers: List[Dict[int, float]] = [{} for _ in range(Q.shape[0])]
+        for row in np.flatnonzero(settled).tolist():
+            answers[row] = {int(self._leaf_winner[leaf[row]]): 1.0}
+        return ApproxThreshold(answers, ~settled, self.eps, self.rel)
 
     # -- introspection -------------------------------------------------------
     @property

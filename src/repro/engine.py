@@ -1502,9 +1502,10 @@ class Engine:
             diag["fallback_rows"] = float(np.count_nonzero(result.fallback))
         # Evaluation-phase breakdown: prune vs evaluate wall time,
         # grouped pairs and eval-cache reuse.  Present whenever the
-        # grouped evaluator served the call; the exact tier, the
-        # Monte-Carlo rounds and settled approx rows evaluate no
-        # survivor pairs.
+        # grouped evaluator served the call (an approx call values the
+        # candidates of the cells it labels and, for expected NN, its
+        # settled rows' winners); the exact tier and the Monte-Carlo
+        # rounds evaluate no grouped pairs.
         if delta.get("grouped_calls"):
             diag["eval_pairs"] = delta["pairs"]
             diag["eval_seconds"] = delta["eval_seconds"]

@@ -41,6 +41,10 @@ class UniformPolygonPoint(UncertainPoint):
         self._triangles = triangulate_fan(self.vertices)
         self._tri_weights = [abs(polygon_area(t)) for t in self._triangles]
         total = sum(self._tri_weights)
+        # A hull of three or more vertices can still span no area (its
+        # fan triangles sum to 0 in floating point).
+        if not (total > 0.0 and self.area > 0.0):
+            raise DistributionError("polygon support must have positive area")
         self._tri_cdf = []
         acc = 0.0
         for w in self._tri_weights:

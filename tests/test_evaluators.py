@@ -324,12 +324,25 @@ def test_unevaluated_calls_report_no_stale_eval():
     assert warm.diagnostics["eval_pairs"] > 0
     # The Monte-Carlo rounds prune but never call the evaluators.
     mc = eng.query(Q[:5], QuerySpec("mc_pnn", s=32, seed=1), diagnostics=True)
+    # An approx call values its settled rows' winners and the candidates
+    # of each cell it labels (at eps = 10 these rows hit both kinds; the
+    # far row would fall outside the quantized domain).
+    near = Q[np.abs(Q).max(axis=1) < 200.0]
     res = eng.query(
-        Q, QuerySpec("expected_nn", tier="approx", eps=1e3), diagnostics=True
+        near, QuerySpec("expected_nn", tier="approx", eps=10.0), diagnostics=True
     )
     assert not np.any(res.fallback)
+    index = eng.quantized_index(10.0)
+    leaf = index.locate_many(near)
+    kinds = index._leaf_kind[leaf]
+    cells = np.searchsorted(index._quant_leaf_ids, np.unique(leaf[kinds == 1]))
+    labelled = int(np.diff(index._quant_indptr)[cells].sum())
+    assert np.count_nonzero(kinds == 0) and labelled
+    tags = sum(v for k, v in res.diagnostics.items() if k.startswith("pairs_"))
+    assert res.diagnostics["eval_pairs"] == tags
+    assert tags == np.count_nonzero(kinds == 0) + labelled
     exact = eng.query(Q, QuerySpec("expected_nn", tier="exact"), diagnostics=True)
-    for diag in (mc.diagnostics, res.diagnostics, exact.diagnostics):
+    for diag in (mc.diagnostics, exact.diagnostics):
         for key in ("eval_pairs", "eval_seconds", "prune_seconds"):
             assert key not in diag
         # Nor the eval cache's counters, which would describe other calls.

@@ -3,7 +3,9 @@
 Property tests over every uncertain model type: approximate expected-NN
 answers are within the certified budget of the exact ones, ε-relaxed
 ``NN!=0`` sets satisfy their sandwich, certified threshold rows are
-exact, and the exact-fallback mask is honored end to end.
+exact, and the exact-fallback mask is honored end to end.  The cell
+labels equal the exact tier's answers at the cell centers bit for bit,
+because the index values them with the pruned tier's grouped kernels.
 """
 
 import random
@@ -23,6 +25,7 @@ from repro import (
     UniformRectPoint,
     batch,
 )
+from repro.constructions import random_discrete_points, random_disk_points
 from repro.errors import QueryError
 
 EPS = 0.4
@@ -196,36 +199,6 @@ class TestSupportCertificate:
         # eps routing through the facade matches the pruned answer sets.
         via_eps = batch.threshold_nn_exact_many(points, Q, tau, eps=EPS)
         assert all(same_answer(a, b) for a, b in zip(via_eps, exact))
-        # Uncertified estimates are provided only on request.
-        est = index.threshold_nn_many(Q, tau, certified_only=False)
-        assert all(
-            est.answers[r] == ans.answers[r]
-            for r in np.flatnonzero(~ans.fallback)
-        )
-
-    def test_uncertified_estimates_on_continuous_models(self):
-        # certified_only=False on disk models routes through the
-        # quadrature sweep (continuous_quantification_many) and must
-        # approximate the true cell probabilities at the cell center.
-        rng = random.Random(31)
-        points = [
-            UniformDiskPoint(
-                (rng.uniform(2, 18), rng.uniform(2, 18)),
-                rng.uniform(0.6, 1.2),
-            )
-            for _ in range(8)
-        ]
-        Q = _queries(32, m=30, lo=2.0, hi=18.0)
-        index = QuantizedEnvelopeIndex(points, eps=EPS, criterion="support")
-        est = index.threshold_nn_many(Q, 0.2, certified_only=False)
-        answered = [
-            r
-            for r in range(Q.shape[0])
-            if est.fallback[r] and est.answers[r]
-        ]
-        assert answered  # clustered disks always leave mixed cells
-        for r in answered:
-            assert all(v > 0.2 for v in est.answers[r].values())
 
     def test_continuous_quantification_many_parity(self):
         from repro import (
@@ -317,3 +290,71 @@ class TestConstruction:
         b = eager.expected_nn_many(Q)
         assert np.array_equal(a.winners, b.winners)
         assert np.array_equal(a.values[~a.fallback], b.values[~b.fallback])
+
+
+class TestOneEvaluator:
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    @pytest.mark.parametrize("criterion", ["expected", "support"])
+    def test_labels_equal_the_exact_tier_at_cell_centers(self, criterion, seed):
+        points = _model_zoo(seed=seed)
+        planner = QueryPlanner(points)
+        index = QuantizedEnvelopeIndex(
+            points, eps=EPS, criterion=criterion, planner=planner
+        )
+        ids = index._quant_leaf_ids
+        # The exact tier values each polygon and gaussian at a center by
+        # quadrature (~30 ms a row here), so expected samples fewer cells.
+        size = min(300 if criterion == "support" else 50, ids.size)
+        rng = np.random.default_rng(seed)
+        cells = np.sort(rng.choice(ids, size=size, replace=False))
+        centers = np.column_stack((index._leaf_cx[cells], index._leaf_cy[cells]))
+        # A center locates its own cell, so the query reads its label.
+        assert np.array_equal(index.locate_many(centers), cells)
+        if criterion == "expected":
+            ans = index.expected_nn_many(centers)
+            winners, values = planner.expected_nn_many(centers, tier="exact")
+            assert np.array_equal(ans.winners, winners)
+            assert np.array_equal(ans.values, values)
+        else:
+            ans = index.nonzero_nn_many(centers)
+            assert ans.sets == planner.nonzero_nn_many(centers, tier="exact")
+        assert not ans.fallback.any()
+
+    def test_labels_and_settled_rows_call_no_model_method(self, monkeypatch):
+        # Polygons keep their per-object fallback in the grouped
+        # evaluator, so the set holds only the grouped families.
+        points = random_disk_points(40, seed=7, box=60.0) + random_discrete_points(
+            40, k=3, seed=8, box=60.0
+        )
+        planner = QueryPlanner(points)
+        warm = _queries(9, m=5, lo=0.0, hi=60.0)
+        for name in ("expected_nn_many", "nonzero_nn_many"):
+            getattr(planner, name)(warm, tier="approx", eps=EPS)
+        calls = []
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls.append((cls.__name__, name))
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls in (UniformDiskPoint, DiscreteUncertainPoint):
+            for name in ("expected_distance_many", "dmin_many", "dmax_many"):
+                counted(cls, name)
+        Q = _queries(10, m=200, lo=0.0, hi=60.0)
+        for criterion, name in (
+            ("expected", "expected_nn_many"), ("support", "nonzero_nn_many")
+        ):
+            index = planner.approx_index(EPS, criterion=criterion)
+            leaf = index.locate_many(Q)
+            kinds = index._leaf_kind[leaf]
+            # The batch labels fresh cells and answers settled rows.
+            assert not index._leaf_labelled[leaf[kinds == 1]].all()
+            assert np.any(kinds == 0)
+            assert not getattr(index, name)(Q).fallback.any()
+            assert index._leaf_labelled[leaf[kinds == 1]].all()
+        assert calls == []
+

@@ -183,6 +183,13 @@ def test_status_mapping(server):
         server, "PUT", "/v1/datasets/fresh", {"points": [{"bad": "row"}]}
     )
     assert code == 400 and body["error"] == "DistributionError"
+    # A polygon whose hull spans no area is a malformed point too.
+    flat = {"type": "polygon_uniform", "vertices": [
+        [1.0, 0.0], [0.5403023058681398, 0.8414709848078965],
+        [1.0, 4.71407264051071e-90],
+    ]}
+    code, body = _error(server, "PUT", "/v1/datasets/x", {"points": [flat]})
+    assert code == 400 and body["error"] == "DistributionError"
     # 404: unrouted path
     assert _error(server, "GET", "/nope")[0] == 404
     # 504: a deadline that is already expired at the first checkpoint

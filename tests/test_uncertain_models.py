@@ -196,6 +196,13 @@ class TestPolygonUniform:
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(DistributionError):
             UniformPolygonPoint([(0, 0), (1, 1), (2, 2)])
+        # Three hull vertices whose fan triangles sum to zero area.
+        with pytest.raises(DistributionError):
+            UniformPolygonPoint([
+                (1.0, 0.0),
+                (0.5403023058681398, 0.8414709848078965),
+                (1.0, 4.71407264051071e-90),
+            ])
 
     def test_cdf_exact_square(self):
         p = UniformPolygonPoint([(0, 0), (2, 0), (2, 2), (0, 2)])
